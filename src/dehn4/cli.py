@@ -28,7 +28,23 @@ from .scenarios import (
 )
 
 _CONFIG_FIELDS = {"scenario", "p", "q", "n", "knot_j", "knot_k", "flags"}
-_FLAG_FIELDS = {"name", "value", "provenance"}
+# each flag field with the JSON type it must have
+_FLAG_FIELDS = {
+    "name": (str, "a string"),
+    "value": (bool, "true or false"),
+    "provenance": (str, "a string"),
+}
+
+# the JSON name of the type of each value json.loads returns, for error messages
+_JSON_TYPES = {
+    type(None): "null",
+    bool: "boolean",
+    int: "number",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+}
 
 
 def _load_config(path: str) -> dict:
@@ -48,21 +64,35 @@ def _load_config(path: str) -> dict:
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ScenarioError(f"unknown config fields: {sorted(unknown)}")
+    for field in ("p", "q", "n"):
+        if field in data and type(data[field]) is not int:  # bool is an int subclass
+            raise ScenarioError(
+                f"config field {field!r} must be an integer, "
+                f"got {_JSON_TYPES[type(data[field])]}"
+            )
     return data
 
 
 def _parse_flags(raw) -> tuple[HypothesisFlag, ...]:
+    if not isinstance(raw, list):
+        raise ScenarioError(
+            f"config field 'flags' must be an array, got {_JSON_TYPES[type(raw)]}"
+        )
     flags = []
-    for entry in raw:
-        if not isinstance(entry, dict) or set(entry) != _FLAG_FIELDS:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or entry.keys() != _FLAG_FIELDS.keys():
             raise ScenarioError(
-                "each flag needs exactly the fields name, value, provenance"
+                f"config field 'flags[{i}]' needs exactly the fields name, value, provenance"
             )
+        for field, (kind, expected) in _FLAG_FIELDS.items():
+            if not isinstance(entry[field], kind):
+                raise ScenarioError(
+                    f"config field 'flags[{i}].{field}' must be {expected}, "
+                    f"got {_JSON_TYPES[type(entry[field])]}"
+                )
         flags.append(
             HypothesisFlag(
-                name=str(entry["name"]),
-                value=bool(entry["value"]),
-                provenance=str(entry["provenance"]),
+                name=entry["name"], value=entry["value"], provenance=entry["provenance"]
             )
         )
     return tuple(flags)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from sympy.ntheory import sqrt_mod
-
 from .exact import IntMatrix, block_diagonal, det, freeze, is_symmetric, signature_symmetric
 
 
@@ -214,12 +212,40 @@ def quadratic_residues(p: int) -> tuple[int, ...]:
     return tuple(sorted({(k * k) % p for k in range(1, p)} - {0}))
 
 
+def is_square_mod(a: int, p: int) -> bool:
+    """Whether a, a unit mod p, is a square mod p.
+
+    Factors p by trial division and tests each prime power l^k || p:
+    Euler's criterion a^((l-1)/2) == 1 (mod l) for odd l (Hensel lifts a
+    root mod l to l^k), a == 1 (mod 4) when 4 || p and a == 1 (mod 8) when
+    8 | p (Cohen, A Course in Computational Algebraic Number Theory, 1.4).
+    """
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
+    if gcd(a, p) != 1:
+        raise ValueError("a must be coprime to the modulus")
+    twos = (p & -p).bit_length() - 1
+    if (twos == 2 and a % 4 != 1) or (twos >= 3 and a % 8 != 1):
+        return False
+    m = p >> twos
+    ell = 3
+    while ell * ell <= m:
+        if m % ell == 0:
+            if pow(a, (ell - 1) // 2, ell) != 1:
+                return False
+            while m % ell == 0:
+                m //= ell
+        ell += 2
+    return m == 1 or pow(a, (m - 1) // 2, m) == 1
+
+
 def lens_qr_bounding(p: int, q: int) -> bool:
     """Whether L(p, q) bounds a simply connected topological 4-manifold
     with b2 = 1: true iff +q or -q is a quadratic residue mod p.
 
-    Uses modular square roots (composite moduli included); the exhaustive
-    search over k in [0, p) lives in the test suite as the oracle.
+    Uses the prime-power criterion of is_square_mod (composite moduli
+    included); the exhaustive search over k in [0, p) lives in the test
+    suite as the oracle.
     """
     if p < 2:
         raise ValueError("lens space parameter p must be at least 2")
@@ -227,7 +253,4 @@ def lens_qr_bounding(p: int, q: int) -> bool:
         raise ValueError("lens space parameter q must satisfy 0 < q < p")
     if gcd(p, q) != 1:
         raise ValueError("lens space parameters must be coprime")
-    return (
-        sqrt_mod(q, p, all_roots=False) is not None
-        or sqrt_mod(p - q, p, all_roots=False) is not None
-    )
+    return is_square_mod(q, p) or is_square_mod(p - q, p)

@@ -359,8 +359,8 @@ def _run_sphere_lens(s: Scenario) -> Report:
     ]
     residues = forms.quadratic_residues(p)
     bounds = forms.lens_qr_bounding(p, q)
-    q_res = q % p in residues
-    mq_res = (p - q) % p in residues
+    q_res = forms.is_square_mod(q, p)
+    mq_res = forms.is_square_mod(p - q, p)
     trace.append(
         TraceStep(
             "lens_qr_bounding",

@@ -18,11 +18,13 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
-
-import sympy
+from typing import TYPE_CHECKING
 
 from .exact import IntMatrix, block_diagonal, det, freeze, signature_symmetric, transpose
 from .laurent import LaurentPoly, poly_det
+
+if TYPE_CHECKING:
+    import sympy
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,8 @@ def fox_milnor(delta: LaurentPoly, degree_bound: int = 16) -> FoxMilnorResult:
         )
     if norm.is_one():
         return FoxMilnorResult(passed=True, factor=LaurentPoly.one())
+
+    import sympy  # only the factorization branch needs it; it dominates import time
 
     t = sympy.Symbol("t")
     shifted = norm.shifted(-norm.min_exp)  # ordinary polynomial, nonzero constant term

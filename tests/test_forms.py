@@ -1,3 +1,5 @@
+import random
+import time
 from math import gcd
 
 import pytest
@@ -14,6 +16,7 @@ from dehn4.forms import (
     enumerate_even_splittings,
     exact_signature,
     hyperbolic_form,
+    is_square_mod,
     lens_qr_bounding,
     parity,
     quadratic_residues,
@@ -168,3 +171,35 @@ def test_lens_qr_against_exhaustive_search_small():
                 (k * k - q) % p == 0 or (k * k + q) % p == 0 for k in range(p)
             )
             assert lens_qr_bounding(p, q) == exhaustive, (p, q)
+
+
+def test_qr_against_exhaustive_search_to_2000():
+    """Both criteria against the set of squares k^2 mod p, k in [0, p): every
+    q coprime to p up to p = 300, then a seeded sample of q for each p up to
+    2000 (primes, prime powers, 4 || p and 8 | p among them)."""
+    rng = random.Random(2000)
+    for p in range(2, 2001):
+        squares = {k * k % p for k in range(p)}
+        units = [q for q in range(1, p) if gcd(p, q) == 1]
+        for q in units if p <= 300 else rng.sample(units, min(len(units), 12)):
+            assert is_square_mod(q, p) == (q in squares), (p, q)
+            assert is_square_mod(p - q, p) == (p - q in squares), (p, q)
+            assert lens_qr_bounding(p, q) == (q in squares or p - q in squares), (p, q)
+
+
+def test_is_square_mod_reduces_a_and_validates():
+    assert is_square_mod(-1, 5) is True  # -1 = 4 = 2^2 mod 5
+    assert is_square_mod(-1, 7) is False
+    assert is_square_mod(17, 8) is True  # 17 = 1 mod 8
+    with pytest.raises(ValueError, match="coprime"):
+        is_square_mod(3, 9)
+    with pytest.raises(ValueError):
+        is_square_mod(1, 1)
+
+
+def test_lens_qr_large_prime_is_prompt():
+    start = time.perf_counter()
+    # p = 10^9 + 7 = 7 mod 8, so 2 is a square mod p
+    assert lens_qr_bounding(10**9 + 7, 2) is True
+    assert lens_qr_bounding(1009**3, 11) is False  # 11 and -11 are non-squares mod 1009
+    assert time.perf_counter() - start < 2.0

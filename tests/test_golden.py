@@ -1,0 +1,132 @@
+"""Golden reports: every case below must render byte for byte as the file
+checked in under tests/golden/.
+
+Each case is a `dehn4` command line run in process through `cli.main`, in
+both output formats.  After a deliberate change to the report output,
+rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and review the diff.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from dehn4.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+FORMATS = {"text": "txt", "json": "json"}
+
+_T23 = [[-1, 1], [0, -1]]
+_T23_MINUS_T23 = {
+    "seifert": [
+        [-1, 1, 0, 0],
+        [0, -1, 0, 0],
+        [0, 0, 1, -1],
+        [0, 0, 0, 1],
+    ],
+    "name": "T(2,3)#-T(2,3)",
+}
+
+
+CASES: dict[str, tuple[str, ...]] = {
+    # the six scenarios at their defaults
+    "sphere-lens": ("--scenario", "sphere-lens"),
+    "sphere-smooth-h": ("--scenario", "sphere-smooth-h"),
+    "sphere-smooth-e8h": ("--scenario", "sphere-smooth-e8h"),
+    "torus-solid": ("--scenario", "torus-solid"),
+    "torus-top-vs-smooth": ("--scenario", "torus-top-vs-smooth"),
+    "twist-extension": ("--scenario", "twist-extension"),
+    # README examples and the knot specs of the cold-CLI benchmark
+    "readme-sphere-lens-5-2": ("--scenario", "sphere-lens", "--p", "5", "--q", "2"),
+    "readme-whitehead-plus": (
+        "--scenario", "torus-top-vs-smooth", "--knot-k", json.dumps({"whitehead": "+"}),
+    ),
+    "torus-solid-torus-3-5": (
+        "--scenario", "torus-solid", "--knot-j", json.dumps({"torus": [3, 5]}),
+    ),
+    "torus-solid-twist-2": ("--scenario", "torus-solid", "--knot-j", json.dumps({"twist": 2})),
+    "torus-solid-seifert-right-trefoil": (
+        "--scenario", "torus-solid", "--knot-j", json.dumps({"seifert": _T23}),
+    ),
+    # the three Fox-Milnor branches: determinant, unit, factorization
+    "torus-solid-figure-eight": (
+        "--scenario", "torus-solid", "--n", "1", "--knot-j", "figure-eight", "--knot-k", "unknot",
+    ),
+    "torus-solid-stevedore": (
+        "--scenario", "torus-solid", "--n", "1", "--knot-j", "stevedore", "--knot-k", "unknot",
+    ),
+    "torus-solid-t23-minus-t23": (
+        "--scenario", "torus-solid", "--n", "1", "--knot-j", json.dumps(_T23_MINUS_T23),
+        "--knot-k", "unknot",
+    ),
+    **{
+        f"torus-top-vs-smooth-torus-{p}-{p + 1}": (
+            "--scenario", "torus-top-vs-smooth", "--n", "1",
+            "--knot-j", json.dumps({"torus": [p, p + 1]}),
+        )
+        for p in range(2, 6)
+    },
+    # sphere-lens: one q that is a square mod p and one that is not, on
+    # primes, prime powers, 4 || p and 8 | p
+    **{
+        f"sphere-lens-{p}-{q}": ("--scenario", "sphere-lens", "--p", str(p), "--q", str(q))
+        for p, qs in (
+            (5, (4, 2)),
+            (7, (2, 3)),
+            (8, (1, 3)),
+            (9, (4, 2)),
+            (12, (1, 5)),
+            (16, (9, 3)),
+            (25, (4, 2)),
+            (27, (4, 2)),
+            (1009, (2, 11)),
+        )
+        for q in qs
+    },
+}
+
+
+def render_case(args: tuple[str, ...], fmt: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["report", *args, "--format", fmt])
+    if code != 0:
+        raise RuntimeError(f"dehn4 report {' '.join(args)} exited {code}")
+    return out.getvalue()
+
+
+def golden_path(name: str, fmt: str) -> Path:
+    return GOLDEN_DIR / f"{name}.{FORMATS[fmt]}"
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, fmt):
+    expected = golden_path(name, fmt).read_bytes()
+    assert render_case(CASES[name], fmt).encode("utf-8") == expected
+
+
+def test_golden_dir_holds_only_known_cases():
+    known = {golden_path(name, fmt).name for name in CASES for fmt in FORMATS}
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == known
+
+
+def write_goldens() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, args in CASES.items():
+        for fmt in FORMATS:
+            golden_path(name, fmt).write_bytes(render_case(args, fmt).encode("utf-8"))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    write_goldens()

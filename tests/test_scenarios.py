@@ -327,3 +327,58 @@ def test_cli_config_flag_provenance_required(tmp_path, capsys):
 def test_cli_requires_scenario(capsys):
     assert main(["report"]) == 1
     assert "no scenario" in capsys.readouterr().err
+
+
+def _config_error(tmp_path, capsys, config) -> str:
+    """Run the CLI on a config that must be rejected; return its one error line."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["report", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dehn4: error: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("field", ["p", "q", "n"])
+@pytest.mark.parametrize("value", ["7", 7.0, True, False, None, [7], {"p": 7}])
+def test_cli_config_rejects_non_integer_parameters(tmp_path, capsys, field, value):
+    config = {"scenario": "sphere-lens", "p": 7, "q": 3, field: value}
+    line = _config_error(tmp_path, capsys, config)
+    assert f"config field '{field}' must be an integer" in line
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+def test_cli_config_rejects_non_boolean_flag_value(tmp_path, capsys, value):
+    flags = [
+        {"name": "rho-y2", "value": True, "provenance": "test input"},
+        {"name": "rho-y1", "value": value, "provenance": "test input"},
+    ]
+    line = _config_error(tmp_path, capsys, {"scenario": "sphere-smooth-h", "flags": flags})
+    assert "config field 'flags[1].value' must be true or false" in line
+
+
+@pytest.mark.parametrize("field", ["name", "provenance"])
+def test_cli_config_rejects_non_string_flag_text(tmp_path, capsys, field):
+    flag = {"name": "rho-y1", "value": True, "provenance": "test input", field: None}
+    line = _config_error(tmp_path, capsys, {"scenario": "sphere-smooth-h", "flags": [flag]})
+    assert f"config field 'flags[0].{field}' must be a string, got null" in line
+
+
+def test_cli_config_rejects_non_array_flags(tmp_path, capsys):
+    line = _config_error(tmp_path, capsys, {"scenario": "sphere-smooth-h", "flags": 5})
+    assert "config field 'flags' must be an array" in line
+
+
+def test_cli_config_false_flag_is_kept_false(tmp_path, capsys):
+    path = tmp_path / "flags.json"
+    flags = [
+        {"name": "rho-y1", "value": False, "provenance": "test input"},
+        {"name": "rho-y2", "value": False, "provenance": "test input"},
+    ]
+    path.write_text(json.dumps({"scenario": "sphere-smooth-h", "flags": flags}))
+    assert main(["report", "--config", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [f["value"] for f in payload["scenario"]["flags"]] == [False, False]
+    assert payload["verdict"] == "NotObstructed"
