@@ -4,11 +4,30 @@
                  [--knot-j SPEC] [--knot-k SPEC]
                  [--format text|json] [--config FILE]
 
-Exit code 0 on any successful computation regardless of verdict; nonzero
-only on errors.  The optional JSON config file supplies the same fields
-(scenario, p, q, n, knot_j, knot_k, flags); unknown fields are rejected.
-DEHN4_CONFIG_DIR, when set, is the search path for relative --config
-paths.
+Each scenario takes these parameters (defaults in parentheses) and reads
+these hypothesis flags:
+
+  sphere-lens          p (5), q (2); no flags
+  sphere-smooth-h      no parameters; rho-y1, rho-y2
+  sphere-smooth-e8h    no parameters; rho-y1, rho-y2, no-e8-filling-y1,
+                       no-acyclic-filling-y2
+  torus-solid          n (1), knot_j (left-trefoil), knot_k (left-trefoil);
+                       torus-incompressible
+  torus-top-vs-smooth  n (0), knot_j (left-trefoil),
+                       knot_k (whitehead-double-positive);
+                       torus-incompressible, surgered-manifold-irreducible,
+                       alexander-one-slice
+  twist-extension      p (2), q (3); meridian-twist-extends,
+                       orbit-twist-extends
+
+Any other parameter or flag is an error, as is a flag given twice.
+
+Exit code 0 on any successful computation regardless of verdict; 1 on an
+error, with one `dehn4: error:` line on stderr.  The optional JSON config
+file supplies the same fields (scenario, p, q, n, knot_j, knot_k, flags);
+unknown fields and values of the wrong JSON type are rejected.  Config
+flags replace the scenario's default flags.  DEHN4_CONFIG_DIR, when set,
+is the search path for relative --config paths.
 """
 from __future__ import annotations
 
@@ -27,7 +46,16 @@ from .scenarios import (
     run_scenario,
 )
 
-_CONFIG_FIELDS = {"scenario", "p", "q", "n", "knot_j", "knot_k", "flags"}
+# each config field with the JSON types it may have (bool is not an int here)
+_CONFIG_FIELDS = {
+    "scenario": ((str,), "a string"),
+    "p": ((int,), "an integer"),
+    "q": ((int,), "an integer"),
+    "n": ((int,), "an integer"),
+    "knot_j": ((str, dict), "a string or an object"),
+    "knot_k": ((str, dict), "a string or an object"),
+    "flags": ((list,), "an array"),
+}
 # each flag field with the JSON type it must have
 _FLAG_FIELDS = {
     "name": (str, "a string"),
@@ -61,23 +89,19 @@ def _load_config(path: str) -> dict:
         raise ScenarioError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ScenarioError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_FIELDS
+    unknown = set(data) - _CONFIG_FIELDS.keys()
     if unknown:
         raise ScenarioError(f"unknown config fields: {sorted(unknown)}")
-    for field in ("p", "q", "n"):
-        if field in data and type(data[field]) is not int:  # bool is an int subclass
+    for field, value in data.items():
+        kinds, expected = _CONFIG_FIELDS[field]
+        if type(value) not in kinds:
             raise ScenarioError(
-                f"config field {field!r} must be an integer, "
-                f"got {_JSON_TYPES[type(data[field])]}"
+                f"config field {field!r} must be {expected}, got {_JSON_TYPES[type(value)]}"
             )
     return data
 
 
-def _parse_flags(raw) -> tuple[HypothesisFlag, ...]:
-    if not isinstance(raw, list):
-        raise ScenarioError(
-            f"config field 'flags' must be an array, got {_JSON_TYPES[type(raw)]}"
-        )
+def _parse_flags(raw: list) -> tuple[HypothesisFlag, ...]:
     flags = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or entry.keys() != _FLAG_FIELDS.keys():
@@ -128,15 +152,11 @@ def main(argv: list[str] | None = None) -> int:
         if not scenario_name:
             raise ScenarioError("no scenario given (use --scenario or a config file)")
         flags = _parse_flags(config["flags"]) if "flags" in config else None
-        scenario = build_scenario(
-            scenario_name,
-            p=args.p if args.p is not None else config.get("p"),
-            q=args.q if args.q is not None else config.get("q"),
-            n=args.n if args.n is not None else config.get("n"),
-            knot_j=args.knot_j if args.knot_j is not None else config.get("knot_j"),
-            knot_k=args.knot_k if args.knot_k is not None else config.get("knot_k"),
-            flags=flags,
-        )
+        params = {}
+        for param in ("p", "q", "n", "knot_j", "knot_k"):
+            value = getattr(args, param)
+            params[param] = value if value is not None else config.get(param)
+        scenario = build_scenario(scenario_name, flags=flags, **params)
         report = run_scenario(scenario)
         sys.stdout.write(render(report, args.format))
         return 0

@@ -72,10 +72,6 @@ def det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
-    return is_square(m) and abs(det(m)) == 1
-
-
 def solve_rational(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction]:
     """Solve a*x = b exactly over the rationals.
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import forms, legendrian, linking, seifert, surgery, twists
 from .linking import canonical_class
@@ -70,16 +72,6 @@ class Report:
     verdict: Verdict
     detail: dict | None = None
     citations: tuple[str, ...] = ()
-
-
-SCENARIO_NAMES = (
-    "sphere-lens",
-    "sphere-smooth-h",
-    "sphere-smooth-e8h",
-    "torus-solid",
-    "torus-top-vs-smooth",
-    "twist-extension",
-)
 
 
 @dataclass(frozen=True)
@@ -194,41 +186,6 @@ _FREEDMAN_CONTRACTIBLE = (
 )
 
 
-def _default_flags(name: str, n: int | None, knot_k: Knot | None) -> tuple[HypothesisFlag, ...]:
-    if name == "sphere-smooth-h":
-        return (
-            HypothesisFlag("rho-y1", True, _ROKHLIN_P),
-            HypothesisFlag("rho-y2", True, _ROKHLIN_P),
-        )
-    if name == "sphere-smooth-e8h":
-        return (
-            HypothesisFlag("rho-y1", True, _ROKHLIN_P),
-            HypothesisFlag("rho-y2", False, _ROKHLIN_PP),
-            HypothesisFlag("no-e8-filling-y1", True, _DONALDSON),
-            HypothesisFlag("no-acyclic-filling-y2", True, _FS_ACYCLIC),
-        )
-    if name == "torus-solid":
-        compressible = (
-            knot_k is not None and knot_k.matrix.size == 0 and n == 0
-        )
-        return (
-            HypothesisFlag("torus-incompressible", not compressible, _GABAI_SOLID_TORUS),
-        )
-    if name == "torus-top-vs-smooth":
-        return (
-            HypothesisFlag("torus-incompressible", True, _GABAI_SOLID_TORUS),
-            HypothesisFlag("surgered-manifold-irreducible", True, _GABAI_ZERO_SURGERY),
-            HypothesisFlag("alexander-one-slice", True, _FREEDMAN_ALEX_ONE),
-        )
-    return ()
-
-
-_TWIST_FLAGS = (
-    HypothesisFlag("meridian-twist-extends", True, _GOMPF_MERIDIAN),
-    HypothesisFlag("orbit-twist-extends", True, _ORBIT_ISOTOPY),
-)
-
-
 def build_scenario(
     name: str,
     p: int | None = None,
@@ -238,49 +195,47 @@ def build_scenario(
     knot_k=None,
     flags: tuple[HypothesisFlag, ...] | None = None,
 ) -> Scenario:
-    """Fill in per-scenario defaults and check required parameters."""
-    if name not in SCENARIO_NAMES:
+    """Fill in per-scenario defaults; reject what the scenario does not take.
+
+    A parameter left as None takes the scenario's default.  Given flags
+    replace the defaults, and each must be one of the scenario's flags.
+    """
+    kind = _SCENARIOS.get(name)
+    if kind is None:
         raise ScenarioError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         )
-    kj = seifert.knot_from_spec(knot_j) if knot_j is not None else None
-    kk = seifert.knot_from_spec(knot_k) if knot_k is not None else None
-
-    if name == "sphere-lens":
-        p = 5 if p is None else p
-        q = 2 if q is None else q
-        scen = Scenario(name, p=p, q=q, flags=flags or ())
-    elif name in ("sphere-smooth-h", "sphere-smooth-e8h"):
-        scen = Scenario(name, flags=flags if flags is not None else _default_flags(name, n, kk))
-    elif name == "torus-solid":
-        kj = kj or seifert.knot_from_spec("left-trefoil")
-        kk = kk or seifert.knot_from_spec("left-trefoil")
-        n = 1 if n is None else n
-        scen = Scenario(
-            name,
-            n=n,
-            knot_j=kj,
-            knot_k=kk,
-            flags=flags if flags is not None else _default_flags(name, n, kk),
-        )
-    elif name == "torus-top-vs-smooth":
-        kj = kj or seifert.knot_from_spec("left-trefoil")
-        kk = kk or seifert.knot_from_spec("whitehead-double-positive")
-        n = 0 if n is None else n
-        scen = Scenario(
-            name,
-            n=n,
-            knot_j=kj,
-            knot_k=kk,
-            flags=flags if flags is not None else _default_flags(name, n, kk),
-        )
-    else:  # twist-extension
-        p = 2 if p is None else p
-        q = 3 if q is None else q
-        scen = Scenario(
-            name, p=p, q=q, flags=_TWIST_FLAGS if flags is None else tuple(flags)
-        )
-    return scen
+    given = {"p": p, "q": q, "n": n, "knot_j": knot_j, "knot_k": knot_k}
+    args = dict(kind.params)
+    for param, value in given.items():
+        if value is None:
+            continue
+        if param not in kind.params:
+            raise ScenarioError(
+                f"scenario {name!r} takes no parameter {param!r}; "
+                f"it takes {', '.join(kind.params) or 'none'}"
+            )
+        args[param] = value
+    for param in ("knot_j", "knot_k"):
+        if param in args:
+            try:
+                args[param] = seifert.knot_from_spec(args[param])
+            except ValueError as exc:
+                raise ScenarioError(f"{param}: {exc}") from None
+    defaults = kind.flags(args)
+    if flags is None:
+        return Scenario(name, flags=defaults, **args)
+    known = [f.name for f in defaults]
+    names = [f.name for f in flags]
+    for i, flag in enumerate(names):
+        if flag not in known:
+            raise ScenarioError(
+                f"scenario {name!r} reads no flag {flag!r}; "
+                f"its flags are {', '.join(known) or 'none'}"
+            )
+        if flag in names[:i]:
+            raise ScenarioError(f"flag {flag!r} is given twice")
+    return Scenario(name, flags=tuple(flags), **args)
 
 
 def standard_torus_presentation(n: int) -> surgery.SurgeryPresentation:
@@ -307,22 +262,7 @@ def standard_torus_presentation(n: int) -> surgery.SurgeryPresentation:
 
 def run_scenario(scenario: Scenario) -> Report:
     """Deterministic report for a validated scenario."""
-    for flag in scenario.flags:
-        if not flag.provenance:
-            raise ScenarioError(f"flag {flag.name!r} lacks provenance")
-    if scenario.name == "sphere-lens":
-        return _run_sphere_lens(scenario)
-    if scenario.name == "sphere-smooth-h":
-        return _run_sphere_smooth(scenario, forms.EvenFormClass(0, 1), exclusions=False)
-    if scenario.name == "sphere-smooth-e8h":
-        return _run_sphere_smooth(scenario, forms.EvenFormClass(1, 1), exclusions=True)
-    if scenario.name == "torus-solid":
-        return _run_torus_solid(scenario)
-    if scenario.name == "torus-top-vs-smooth":
-        return _run_torus_top_vs_smooth(scenario)
-    if scenario.name == "twist-extension":
-        return _run_twist_extension(scenario)
-    raise ScenarioError(f"unknown scenario {scenario.name!r}")
+    return _SCENARIOS[scenario.name].run(scenario)
 
 
 def _verdict_dict(v: seifert.SliceVerdict) -> dict:
@@ -357,8 +297,8 @@ def _run_sphere_lens(s: Scenario) -> Report:
             "is a b2 = 1 filling of a lens space",
         )
     ]
+    bounds = forms.lens_qr_bounding(p, q)  # validates p and q before the O(p) list
     residues = forms.quadratic_residues(p)
-    bounds = forms.lens_qr_bounding(p, q)
     q_res = forms.is_square_mod(q, p)
     mq_res = forms.is_square_mod(p - q, p)
     trace.append(
@@ -747,3 +687,61 @@ def _run_twist_extension(s: Scenario) -> Report:
         {"notes": [f"extension subgroup has index {subgroup.index}"]},
         citations,
     )
+
+
+def _torus_solid_flags(args: dict) -> tuple[HypothesisFlag, ...]:
+    compressible = args["knot_k"].matrix.size == 0 and args["n"] == 0
+    return (HypothesisFlag("torus-incompressible", not compressible, _GABAI_SOLID_TORUS),)
+
+
+class _Kind(NamedTuple):
+    run: Callable[[Scenario], Report]
+    params: dict  # every accepted parameter with its default; knots as specs
+    flags: Callable[[dict], tuple[HypothesisFlag, ...]]  # of the filled-in parameters
+
+
+_SCENARIOS = {
+    "sphere-lens": _Kind(_run_sphere_lens, {"p": 5, "q": 2}, lambda args: ()),
+    "sphere-smooth-h": _Kind(
+        partial(_run_sphere_smooth, total=forms.EvenFormClass(0, 1), exclusions=False),
+        {},
+        lambda args: (
+            HypothesisFlag("rho-y1", True, _ROKHLIN_P),
+            HypothesisFlag("rho-y2", True, _ROKHLIN_P),
+        ),
+    ),
+    "sphere-smooth-e8h": _Kind(
+        partial(_run_sphere_smooth, total=forms.EvenFormClass(1, 1), exclusions=True),
+        {},
+        lambda args: (
+            HypothesisFlag("rho-y1", True, _ROKHLIN_P),
+            HypothesisFlag("rho-y2", False, _ROKHLIN_PP),
+            HypothesisFlag("no-e8-filling-y1", True, _DONALDSON),
+            HypothesisFlag("no-acyclic-filling-y2", True, _FS_ACYCLIC),
+        ),
+    ),
+    "torus-solid": _Kind(
+        _run_torus_solid,
+        {"n": 1, "knot_j": "left-trefoil", "knot_k": "left-trefoil"},
+        _torus_solid_flags,
+    ),
+    "torus-top-vs-smooth": _Kind(
+        _run_torus_top_vs_smooth,
+        {"n": 0, "knot_j": "left-trefoil", "knot_k": "whitehead-double-positive"},
+        lambda args: (
+            HypothesisFlag("torus-incompressible", True, _GABAI_SOLID_TORUS),
+            HypothesisFlag("surgered-manifold-irreducible", True, _GABAI_ZERO_SURGERY),
+            HypothesisFlag("alexander-one-slice", True, _FREEDMAN_ALEX_ONE),
+        ),
+    ),
+    "twist-extension": _Kind(
+        _run_twist_extension,
+        {"p": 2, "q": 3},
+        lambda args: (
+            HypothesisFlag("meridian-twist-extends", True, _GOMPF_MERIDIAN),
+            HypothesisFlag("orbit-twist-extends", True, _ORBIT_ISOTOPY),
+        ),
+    ),
+}
+
+SCENARIO_NAMES = tuple(_SCENARIOS)

@@ -406,6 +406,18 @@ def knot_names() -> tuple[str, ...]:
     return tuple(sorted(_NAMED_KNOTS))
 
 
+def _spec_error(field: str, expected: str, value) -> ValueError:
+    return ValueError(
+        f"knot spec field {field!r} must be {expected}, got {json.dumps(value, default=repr)}"
+    )
+
+
+def _spec_int(value, field: str) -> int:
+    if type(value) is not int:  # bool is an int subclass
+        raise _spec_error(field, "an integer", value)
+    return value
+
+
 def knot_from_spec(spec) -> Knot:
     """Build a knot from a name or a JSON-style specification.
 
@@ -417,7 +429,9 @@ def knot_from_spec(spec) -> Knot:
       {"whitehead": "+"}               untwisted Whitehead double
       {"seifert": [[...], ...]}        explicit Seifert matrix,
                                        optional "name" label
-    A string that parses as JSON is treated as the object form.
+    A string that parses as JSON is treated as the object form.  Numbers
+    must be integers (not booleans) and "name" a string; anything else is
+    a ValueError that names the field.
     """
     if isinstance(spec, Knot):
         return spec
@@ -435,14 +449,19 @@ def knot_from_spec(spec) -> Knot:
         )
     if not isinstance(spec, dict):
         raise ValueError(f"cannot interpret knot spec of type {type(spec).__name__}")
+    if "name" in spec and not isinstance(spec["name"], str):
+        raise _spec_error("name", "a string", spec["name"])
     keys = set(spec) - {"name"}
     if keys == set() and "name" in spec:
         return knot_from_spec(spec["name"])
     if keys == {"torus"}:
-        p, q = spec["torus"]
-        return Knot(spec.get("name", f"torus({p},{q})"), torus_knot_seifert(int(p), int(q)))
+        pair = spec["torus"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise _spec_error("torus", "an array of two integers", pair)
+        p, q = (_spec_int(x, f"torus[{i}]") for i, x in enumerate(pair))
+        return Knot(spec.get("name", f"torus({p},{q})"), torus_knot_seifert(p, q))
     if keys == {"twist"}:
-        m = int(spec["twist"])
+        m = _spec_int(spec["twist"], "twist")
         return Knot(spec.get("name", f"twist({m})"), twist_knot_seifert(m))
     if keys == {"whitehead"}:
         clasp = spec["whitehead"]
@@ -450,6 +469,12 @@ def knot_from_spec(spec) -> Knot:
             spec.get("name", f"whitehead-double({clasp})"), whitehead_double_seifert(clasp)
         )
     if keys == {"seifert"}:
-        matrix = SeifertMatrix(freeze(spec["seifert"]))
-        return Knot(spec.get("name", "custom"), matrix)
+        rows = spec["seifert"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise _spec_error("seifert", "an array of arrays of integers", rows)
+        entries = tuple(
+            tuple(_spec_int(x, f"seifert[{i}][{j}]") for j, x in enumerate(row))
+            for i, row in enumerate(rows)
+        )
+        return Knot(spec.get("name", "custom"), SeifertMatrix(entries))
     raise ValueError(f"unrecognized knot spec fields: {sorted(keys)}")

@@ -5,13 +5,12 @@ computed from diagrams): components are dotted 1-handles or framed
 2-handles with pairwise linking numbers, and named curves carry their
 linking vector with the components plus pushoff self/cross linkings.
 
-A line-oriented text format and a one-to-one JSON form are provided; the
-serializer emits a canonical form, and parse/serialize round-trips are
-byte-identical after canonicalization.
+A line-oriented text format is provided; the serializer emits a
+canonical form, and parse/serialize round-trips are byte-identical after
+canonicalization.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -346,56 +345,3 @@ def serialize_presentation(pres: SurgeryPresentation) -> str:
             emitted.add(key)
             lines.append(f"pushoff {curve.id} {other} {u} {v}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def presentation_to_json(pres: SurgeryPresentation) -> dict:
-    """JSON form mirroring the text format one-to-one."""
-    return {
-        "components": [
-            {"id": c.id, "kind": c.kind.value}
-            | ({"framing": c.framing} if c.kind is ComponentKind.FRAMED else {})
-            for c in pres.components
-        ],
-        "linkings": [{"a": a, "b": b, "lk": v} for a, b, v in pres.linkings],
-        "curves": [
-            {
-                "id": c.id,
-                "component_linkings": list(c.component_linkings),
-                "pushoff_self_linking": c.pushoff_self_linking,
-                "cross_pushoffs": [
-                    {"other": other, "this_other_plus": u, "other_this_plus": v}
-                    for other, (u, v) in c.cross_pushoff_linkings
-                ],
-            }
-            for c in pres.curves
-        ],
-    }
-
-
-def presentation_from_json(data: dict) -> SurgeryPresentation:
-    components = tuple(
-        ComponentRecord(
-            id=c["id"],
-            kind=ComponentKind(c["kind"]),
-            framing=c.get("framing"),
-        )
-        for c in data.get("components", ())
-    )
-    linkings = tuple((l["a"], l["b"], int(l["lk"])) for l in data.get("linkings", ()))
-    curves = tuple(
-        CurveSpec(
-            id=c["id"],
-            component_linkings=tuple(int(x) for x in c["component_linkings"]),
-            pushoff_self_linking=int(c.get("pushoff_self_linking", 0)),
-            cross_pushoff_linkings=tuple(
-                (p["other"], (int(p["this_other_plus"]), int(p["other_this_plus"])))
-                for p in c.get("cross_pushoffs", ())
-            ),
-        )
-        for c in data.get("curves", ())
-    )
-    return SurgeryPresentation(components, linkings, curves)
-
-
-def serialize_presentation_json(pres: SurgeryPresentation) -> str:
-    return json.dumps(presentation_to_json(pres), indent=2, sort_keys=False) + "\n"

@@ -41,13 +41,6 @@ class TwistClass:
         return f"{x}*{names[0]} + {y}*{names[1]}"
 
 
-def compose(a: TwistClass, b: TwistClass) -> TwistClass:
-    """Class of the composite twist: componentwise sum (same basis required)."""
-    if a.basis is not b.basis:
-        raise BasisMismatch(f"cannot compose classes in bases {a.basis} and {b.basis}")
-    return TwistClass((a.vector[0] + b.vector[0], a.vector[1] + b.vector[1]), a.basis)
-
-
 @dataclass(frozen=True)
 class Subgroup2:
     """A subgroup of Z^2 in canonical (Hermite) form.

@@ -1,12 +1,15 @@
 import json
+import re
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from dehn4 import cli
 from dehn4.cli import main
 from dehn4.report import render, render_json, render_text, report_to_json_dict
 from dehn4.scenarios import (
+    SCENARIO_NAMES,
     HypothesisFlag,
     ScenarioError,
     Verdict,
@@ -14,9 +17,8 @@ from dehn4.scenarios import (
     run_scenario,
 )
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
 
 
 def run(name, **kwargs):
@@ -382,3 +384,111 @@ def test_cli_config_false_flag_is_kept_false(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [f["value"] for f in payload["scenario"]["flags"]] == [False, False]
     assert payload["verdict"] == "NotObstructed"
+
+
+def _cli_error(capsys, argv) -> str:
+    """Run the CLI on arguments that must be rejected; return its one error line."""
+    assert main(["report", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dehn4: error: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--scenario", "sphere-lens", "--n", "9"],
+         "scenario 'sphere-lens' takes no parameter 'n'; it takes p, q"),
+        (["--scenario", "twist-extension", "--knot-j", "trefoil"],
+         "scenario 'twist-extension' takes no parameter 'knot_j'; it takes p, q"),
+        (["--scenario", "sphere-smooth-h", "--p", "5"],
+         "scenario 'sphere-smooth-h' takes no parameter 'p'; it takes none"),
+        (["--scenario", "torus-solid", "--q", "2"],
+         "scenario 'torus-solid' takes no parameter 'q'; it takes n, knot_j, knot_k"),
+    ],
+)
+def test_parameter_the_scenario_does_not_take_is_rejected(capsys, argv, message):
+    assert _cli_error(capsys, argv) == f"dehn4: error: {message}"
+
+
+def test_sphere_lens_checks_q_before_listing_residues(monkeypatch):
+    def residues_must_not_run(p):
+        raise AssertionError("quadratic_residues ran before q was checked")
+
+    monkeypatch.setattr("dehn4.forms.quadratic_residues", residues_must_not_run)
+    with pytest.raises(ValueError, match="0 < q < p"):
+        run("sphere-lens", p=2_000_000, q=2_000_000)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"torus": ["3", "5"]}, "field 'torus[0]' must be an integer, got \"3\""),
+        ({"torus": [3, True]}, "field 'torus[1]' must be an integer, got true"),
+        ({"torus": 5}, "field 'torus' must be an array of two integers, got 5"),
+        ({"torus": [2, 3, 5]}, "field 'torus' must be an array of two integers"),
+        ({"twist": 2.7}, "field 'twist' must be an integer, got 2.7"),
+        ({"twist": False}, "field 'twist' must be an integer, got false"),
+        ({"seifert": [[-1.5, 1], [0, -1]]}, "field 'seifert[0][0]' must be an integer, got -1.5"),
+        ({"seifert": 3}, "field 'seifert' must be an array of arrays of integers, got 3"),
+        ({"seifert": [1, 2]}, "field 'seifert' must be an array of arrays of integers"),
+        ({"name": 7, "torus": [2, 3]}, "field 'name' must be a string, got 7"),
+        ({"name": None}, "field 'name' must be a string, got null"),
+    ],
+)
+@pytest.mark.parametrize("param", ["knot_j", "knot_k"])
+def test_cli_rejects_ill_typed_knot_spec(capsys, param, spec, message):
+    line = _cli_error(capsys, ["--scenario", "torus-solid", f"--{param.replace('_', '-')}",
+                               json.dumps(spec)])
+    assert line.startswith(f"dehn4: error: {param}: knot spec {message}"), line
+
+
+def test_flag_the_scenario_does_not_read_is_rejected():
+    flags = (HypothesisFlag("rho-y1", True, "test input"),)
+    with pytest.raises(
+        ScenarioError,
+        match="scenario 'torus-solid' reads no flag 'rho-y1'; its flags are torus-incompressible",
+    ):
+        build_scenario("torus-solid", flags=flags)
+    with pytest.raises(ScenarioError, match="its flags are none"):
+        build_scenario("sphere-lens", flags=flags)
+
+
+def test_flag_given_twice_is_rejected():
+    flags = (
+        HypothesisFlag("rho-y1", False, "test input"),
+        HypothesisFlag("rho-y1", True, "test input"),
+    )
+    with pytest.raises(ScenarioError, match="flag 'rho-y1' is given twice"):
+        build_scenario("sphere-smooth-h", flags=flags)
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("scenario", ["sphere-lens"], "a string, got array"),
+        ("knot_j", None, "a string or an object, got null"),
+        ("knot_k", 5, "a string or an object, got number"),
+    ],
+)
+def test_cli_config_rejects_ill_typed_scenario_and_knots(tmp_path, capsys, field, value, expected):
+    config = {"scenario": "torus-solid", field: value}
+    line = _config_error(tmp_path, capsys, config)
+    assert line == f"dehn4: error: config field {field!r} must be {expected}"
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_docs_list_the_parameters_and_flags_of_each_scenario(name):
+    scenario = build_scenario(name)
+    readme = (ROOT / "README.md").read_text().split(f"* `{name}`:")[1].split("\n\n")[0]
+    readme = readme.split("\n* ")[0]
+    usage = cli.__doc__.split(f"\n  {name} ")[1].split("\n\n")[0]
+    usage = re.split(r"\n  [a-z]", usage)[0]
+    for param, value in scenario.parameters().items():
+        assert f"`{param}` ({value})" in " ".join(readme.split())
+        assert f"{param} ({value})" in usage
+    for flag in scenario.flags:
+        assert f"`{flag.name}`" in readme
+        assert flag.name in usage

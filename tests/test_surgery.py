@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -12,10 +10,7 @@ from dehn4.surgery import (
     SurgeryPresentation,
     boundary_linking_matrix,
     parse_presentation,
-    presentation_from_json,
-    presentation_to_json,
     serialize_presentation,
-    serialize_presentation_json,
     validate,
 )
 
@@ -150,14 +145,6 @@ def test_validate_reports_dotted_framing_and_missing_framing():
     problems = validate(pres)
     assert any("carries a framing" in p for p in problems)
     assert any("missing its framing" in p for p in problems)
-
-
-def test_json_round_trip():
-    pres = parse_presentation(PAPER_TEXT)
-    data = presentation_to_json(pres)
-    again = presentation_from_json(json.loads(json.dumps(data)))
-    assert again == pres
-    assert presentation_from_json(json.loads(serialize_presentation_json(pres))) == pres
 
 
 @given(

@@ -9,7 +9,6 @@ from dehn4.twists import (
     Subgroup2,
     TwistBasis,
     TwistClass,
-    compose,
     extension_subgroup,
     seifert_orbit_class,
     to_alpha_beta,
@@ -23,18 +22,6 @@ def ab(x, y):
 
 def ml(x, y):
     return TwistClass((x, y), TwistBasis.MU_LAMBDA)
-
-
-def test_compose_examples():
-    assert compose(ab(1, 0), ab(0, 1)) == ab(1, 1)
-    a = ab(3, -2)
-    assert compose(a, ab(-3, 2)) == ab(0, 0)
-    assert compose(ab(1, 0), ab(5, 1)) == ab(6, 1)
-
-
-def test_compose_basis_mismatch():
-    with pytest.raises(BasisMismatch):
-        compose(ab(1, 0), ml(1, 0))
 
 
 def test_orbit_class_examples():
