@@ -13,7 +13,13 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Immutable copy; an entry that is not an int (bool, float, str) is a ValueError."""
+    frozen = tuple(tuple(row) for row in rows)
+    for i, row in enumerate(frozen):
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise ValueError(f"matrix entry [{i}][{j}] must be an integer, got {x!r}")
+    return frozen
 
 
 def identity(n: int) -> list[list[int]]:

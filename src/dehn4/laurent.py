@@ -26,10 +26,6 @@ class LaurentPoly:
         self._coeffs = tuple(sorted((e, c) for e, c in acc.items() if c))
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
@@ -70,17 +66,8 @@ class LaurentPoly:
         """max_exp - min_exp; 0 for monomials and for the zero polynomial."""
         return 0 if not self._coeffs else self.max_exp - self.min_exp
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc = dict(self._coeffs)
-        for e, c in other._coeffs:
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._coeffs})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         acc: dict[int, int] = {}
@@ -136,14 +123,6 @@ class LaurentPoly:
             raise ValueError(f"value at t=1 is {at_one}, expected +-1")
         return -centered if at_one < 0 else centered
 
-    def unit_equal(self, other: "LaurentPoly") -> bool:
-        """Equality up to multiplication by +-t**k."""
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        a = self.shifted(-self.min_exp)
-        b = other.shifted(-other.min_exp)
-        return a == b or a == -b
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -171,69 +150,3 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self._coeffs)!r})"
 
-
-def poly_det(entries: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a matrix of Laurent polynomials.
-
-    Fraction-free Bareiss elimination; exact divisions stay in Z[t, 1/t].
-    Suitable for the Alexander determinants in this package (sizes up to
-    a few dozen).
-    """
-    n = len(entries)
-    if n == 0:
-        return LaurentPoly.one()
-    a = [row[:] for row in entries]
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot_row is None:
-                return LaurentPoly.zero()
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = _exact_div(num, prev)
-            a[i][k] = LaurentPoly.zero()
-        prev = a[k][k]
-    result = a[-1][-1]
-    return -result if sign < 0 else result
-
-
-def _exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in Z[t, 1/t]; raises if the division is not exact."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero()
-    # Shift both to ordinary polynomials and divide.
-    nshift, dshift = num.min_exp, den.min_exp
-    ncoef = _dense(num.shifted(-nshift))
-    dcoef = _dense(den.shifted(-dshift))
-    qlen = len(ncoef) - len(dcoef) + 1
-    if qlen < 0:
-        raise ArithmeticError("non-exact polynomial division")
-    quot = [0] * qlen
-    rem = ncoef[:]
-    lead = dcoef[-1]
-    for i in range(qlen - 1, -1, -1):
-        head = rem[i + len(dcoef) - 1]
-        if head % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = head // lead
-        quot[i] = q
-        if q:
-            for j, d in enumerate(dcoef):
-                rem[i + j] -= q * d
-    if any(rem):
-        raise ArithmeticError("non-exact polynomial division")
-    return LaurentPoly({i + nshift - dshift: c for i, c in enumerate(quot)})
-
-
-def _dense(p: LaurentPoly) -> list[int]:
-    out = [0] * (p.max_exp + 1)
-    for e, c in p.coeffs.items():
-        out[e] = c
-    return out

@@ -93,12 +93,12 @@ def slice_bennequin_genus_bound(tb_value: int, rot_value: int) -> int:
     return (bound + 1) // 2
 
 
-def load_named_fronts() -> dict[str, FrontData]:
-    """Front fixtures shipped with the package (see data/fronts.json)."""
+def load_named_fronts() -> tuple[dict[str, FrontData], dict[str, int]]:
+    """Front fixtures and the Stein framings of the handles (see data/fronts.json)."""
     raw = json.loads(
         resources.files("dehn4").joinpath("data/fronts.json").read_text("utf-8")
     )
-    return {
+    fronts = {
         name: FrontData(
             writhe=entry["writhe"],
             down_cusps=entry["down_cusps"],
@@ -106,10 +106,4 @@ def load_named_fronts() -> dict[str, FrontData]:
         )
         for name, entry in raw["fronts"].items()
     }
-
-
-def stein_framings() -> dict[str, int]:
-    raw = json.loads(
-        resources.files("dehn4").joinpath("data/fronts.json").read_text("utf-8")
-    )
-    return {name: int(v) for name, v in raw["stein_framings"].items()}
+    return fronts, raw["stein_framings"]

@@ -548,8 +548,7 @@ def _run_torus_top_vs_smooth(s: Scenario) -> Report:
     )
 
     # --- smooth side: Stein structure plus slice-Bennequin kills alpha ---
-    fronts = legendrian.load_named_fronts()
-    framings = legendrian.stein_framings()
+    fronts, framings = legendrian.load_named_fronts()
     handles = [
         (name, framings[name], fronts[name]) for name in sorted(framings)
     ]

@@ -21,7 +21,7 @@ from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
 from .exact import IntMatrix, block_diagonal, det, freeze, signature_symmetric, transpose
-from .laurent import LaurentPoly, poly_det
+from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
     import sympy
@@ -190,14 +190,32 @@ def signature(v: SeifertMatrix) -> int:
 def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     """Normalized Alexander polynomial det(V - t*V^T).
 
+    The determinant is a polynomial of degree at most n = size(V), so it is
+    evaluated with `det` at the n + 1 integer nodes -n/2 .. n/2 and
+    recovered by Newton interpolation.  On consecutive nodes the order-k
+    divided difference of an integer polynomial is an integer, so each step
+    divides exactly by k; a remainder raises ArithmeticError.
+
     The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
     """
-    n = v.size
-    entries = [
-        [LaurentPoly({0: v.entries[i][j], 1: -v.entries[j][i]}) for j in range(n)]
-        for i in range(n)
-    ]
-    return poly_det(entries).normalized()
+    n, e = v.size, v.entries
+    nodes = range(-(n // 2), n // 2 + 1)
+    dd = [det([[e[i][j] - t * e[j][i] for j in range(n)] for i in range(n)]) for t in nodes]
+    # in place: after step k, dd[i] is the divided difference on nodes i-k .. i
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            dd[i], rem = divmod(dd[i] - dd[i - 1], k)
+            if rem:
+                raise ArithmeticError(
+                    "det(V - t*V^T) is not an integer polynomial of degree <= n"
+                )
+    # expand the Newton form dd[0] + dd[1](t - x0) + ... by Horner's rule,
+    # lowest degree first: coeffs <- coeffs * (t - x_k) + dd[k]
+    coeffs: list[int] = []
+    for k in range(n, -1, -1):
+        coeffs = [a - nodes[k] * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += dd[k]
+    return LaurentPoly(dict(enumerate(coeffs))).normalized()
 
 
 class FactorizationBoundError(ValueError):

@@ -33,7 +33,13 @@ class TwistClass:
     basis: TwistBasis
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", (int(self.vector[0]), int(self.vector[1])))
+        vector = tuple(self.vector)
+        if len(vector) != 2:
+            raise ValueError(f"twist class vector must have two entries, got {vector!r}")
+        for i, x in enumerate(vector):
+            if type(x) is not int:  # bool is an int subclass
+                raise ValueError(f"twist class vector[{i}] must be an integer, got {x!r}")
+        object.__setattr__(self, "vector", vector)
 
     def __str__(self) -> str:
         names = ("alpha", "beta") if self.basis is TwistBasis.ALPHA_BETA else ("mu", "lambda")

@@ -23,7 +23,6 @@ from dehn4.legendrian import (
     rot,
     slice_bennequin_genus_bound,
     stein_condition,
-    stein_framings,
     tb,
 )
 from dehn4.linking import (
@@ -153,11 +152,10 @@ def test_parallel_cable_alexander_criterion():
 def test_whitehead_double_pipeline_criterion():
     with criterion("Whitehead-double pipeline reproduces every stated number"):
         assert alexander_polynomial(whitehead_double_seifert("+")) == LaurentPoly.one()
-        fronts = load_named_fronts()
+        fronts, framings = load_named_fronts()
         assert tb(fronts["alpha"]) == 0
         assert rot(fronts["alpha"]) == 0
         assert slice_bennequin_genus_bound(0, 0) == 1
-        framings = stein_framings()
         assert (framings["handle-1"], framings["handle-2"]) == (-1, 0)
         ok, checks = stein_condition(
             [

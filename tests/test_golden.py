@@ -72,7 +72,7 @@ CASES: dict[str, tuple[str, ...]] = {
             "--scenario", "torus-top-vs-smooth", "--n", "1",
             "--knot-j", json.dumps({"torus": [p, p + 1]}),
         )
-        for p in range(2, 6)
+        for p in range(2, 8)
     },
     # sphere-lens: one q that is a square mod p and one that is not, on
     # primes, prime powers, 4 || p and 8 | p

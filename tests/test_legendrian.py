@@ -8,7 +8,6 @@ from dehn4.legendrian import (
     rot,
     slice_bennequin_genus_bound,
     stein_condition,
-    stein_framings,
     tb,
 )
 
@@ -20,7 +19,7 @@ def test_standard_legendrian_unknot():
 
 
 def test_fixture_reproduces_target_invariants():
-    fronts = load_named_fronts()
+    fronts, _ = load_named_fronts()
     assert tb(fronts["handle-1"]) == 0
     assert tb(fronts["handle-2"]) == 1
     assert tb(fronts["alpha"]) == 0
@@ -43,8 +42,7 @@ def test_front_validation():
 
 
 def test_stein_condition_paper_handles():
-    fronts = load_named_fronts()
-    framings = stein_framings()
+    fronts, framings = load_named_fronts()
     ok, checks = stein_condition(
         [
             ("handle-1", framings["handle-1"], fronts["handle-1"]),
@@ -57,7 +55,7 @@ def test_stein_condition_paper_handles():
 
 
 def test_stein_condition_failure_and_vacuous():
-    fronts = load_named_fronts()
+    fronts, _ = load_named_fronts()
     ok, checks = stein_condition([(0, fronts["handle-1"])])
     assert not ok
     assert checks[0].tb == 0 and checks[0].framing == 0
@@ -66,7 +64,7 @@ def test_stein_condition_failure_and_vacuous():
 
 
 def test_stein_condition_monotone_under_concatenation():
-    fronts = load_named_fronts()
+    fronts, _ = load_named_fronts()
     good = ("a", -1, fronts["handle-1"])
     bad = ("b", 5, fronts["handle-1"])
     assert stein_condition([good])[0]

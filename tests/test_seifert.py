@@ -1,9 +1,13 @@
+from itertools import permutations
+from math import gcd
+
 import pytest
 import sympy
 from hypothesis import given
 
 from conftest import seifert_matrices
 from dehn4.exact import det
+from dehn4 import seifert
 from dehn4.laurent import LaurentPoly
 from dehn4.seifert import (
     FactorizationBoundError,
@@ -62,7 +66,9 @@ def test_torus_knot_det_invariant():
     assert skew_det(v) == 1
 
 
-@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5), (5, 6)])
+@pytest.mark.parametrize(
+    "p,q", [(p, q) for p in range(2, 10) for q in range(p + 1, 10) if gcd(p, q) == 1]
+)
 def test_torus_knot_alexander_matches_closed_form(p, q):
     v = torus_knot_seifert(p, q)
     assert alexander_polynomial(v) == torus_alexander_oracle(p, q)
@@ -105,7 +111,7 @@ def test_twist_knot_family():
     fig8 = alexander_polynomial(twist_knot_seifert(1))
     assert fig8 == LaurentPoly({1: -1, 0: 3, -1: -1})
     stevedore = alexander_polynomial(twist_knot_seifert(2))
-    assert stevedore.unit_equal(LaurentPoly({1: 2, 0: -5, -1: 2}))
+    assert stevedore == LaurentPoly({1: -2, 0: 5, -1: -2})
 
 
 def test_figure_eight_explicit_matrix():
@@ -119,6 +125,20 @@ def test_trefoil_alexander():
 def test_unknot_alexander_is_one():
     assert alexander_polynomial(unknot()).is_one()
     assert signature(unknot()) == 0
+
+
+@pytest.mark.parametrize(
+    "entries,position",
+    [
+        (((-1.5, 1), (0, -1)), r"\[0\]\[0\]"),
+        (((-1, 1), (0, True)), r"\[1\]\[1\]"),
+        (((-1, "1"), (0, -1)), r"\[0\]\[1\]"),
+        (((-1, 1), (0.0, -1)), r"\[1\]\[0\]"),
+    ],
+)
+def test_seifert_matrix_rejects_non_integer_entries(entries, position):
+    with pytest.raises(ValueError, match=f"entry {position} must be an integer"):
+        SeifertMatrix(entries)
 
 
 def test_seifert_matrix_validation():
@@ -249,6 +269,33 @@ def test_signature_additive_and_alexander_multiplicative(v, w):
 def test_mirror_antisymmetry_reverse_invariance(v):
     assert signature(mirror(v)) == -signature(v)
     assert alexander_polynomial(reverse(v)) == alexander_polynomial(v)
+
+
+def leibniz_alexander(v: SeifertMatrix) -> LaurentPoly:
+    """det(V - t*V^T) by the permutation expansion, with no elimination at all."""
+    n = v.size
+    total: dict[int, int] = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = LaurentPoly.term(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * LaurentPoly({0: v.entries[i][j], 1: -v.entries[j][i]})
+        for e, c in term.coeffs.items():
+            total[e] = total.get(e, 0) + c
+    return LaurentPoly(total).normalized()
+
+
+@given(seifert_matrices(max_genus=3))
+def test_alexander_matches_leibniz_expansion(v):
+    assert alexander_polynomial(v) == leibniz_alexander(v)
+
+
+def test_alexander_interpolation_checks_every_division(monkeypatch):
+    # values 0, 0, 1 at t = -1, 0, 1 give the second divided difference 1/2
+    values = iter([0, 0, 1])
+    monkeypatch.setattr(seifert, "det", lambda m: next(values))
+    with pytest.raises(ArithmeticError, match="not an integer polynomial"):
+        alexander_polynomial(TREFOIL)
 
 
 @given(seifert_matrices())

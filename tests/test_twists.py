@@ -39,6 +39,20 @@ def test_orbit_class_validation():
         seifert_orbit_class(1, 3)
 
 
+@pytest.mark.parametrize(
+    "vector,message",
+    [
+        ((2.7, 3), r"vector\[0\] must be an integer"),
+        ((2, "3"), r"vector\[1\] must be an integer"),
+        ((True, 0), r"vector\[0\] must be an integer"),
+        ((1, 2, 3), "two entries"),
+    ],
+)
+def test_twist_class_rejects_non_integer_vectors(vector, message):
+    with pytest.raises(ValueError, match=message):
+        TwistClass(vector, TwistBasis.ALPHA_BETA)
+
+
 def test_to_alpha_beta_examples():
     assert to_alpha_beta(ml(6, 1)) == ab(5, 1)
     assert to_alpha_beta(ml(1, 0)) == ab(1, 0)
