@@ -1,12 +1,14 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything in this package runs on arbitrary-precision integers and
-`fractions.Fraction`; no floating point anywhere.  Matrices are plain
-tuples of tuples (immutable) or lists of lists (scratch space).
+Bareiss elimination is the only elimination scheme: `det` for
+determinants and `signature_symmetric` for signatures, both fraction-free
+on arbitrary-precision integers, each division exact by the previous
+pivot.  There is no rational solve and no floating point anywhere.
+Matrices are plain tuples of tuples (immutable) or lists of lists
+(scratch space).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -78,46 +80,26 @@ def det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def solve_rational(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction]:
-    """Solve a*x = b exactly over the rationals.
-
-    Raises ValueError if the matrix is singular.
-    """
-    n = len(a)
-    if len(b) != n or not is_square(a):
-        raise ValueError("shape mismatch in solve_rational")
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def signature_symmetric(m: Sequence[Sequence[int]]) -> int:
-    """Signature of a symmetric integer matrix by exact congruence diagonalization.
+    """Signature of a symmetric integer matrix by symmetric Bareiss elimination.
 
-    Symmetric row/column operations over Q preserve the signature; the
-    result is (#positive) - (#negative) diagonal entries, computed without
-    any eigenvalue numerics.
+    Symmetric swaps and row/column additions are congruences over Z, and
+    each pivot is a leading principal minor of the congruent matrix, so
+    pivot/prev is the k-th diagonal entry of a congruence diagonalization
+    over Q.  The result is (#positive) - (#negative) of those entries,
+    counted from the signs of pivot and prev; every division is exact.
     """
     n = len(m)
     if not is_symmetric(m):
         raise ValueError("signature of a non-symmetric matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    pos = neg = 0
+    a = [list(row) for row in m]
+    sig = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
             if swap is not None:
-                for r in range(n):
+                for r in range(k, n):
                     a[r][k], a[r][swap] = a[r][swap], a[r][k]
                 a[k], a[swap] = a[swap], a[k]
             else:
@@ -126,23 +108,17 @@ def signature_symmetric(m: Sequence[Sequence[int]]) -> int:
                     continue  # entire row/column is zero: null direction
                 # all remaining diagonal entries vanish, so this makes
                 # a[k][k] = 2*a[k][off] != 0
-                for r in range(n):
+                for r in range(k, n):
                     a[r][k] += a[r][off]
-                for c in range(n):
+                for c in range(k, n):
                     a[k][c] += a[off][c]
         pivot = a[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
+        sig += 1 if (pivot > 0) == (prev > 0) else -1
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / pivot
-                for c in range(n):
-                    a[i][c] -= f * a[k][c]
-                for r in range(n):
-                    a[r][i] -= f * a[r][k]
-    return pos - neg
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return sig
 
 
 def block_diagonal(*blocks: Sequence[Sequence[int]]) -> IntMatrix:

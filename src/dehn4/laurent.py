@@ -20,9 +20,12 @@ class LaurentPoly:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, int] = {}
         for exp, c in items:
-            c = int(c)
+            if type(exp) is not int or type(c) is not int:
+                raise ValueError(
+                    f"exponent {exp!r} and its coefficient {c!r} must be integers"
+                )
             if c:
-                acc[int(exp)] = acc.get(int(exp), 0) + c
+                acc[exp] = acc.get(exp, 0) + c
         self._coeffs = tuple(sorted((e, c) for e, c in acc.items() if c))
 
     @classmethod

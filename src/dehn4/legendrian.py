@@ -22,6 +22,10 @@ class FrontData:
     up_cusps: int
 
     def __post_init__(self):
+        for name in ("writhe", "down_cusps", "up_cusps"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.down_cusps < 0 or self.up_cusps < 0:
             raise ValueError("cusp counts must be nonnegative")
         total = self.down_cusps + self.up_cusps
@@ -62,23 +66,18 @@ class HandleCheck:
 
 
 def stein_condition(
-    handles: list[tuple[int, FrontData]] | list[tuple[str, int, FrontData]],
+    handles: list[tuple[str, int, FrontData]],
 ) -> tuple[bool, tuple[HandleCheck, ...]]:
     """Check framing = tb - 1 for every 2-handle.
 
-    Handles are (framing, front) or (name, framing, front) tuples; returns
-    the conjunction plus a per-handle report.  Empty input is vacuously
-    true.
+    Handles are (name, framing, front) tuples; returns the conjunction plus
+    a per-handle report.  Empty input is vacuously true.
     """
-    checks = []
-    for i, handle in enumerate(handles):
-        if len(handle) == 3:
-            name, framing, front = handle
-        else:
-            framing, front = handle
-            name = f"handle-{i + 1}"
-        checks.append(HandleCheck(name=name, framing=framing, tb=tb(front)))
-    return all(c.satisfied for c in checks), tuple(checks)
+    checks = tuple(
+        HandleCheck(name=name, framing=framing, tb=tb(front))
+        for name, framing, front in handles
+    )
+    return all(c.satisfied for c in checks), checks
 
 
 def slice_bennequin_genus_bound(tb_value: int, rot_value: int) -> int:

@@ -6,6 +6,9 @@ Smith normal form drives the homology computation; Hoste's surgery formula
 
 (a, b the curves' component-linking vectors, B the linking matrix) gives
 linking numbers of homologically trivial curves in the surgered manifold.
+The correction term is a bordered determinant,
+a . B^{-1} . b^T = -det([[B, b^T], [a, 0]]) / det(B), so Bareiss `det` is
+the only elimination involved.
 From it we read off the self-linking quadratic form on a boundary torus
 and enumerate the primitive classes on which it vanishes.
 
@@ -21,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
-from .exact import IntMatrix, det, freeze, identity, is_symmetric, solve_rational
+from .exact import IntMatrix, det, freeze, identity, is_symmetric
 from .surgery import CurveSpec, TorusCurveBasis
 
 
@@ -168,28 +171,27 @@ def hoste_linking(
     n = len(b)
     if len(sigma.component_linkings) != n or len(eta.component_linkings) != n:
         raise ValueError("curve linking vectors do not match the matrix size")
-    if det(b) == 0:
+    det_b = det(b)
+    if det_b == 0:
         raise SingularLinkingMatrix(
             "linking matrix is singular; surgery linking numbers are undefined"
         )
     if sigma.id == eta.id:
-        s3 = Fraction(sigma.pushoff_self_linking)
+        s3 = sigma.pushoff_self_linking
     else:
         pair = sigma.cross_pair(eta.id)
         if pair is not None:
-            s3 = Fraction(pair[0])
+            s3 = pair[0]
         else:
             pair = eta.cross_pair(sigma.id)
             if pair is None:
                 raise ValueError(
                     f"no pushoff data recorded between curves {sigma.id!r} and {eta.id!r}"
                 )
-            s3 = Fraction(pair[1])
-    if n == 0:
-        return s3
-    x = solve_rational(b, list(eta.component_linkings))
-    correction = sum(Fraction(ai) * xi for ai, xi in zip(sigma.component_linkings, x))
-    return s3 - correction
+            s3 = pair[1]
+    bordered = [list(row) + [y] for row, y in zip(b, eta.component_linkings)]
+    bordered.append(list(sigma.component_linkings) + [0])
+    return s3 + Fraction(det(bordered), det_b)
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,8 @@ def test_whitehead_double_pipeline_criterion():
         assert (framings["handle-1"], framings["handle-2"]) == (-1, 0)
         ok, checks = stein_condition(
             [
-                (framings["handle-1"], fronts["handle-1"]),
-                (framings["handle-2"], fronts["handle-2"]),
+                ("handle-1", framings["handle-1"], fronts["handle-1"]),
+                ("handle-2", framings["handle-2"], fronts["handle-2"]),
             ]
         )
         assert ok

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -11,7 +12,6 @@ from dehn4.exact import (
     is_symmetric,
     matmul,
     signature_symmetric,
-    solve_rational,
     transpose,
 )
 
@@ -54,15 +54,6 @@ def test_det_matches_fraction_elimination(m):
     assert det(m) == sign * value
 
 
-def test_solve_rational():
-    x = solve_rational(((2, 0), (0, 4)), (1, 1))
-    assert x == [Fraction(1, 2), Fraction(1, 4)]
-    with pytest.raises(ValueError, match="singular"):
-        solve_rational(((1, 1), (1, 1)), (1, 2))
-    with pytest.raises(ValueError, match="shape"):
-        solve_rational(((1, 0), (0, 1)), (1,))
-
-
 def test_signature_symmetric():
     assert signature_symmetric(()) == 0
     assert signature_symmetric(((2,),)) == 1
@@ -76,6 +67,53 @@ def test_signature_symmetric():
 def test_signature_degenerate_block():
     # rank-1 positive plus a null direction
     assert signature_symmetric(((1, 1), (1, 1))) == 1
+
+
+@st.composite
+def degenerate_symmetric(draw, max_dim=8, coeff=4):
+    """Symmetric matrices up to max_dim, weighted toward the pivot fallbacks.
+
+    Mostly-zero entries, a zero diagonal, hyperbolic blocks [[0, c], [c, 0]]
+    and null rows each exercise a different branch of the elimination.
+    """
+    n = draw(st.integers(0, max_dim))
+    entry = st.one_of(st.just(0), st.integers(-coeff, coeff))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(entry)
+    if draw(st.booleans()):
+        for i in range(n):
+            a[i][i] = 0
+    for i in range(0, n - 1, 2):
+        if draw(st.booleans()):
+            c = draw(st.integers(-coeff, coeff).filter(bool))
+            for j in range(n):
+                a[i][j] = a[j][i] = a[i + 1][j] = a[j][i + 1] = 0
+            a[i][i + 1] = a[i + 1][i] = c
+    nulls = draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []
+    for i in nulls:
+        for j in range(n):
+            a[i][j] = a[j][i] = 0
+    order = draw(st.permutations(range(n)))
+    return tuple(tuple(a[i][j] for j in order) for i in order)
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+
+@given(degenerate_symmetric())
+def test_signature_matches_descartes_count(m):
+    # a symmetric matrix has only real eigenvalues, so Descartes' rule of
+    # signs on its characteristic polynomial is exact: p(t) counts the
+    # positive eigenvalues and p(-t) the negative ones
+    coeffs = sympy.Matrix(len(m), len(m), [x for row in m for x in row]).charpoly().all_coeffs()
+    deg = len(coeffs) - 1
+    positive = sign_changes(coeffs)
+    negative = sign_changes([c * (-1) ** (deg - k) for k, c in enumerate(coeffs)])
+    assert signature_symmetric(m) == positive - negative
 
 
 def test_matrix_helpers():

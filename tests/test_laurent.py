@@ -18,6 +18,21 @@ def test_construction_drops_zeros_and_merges():
     assert LaurentPoly.one().is_one()
 
 
+@pytest.mark.parametrize(
+    "coeffs, exp",
+    [
+        ({0: 2.7}, "0"),
+        ({1.9: 1}, "1.9"),
+        ({1: True}, "1"),
+        ({False: 1}, "False"),
+        ([(2, "3")], "2"),
+    ],
+)
+def test_construction_rejects_non_integers(coeffs, exp):
+    with pytest.raises(ValueError, match=f"exponent {exp} "):
+        LaurentPoly(coeffs)
+
+
 def test_arithmetic():
     p = lp({1: 1, 0: -1})
     q = lp({-1: 1, 0: 1})

@@ -41,6 +41,20 @@ def test_front_validation():
         FrontData(writhe=0, down_cusps=-1, up_cusps=3)
 
 
+@pytest.mark.parametrize(
+    "fields, bad",
+    [
+        ((1.5, 1, 1), "writhe"),
+        ((True, 1, 1), "writhe"),
+        ((0, 1.0, 1), "down_cusps"),
+        ((0, 1, "1"), "up_cusps"),
+    ],
+)
+def test_front_rejects_non_integer_fields(fields, bad):
+    with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+        FrontData(*fields)
+
+
 def test_stein_condition_paper_handles():
     fronts, framings = load_named_fronts()
     ok, checks = stein_condition(
@@ -56,8 +70,9 @@ def test_stein_condition_paper_handles():
 
 def test_stein_condition_failure_and_vacuous():
     fronts, _ = load_named_fronts()
-    ok, checks = stein_condition([(0, fronts["handle-1"])])
+    ok, checks = stein_condition([("handle-1", 0, fronts["handle-1"])])
     assert not ok
+    assert checks[0].name == "handle-1"
     assert checks[0].tb == 0 and checks[0].framing == 0
     ok_empty, empty = stein_condition([])
     assert ok_empty and empty == ()

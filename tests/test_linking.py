@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -87,6 +88,45 @@ def test_first_homology_matches_determinant():
     for n in range(-4, 5):
         report = first_homology(((0, 1), (1, n)))
         assert report.is_homology_sphere == (abs(det(((0, 1), (1, n)))) == 1)
+
+
+@st.composite
+def hoste_cases(draw, max_dim=4, coeff=5):
+    """A nonsingular integer matrix and two curves with S^3 data.
+
+    The matrix need not be symmetric: the bordered-determinant identity
+    holds for any B, and a nonsymmetric one pins which curve borders the
+    rows and which the columns.
+    """
+    n = draw(st.integers(1, max_dim))
+    entry = st.integers(-coeff, coeff)
+    b = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    if det(b) == 0:
+        b = tuple(
+            tuple(x + (n * coeff + 1) * (i == j) for j, x in enumerate(row))
+            for i, row in enumerate(b)
+        )  # strictly diagonally dominant, hence nonsingular
+    vec = st.tuples(*[entry] * n)
+    pair = (draw(entry), draw(entry))
+    sigma = CurveSpec("s", draw(vec), draw(entry), (("e", pair),))
+    eta = CurveSpec("e", draw(vec), draw(entry))
+    return b, sigma, eta
+
+
+@given(hoste_cases())
+def test_hoste_matches_sympy_inverse(case):
+    b, sigma, eta = case
+    inv = sympy.Matrix(b).inv()
+    for x, y, s3 in (
+        (sigma, sigma, sigma.pushoff_self_linking),
+        (sigma, eta, sigma.cross_pair("e")[0]),
+        (eta, sigma, sigma.cross_pair("e")[1]),
+    ):
+        a_row = sympy.Matrix([list(x.component_linkings)])
+        b_col = sympy.Matrix(y.component_linkings)
+        expected = s3 - (a_row * inv * b_col)[0, 0]
+        value = hoste_linking(b, x, y)
+        assert (value.numerator, value.denominator) == (expected.p, expected.q)
 
 
 PRES = standard_torus_presentation(3)

@@ -81,6 +81,34 @@ def test_torus_knot_known_signatures():
     assert signature(torus_knot_seifert(3, 5)) == -8
 
 
+def glm_torus_signature(p, q):
+    """Gordon-Litherland-Murasugi count for the positive torus knot T(p, q).
+
+    Over the pairs 1 <= i < p, 1 <= j < q, a pair with 1/2 < i/p + j/q < 3/2
+    contributes -1 and any other pair +1; for coprime p, q no pair lies on
+    a boundary.
+    """
+    total = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            twice = 2 * (i * q + j * p)  # 2 * (i/p + j/q) * p*q
+            assert twice not in (p * q, 3 * p * q)
+            total += -1 if p * q < twice < 3 * p * q else 1
+    return total
+
+
+def test_glm_count_reproduces_pinned_signatures():
+    pinned = {(2, 3): -2, (2, 5): -4, (3, 4): -6, (2, 7): -6, (3, 5): -8}
+    assert {pq: glm_torus_signature(*pq) for pq in pinned} == pinned
+
+
+@pytest.mark.parametrize(
+    "p,q", [(p, q) for p in range(2, 10) for q in range(p + 1, 10) if gcd(p, q) == 1]
+)
+def test_torus_knot_signature_matches_glm_count(p, q):
+    assert signature(torus_knot_seifert(p, q)) == glm_torus_signature(p, q)
+
+
 def test_torus_knot_parameter_validation():
     with pytest.raises(ValueError, match="coprime"):
         torus_knot_seifert(2, 4)
