@@ -2,13 +2,13 @@
 solid tori in the boundaries of 4-manifolds.
 
 Subpackages by topic:
-  surgery     surgery presentations, curves, linking matrices
+  surgery     surgery presentations, curves, linking matrices, trace text
   linking     Smith normal form, homology, surgery linking numbers,
               self-linking forms and their zero classes
   seifert     Seifert matrices, Alexander polynomials, signatures,
               Fox-Milnor, sliceness verdicts
-  forms       symmetric unimodular forms, even classification, splitting
-              enumeration under Rokhlin constraints, lens-space QR test
+  forms       even form classes a*E8 + b*H, splitting enumeration under
+              Rokhlin constraints, lens-space QR test
   legendrian  tb/rot from front counts, Stein condition, slice-Bennequin
   twists      Dehn-twist classes on a torus and extension subgroups
   scenarios   the named end-to-end obstruction reports

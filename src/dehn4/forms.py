@@ -1,90 +1,20 @@
-"""Arithmetic of symmetric unimodular integer forms.
+"""Arithmetic of even unimodular forms and of lens-space bounding.
 
-Covers the pieces the smooth-ball obstruction needs: parity, exact
-signature, classification of indefinite even unimodular forms as
-a*E8 + b*H, enumeration of splittings of an even class constrained by
-signature congruences mod 16 (the Rokhlin constraint for spin fillings of
-homology spheres), and the quadratic-residue criterion for a lens space to
-bound a simply connected topological 4-manifold with second Betti number
-one.
+Covers the pieces the smooth-ball obstruction needs: the classes
+a*E8 + b*H of indefinite even unimodular forms (Milnor-Husemoller) as
+rank and signature bookkeeping, enumeration of splittings of an even class
+constrained by signature congruences mod 16 (the Rokhlin constraint for
+spin fillings of homology spheres), and the quadratic-residue criterion
+for a lens space to bound a simply connected topological 4-manifold with
+second Betti number one.
 
-E8 is stored positive definite (signature +8); orientation reversal is
-negation.
+E8 is the positive definite form (signature +8); a negative e8_count
+counts copies of -E8, its orientation reversal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import gcd
-
-from .exact import IntMatrix, block_diagonal, det, freeze, is_symmetric, signature_symmetric
-
-
-@dataclass(frozen=True)
-class SymUnimodularForm:
-    """Symmetric integer matrix with determinant +-1 (rank 0 allowed)."""
-
-    entries: IntMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", freeze(self.entries))
-        if not is_symmetric(self.entries):
-            raise ValueError("form matrix must be symmetric")
-        if self.entries and abs(det(self.entries)) != 1:
-            raise ValueError("form matrix must be unimodular")
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    def direct_sum(self, other: "SymUnimodularForm") -> "SymUnimodularForm":
-        return SymUnimodularForm(block_diagonal(self.entries, other.entries))
-
-    def negated(self) -> "SymUnimodularForm":
-        return SymUnimodularForm(tuple(tuple(-x for x in row) for row in self.entries))
-
-
-_E8_ROWS = (
-    (2, -1, 0, 0, 0, 0, 0, 0),
-    (-1, 2, -1, 0, 0, 0, 0, 0),
-    (0, -1, 2, -1, 0, 0, 0, 0),
-    (0, 0, -1, 2, -1, 0, 0, 0),
-    (0, 0, 0, -1, 2, -1, 0, -1),
-    (0, 0, 0, 0, -1, 2, -1, 0),
-    (0, 0, 0, 0, 0, -1, 2, 0),
-    (0, 0, 0, 0, -1, 0, 0, 2),
-)
-
-
-def e8_form() -> SymUnimodularForm:
-    """The positive definite even rank-8 form (Cartan matrix of E8)."""
-    return SymUnimodularForm(_E8_ROWS)
-
-
-def hyperbolic_form() -> SymUnimodularForm:
-    """H = [[0, 1], [1, 0]]."""
-    return SymUnimodularForm(((0, 1), (1, 0)))
-
-
-def zero_form() -> SymUnimodularForm:
-    return SymUnimodularForm(())
-
-
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
-
-
-def parity(q: SymUnimodularForm) -> Parity:
-    """Even iff every diagonal entry is even (the spin condition)."""
-    n = q.rank
-    if all(q.entries[i][i] % 2 == 0 for i in range(n)):
-        return Parity.EVEN
-    return Parity.ODD
-
-
-def exact_signature(q: SymUnimodularForm) -> int:
-    return signature_symmetric(q.entries)
 
 
 @dataclass(frozen=True)
@@ -110,16 +40,6 @@ class EvenFormClass:
     def signature(self) -> int:
         return 8 * self.e8_count
 
-    def matrix(self) -> SymUnimodularForm:
-        """An explicit block-sum representative of this class."""
-        e8 = e8_form() if self.e8_count >= 0 else e8_form().negated()
-        form = zero_form()
-        for _ in range(abs(self.e8_count)):
-            form = form.direct_sum(e8)
-        for _ in range(self.h_count):
-            form = form.direct_sum(hyperbolic_form())
-        return form
-
     def __str__(self) -> str:
         parts = []
         if self.e8_count:
@@ -130,31 +50,6 @@ class EvenFormClass:
             mult = f"{self.h_count}*" if self.h_count != 1 else ""
             parts.append(f"{mult}H")
         return " + ".join(parts) if parts else "0"
-
-
-def classify_indefinite_even(q: SymUnimodularForm) -> EvenFormClass:
-    """The unique a*E8 + b*H class with matching rank and signature.
-
-    Only valid for even forms that are indefinite or of rank zero (the
-    classification theorem for indefinite even unimodular forms); odd or
-    definite nonzero input raises ValueError.
-    """
-    if parity(q) is not Parity.EVEN:
-        raise ValueError("classification applies to even forms only")
-    if q.rank == 0:
-        return EvenFormClass(0, 0)
-    sig = exact_signature(q)
-    if abs(sig) == q.rank:
-        raise ValueError(
-            "form is definite; the indefinite classification does not apply"
-        )
-    if sig % 8 != 0:
-        raise AssertionError("even unimodular form with signature not divisible by 8")
-    e8 = sig // 8
-    h, rem = divmod(q.rank - 8 * abs(e8), 2)
-    if rem or h <= 0:
-        raise AssertionError("rank/signature mismatch for an even unimodular form")
-    return EvenFormClass(e8, h)
 
 
 @dataclass(frozen=True)

@@ -246,17 +246,16 @@ def standard_torus_presentation(n: int) -> surgery.SurgeryPresentation:
     and beta (longitudinal, linking the framed component) carry the
     standard pushoff data lk(alpha, beta+) = 0, lk(beta, alpha+) = 1.
     """
-    return surgery.parse_presentation(
-        "\n".join(
-            [
-                "component L1 dotted",
-                f"component L2 framed {n}",
-                "lk L1 L2 1",
-                "curve alpha lk ( 1 0 ) self 0",
-                "curve beta lk ( 0 1 ) self 0",
-                "pushoff alpha beta 0 1",
-            ]
-        )
+    return surgery.SurgeryPresentation(
+        components=(
+            surgery.ComponentRecord("L1", surgery.ComponentKind.DOTTED),
+            surgery.ComponentRecord("L2", surgery.ComponentKind.FRAMED, n),
+        ),
+        linkings=(("L1", "L2", 1),),
+        curves=(
+            surgery.CurveSpec("alpha", (1, 0), 0, (("beta", (0, 1)),)),
+            surgery.CurveSpec("beta", (0, 1), 0, (("alpha", (1, 0)),)),
+        ),
     )
 
 

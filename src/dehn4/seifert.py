@@ -55,9 +55,6 @@ class SeifertMatrix:
     def genus(self) -> int:
         return self.size // 2
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
@@ -379,10 +376,6 @@ class SliceVerdict:
     signature: int | None = None
     fox_milnor: FoxMilnorResult | None = None
     note: str | None = None
-
-    @property
-    def obstructed(self) -> bool:
-        return self.tag is not SliceTag.UNKNOWN
 
 
 def algebraic_slice_verdict(v: SeifertMatrix, degree_bound: int = 16) -> SliceVerdict:

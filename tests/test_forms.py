@@ -6,75 +6,65 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from dehn4.exact import block_diagonal, det, signature_symmetric
 from dehn4.forms import (
     EvenFormClass,
-    Parity,
     SignatureCongruence,
-    SymUnimodularForm,
-    classify_indefinite_even,
-    e8_form,
     enumerate_even_splittings,
-    exact_signature,
-    hyperbolic_form,
     is_square_mod,
     lens_qr_bounding,
-    parity,
     quadratic_residues,
     rohlin_constraint,
-    zero_form,
 )
 
-E8 = e8_form()
-H = hyperbolic_form()
+# Cartan matrix of E8: the positive definite even unimodular form of rank 8.
+E8 = (
+    (2, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0, 0, 0),
+    (0, -1, 2, -1, 0, 0, 0, 0),
+    (0, 0, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, -1),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, 0),
+    (0, 0, 0, 0, -1, 0, 0, 2),
+)
+H = ((0, 1), (1, 0))
 
 
-def test_parity_examples():
-    assert parity(H) is Parity.EVEN
-    assert parity(SymUnimodularForm(((1,),))) is Parity.ODD
-    assert parity(E8) is Parity.EVEN
+def negated(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+def block_sum(a, b):
+    """A representative of the class a*E8 + b*H: |a| copies of +-E8, then b of H."""
+    e8 = E8 if a >= 0 else negated(E8)
+    return block_diagonal(*[e8] * abs(a), *[H] * b)
 
 
 def test_signature_examples():
-    assert exact_signature(E8) == 8
-    assert exact_signature(H) == 0
-    both = E8.direct_sum(H)
-    assert exact_signature(both) == 8
-    assert both.rank == 10
-
-
-def test_form_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        SymUnimodularForm(((0, 1), (2, 0)))
-    with pytest.raises(ValueError, match="unimodular"):
-        SymUnimodularForm(((2,),))
-    assert zero_form().rank == 0
+    assert signature_symmetric(E8) == 8
+    assert signature_symmetric(H) == 0
+    both = block_diagonal(E8, H)
+    assert signature_symmetric(both) == 8
+    assert len(both) == 10
 
 
 def test_negation_flips_signature():
-    assert exact_signature(E8.negated()) == -8
+    assert signature_symmetric(negated(E8)) == -8
 
 
-def test_classify_examples():
-    assert classify_indefinite_even(E8.direct_sum(H)) == EvenFormClass(1, 1)
-    assert classify_indefinite_even(H) == EvenFormClass(0, 1)
-    assert classify_indefinite_even(zero_form()) == EvenFormClass(0, 0)
-
-
-def test_classify_rejects_odd_and_definite():
-    with pytest.raises(ValueError, match="even"):
-        classify_indefinite_even(SymUnimodularForm(((1,),)))
-    with pytest.raises(ValueError, match="definite"):
-        classify_indefinite_even(E8)
-
-
-@given(a=st.integers(-2, 2), b=st.integers(0, 3))
-def test_classify_round_trips_block_sums(a, b):
-    cls = EvenFormClass(a, b)
-    if a != 0 and b == 0:
-        with pytest.raises(ValueError, match="definite"):
-            classify_indefinite_even(cls.matrix())
-    else:
-        assert classify_indefinite_even(cls.matrix()) == cls
+def test_classify_round_trips_block_sums():
+    """Rank and signature of the block sum recover the class a*E8 + b*H."""
+    for a in range(-2, 3):
+        for b in range(0, 4):
+            cls = EvenFormClass(a, b)
+            m = block_sum(a, b)
+            assert cls.rank == len(m)
+            assert cls.signature == signature_symmetric(m)
+            assert abs(det(m)) == 1
+            e8, rem = divmod(cls.signature, 8)
+            assert rem == 0
+            assert EvenFormClass(e8, (len(m) - 8 * abs(e8)) // 2) == cls
 
 
 def test_even_class_rank_signature():
@@ -138,12 +128,12 @@ def test_enumerated_splittings_sum_and_satisfy(a, b, r1, r2):
 
 
 def test_signature_additivity_under_direct_sum():
-    forms = [E8, H, E8.negated(), SymUnimodularForm(((1,),))]
+    forms = [E8, H, negated(E8), ((1,),)]
     for q1 in forms:
         for q2 in forms:
-            assert exact_signature(q1.direct_sum(q2)) == exact_signature(
+            assert signature_symmetric(block_diagonal(q1, q2)) == signature_symmetric(
                 q1
-            ) + exact_signature(q2)
+            ) + signature_symmetric(q2)
 
 
 def test_lens_qr_examples():

@@ -1,0 +1,48 @@
+"""The scripts under scripts/ run end to end against the package in src/."""
+import json
+import os
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+from dehn4.scenarios import SCENARIO_NAMES, Verdict
+
+ROOT = Path(__file__).resolve().parent.parent
+SEPARATOR = "=" * 72
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_run_all_scenarios(fmt):
+    out = run_script("run_all_scenarios.py", "--format", fmt)
+    lines = out.splitlines()
+    assert lines[0] == lines[-1] == SEPARATOR
+    reports = "\n".join(lines[1:-1]).split(f"\n{SEPARATOR}\n")
+    assert len(reports) == len(SCENARIO_NAMES) == 6
+    if fmt == "json":
+        assert [json.loads(r)["scenario"]["name"] for r in reports] == list(SCENARIO_NAMES)
+
+
+def test_twist_extension_sweep():
+    out = run_script("twist_extension_sweep.py", "--bound", "5")
+    header, *rows = out.splitlines()
+    assert header.split()[0] == "p"
+    pairs = [(p, q) for p in range(2, 5) for q in range(p + 1, 6) if gcd(p, q) == 1]
+    assert [tuple(int(x) for x in row.split()[:2]) for row in rows] == pairs
+    verdicts = {v.value for v in Verdict}
+    assert all(row.split()[-1] in verdicts for row in rows)
