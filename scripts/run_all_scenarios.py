@@ -4,8 +4,10 @@
 Usage: python scripts/run_all_scenarios.py [--format text|json]
 """
 import argparse
+import sys
 
 from dehn4 import build_scenario, render, run_scenario
+from dehn4.cli import silence_broken_pipe
 from dehn4.scenarios import SCENARIO_NAMES
 
 
@@ -21,4 +23,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.exit(silence_broken_pipe())

@@ -8,9 +8,11 @@ the combined verdict.
 Usage: python scripts/twist_extension_sweep.py [--bound 7]
 """
 import argparse
+import sys
 from math import gcd
 
 from dehn4 import build_scenario, run_scenario
+from dehn4.cli import silence_broken_pipe
 from dehn4.seifert import signature, torus_knot_seifert
 
 
@@ -35,4 +37,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.exit(silence_broken_pipe())

@@ -23,7 +23,8 @@ these hypothesis flags:
 Any other parameter or flag is an error, as is a flag given twice.
 
 Exit code 0 on any successful computation regardless of verdict; 1 on an
-error, with one `dehn4: error:` line on stderr.  The optional JSON config
+error, with one `dehn4: error:` line on stderr, and 1 without a word when
+the reader of stdout has gone.  The optional JSON config
 file supplies the same fields (scenario, p, q, n, knot_j, knot_k, flags);
 unknown fields and values of the wrong JSON type are rejected.  Config
 flags replace the scenario's default flags.  DEHN4_CONFIG_DIR, when set,
@@ -157,12 +158,28 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, param)
             params[param] = value if value is not None else config.get(param)
         scenario = build_scenario(scenario_name, flags=flags, **params)
-        report = run_scenario(scenario)
-        sys.stdout.write(render(report, args.format))
-        return 0
+        out = render(run_scenario(scenario), args.format)
     except (ScenarioError, ValueError) as exc:
         print(f"dehn4: error: {exc}", file=sys.stderr)
         return 1
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return silence_broken_pipe()
+    return 0
+
+
+def silence_broken_pipe() -> int:
+    """Exit status 1 for a stdout whose reader has gone, without a traceback.
+
+    Points stdout at os.devnull, so the interpreter's flush at exit writes
+    nowhere instead of raising BrokenPipeError again (the recipe of the
+    Python `signal` module documentation).
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    return 1
 
 
 if __name__ == "__main__":

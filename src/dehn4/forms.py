@@ -6,7 +6,10 @@ rank and signature bookkeeping, enumeration of splittings of an even class
 constrained by signature congruences mod 16 (the Rokhlin constraint for
 spin fillings of homology spheres), and the quadratic-residue criterion
 for a lens space to bound a simply connected topological 4-manifold with
-second Betti number one.
+second Betti number one.  That criterion is decided from the prime-power
+factorization of p: Euler's criterion at each odd prime power and a check
+mod 4 or 8 at the power of 2, so a witness takes O(sqrt(p)) time to find,
+O(1) pow calls per prime power to check again, and no list of residues.
 
 E8 is the positive definite form (signature +8); a negative e8_count
 counts copies of -E8, its orientation reversal.
@@ -102,45 +105,85 @@ def enumerate_even_splittings(
     return tuple(out)
 
 
-def quadratic_residues(p: int) -> tuple[int, ...]:
-    """The nonzero squares mod p, sorted (used as the report witness set)."""
-    return tuple(sorted({(k * k) % p for k in range(1, p)} - {0}))
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers l^k || n of an n >= 2, as ascending (l, k) pairs.
+
+    Trial division up to the square root of the unfactored part: O(sqrt(n))
+    steps when n is prime.
+    """
+    out = []
+    ell = 2
+    while ell * ell <= n:
+        if n % ell == 0:
+            k = 0
+            while n % ell == 0:
+                n //= ell
+                k += 1
+            out.append((ell, k))
+        ell += 1 if ell == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def square_check(a: int, ell: int, k: int) -> int:
+    """The value that is 1 exactly when the unit a is a square mod l^k.
+
+    Odd l: Euler's criterion a^((l-1)/2) mod l (Hensel lifts a root mod l
+    to l^k).  l = 2: a mod 2^min(k, 3), since 1 is the only odd square
+    mod 2, 4 and 8 and a unit is a square mod 2^k (k >= 3) iff it is one
+    mod 8 (Cohen, A Course in Computational Algebraic Number Theory, 1.4).
+    """
+    if ell == 2:
+        return a % (1 << min(k, 3))
+    return pow(a, (ell - 1) // 2, ell)
 
 
 def is_square_mod(a: int, p: int) -> bool:
-    """Whether a, a unit mod p, is a square mod p.
-
-    Factors p by trial division and tests each prime power l^k || p:
-    Euler's criterion a^((l-1)/2) == 1 (mod l) for odd l (Hensel lifts a
-    root mod l to l^k), a == 1 (mod 4) when 4 || p and a == 1 (mod 8) when
-    8 | p (Cohen, A Course in Computational Algebraic Number Theory, 1.4).
-    """
+    """Whether a, a unit mod p, is a square mod p: square_check is 1 at
+    every prime power l^k || p."""
     if p < 2:
         raise ValueError("modulus must be at least 2")
     if gcd(a, p) != 1:
         raise ValueError("a must be coprime to the modulus")
-    twos = (p & -p).bit_length() - 1
-    if (twos == 2 and a % 4 != 1) or (twos >= 3 and a % 8 != 1):
-        return False
-    m = p >> twos
-    ell = 3
-    while ell * ell <= m:
-        if m % ell == 0:
-            if pow(a, (ell - 1) // 2, ell) != 1:
-                return False
-            while m % ell == 0:
-                m //= ell
-        ell += 2
-    return m == 1 or pow(a, (m - 1) // 2, m) == 1
+    return all(square_check(a, ell, k) == 1 for ell, k in factor(p))
 
 
-def lens_qr_bounding(p: int, q: int) -> bool:
+@dataclass(frozen=True)
+class LensWitness:
+    """The re-checkable answer of lens_qr_bounding for L(p, q).
+
+    factors holds the prime powers l^k || p; q_checks and minus_q_checks
+    hold, for each of them in the same order, square_check of q and of
+    p - q.  A unit is a square mod p iff each of its checks is 1, so anyone
+    can recompute the verdict with pow and % from the factorization.
+    """
+
+    factors: tuple[tuple[int, int], ...]
+    q_checks: tuple[int, ...]
+    minus_q_checks: tuple[int, ...]
+
+    @property
+    def q_is_residue(self) -> bool:
+        return all(v == 1 for v in self.q_checks)
+
+    @property
+    def minus_q_is_residue(self) -> bool:
+        return all(v == 1 for v in self.minus_q_checks)
+
+    @property
+    def bounds(self) -> bool:
+        return self.q_is_residue or self.minus_q_is_residue
+
+
+def lens_qr_bounding(p: int, q: int) -> LensWitness:
     """Whether L(p, q) bounds a simply connected topological 4-manifold
-    with b2 = 1: true iff +q or -q is a quadratic residue mod p.
+    with b2 = 1 (true iff +q or -q is a quadratic residue mod p), with the
+    prime-power checks that prove it.
 
-    Uses the prime-power criterion of is_square_mod (composite moduli
-    included); the exhaustive search over k in [0, p) lives in the test
-    suite as the oracle.
+    p is factored once and both signs are checked at each prime power;
+    the exhaustive search over k in [0, p) lives in the test suite as the
+    oracle.
     """
     if p < 2:
         raise ValueError("lens space parameter p must be at least 2")
@@ -148,4 +191,9 @@ def lens_qr_bounding(p: int, q: int) -> bool:
         raise ValueError("lens space parameter q must satisfy 0 < q < p")
     if gcd(p, q) != 1:
         raise ValueError("lens space parameters must be coprime")
-    return is_square_mod(q, p) or is_square_mod(p - q, p)
+    factors = factor(p)
+    return LensWitness(
+        factors,
+        tuple(square_check(q, ell, k) for ell, k in factors),
+        tuple(square_check(p - q, ell, k) for ell, k in factors),
+    )

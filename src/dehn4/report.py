@@ -9,7 +9,7 @@ import json
 
 from .scenarios import Report
 
-SCHEMA_ID = "dehn4.report/1"
+SCHEMA_ID = "dehn4.report/2"
 
 
 def report_to_json_dict(report: Report) -> dict:

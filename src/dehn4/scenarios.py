@@ -296,28 +296,31 @@ def _run_sphere_lens(s: Scenario) -> Report:
             "is a b2 = 1 filling of a lens space",
         )
     ]
-    bounds = forms.lens_qr_bounding(p, q)  # validates p and q before the O(p) list
-    residues = forms.quadratic_residues(p)
-    q_res = forms.is_square_mod(q, p)
-    mq_res = forms.is_square_mod(p - q, p)
+    w = forms.lens_qr_bounding(p, q)
+    powers = [f"{ell}^{k}" for ell, k in w.factors]
+    signs = (w.q_checks, w.minus_q_checks)
     trace.append(
         TraceStep(
             "lens_qr_bounding",
             {"p": p, "q": q},
             {
-                "bounds_b2_one_filling": bounds,
-                "quadratic_residues_mod_p": list(residues),
-                "q_is_residue": q_res,
-                "minus_q_is_residue": mq_res,
+                "bounds_b2_one_filling": w.bounds,
+                "euler": [
+                    " ".join(f"{pk}:{v}" for pk, v in zip(powers, checks))
+                    for checks in signs
+                ],
+                "q_is_residue": w.q_is_residue,
+                "minus_q_is_residue": w.minus_q_is_residue,
             },
         )
     )
-    verdict = Verdict.NOT_OBSTRUCTED if bounds else Verdict.OBSTRUCTED
+    verdict = Verdict.NOT_OBSTRUCTED if w.bounds else Verdict.OBSTRUCTED
     detail = None
-    if not bounds:
+    if not w.bounds:
+        fails = [next(pk for pk, v in zip(powers, checks) if v != 1) for checks in signs]
         detail = {
             "conclusion": "no topologically embedded ball",
-            "witness": f"neither {q % p} nor {(p - q) % p} is a quadratic residue mod {p}",
+            "witness": f"neither {q} mod {fails[0]} nor {p - q} mod {fails[1]} is a square",
         }
     return Report(
         scenario=s,

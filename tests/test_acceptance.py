@@ -67,11 +67,11 @@ def test_sphere_lens_criterion():
         obstructed = run("sphere-lens", p=5, q=2)
         assert obstructed.verdict is Verdict.OBSTRUCTED
         text = render_text(obstructed)
-        assert "{1, 4}" in text
+        assert "{5^1:4, 5^1:4}" in text
         step = next(
             t for t in obstructed.trace if t.operation == "lens_qr_bounding"
         )
-        assert step.output["quadratic_residues_mod_p"] == [1, 4]
+        assert step.output["euler"] == ["5^1:4", "5^1:4"]
         assert run("sphere-lens", p=5, q=1).verdict is Verdict.NOT_OBSTRUCTED
 
 
@@ -262,7 +262,7 @@ def test_property_suites_criterion():
                 if gcd(p, q) != 1:
                     continue
                 exhaustive = q in squares or (p - q) % p in squares
-                assert lens_qr_bounding(p, q) == exhaustive, (p, q)
+                assert lens_qr_bounding(p, q).bounds == exhaustive, (p, q)
 
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"property suites took {elapsed:.1f}s"

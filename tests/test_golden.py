@@ -75,7 +75,9 @@ CASES: dict[str, tuple[str, ...]] = {
         for p in range(2, 8)
     },
     # sphere-lens: one q that is a square mod p and one that is not, on
-    # primes, prime powers, 4 || p and 8 | p
+    # primes, prime powers, 4 || p and 8 | p; then 8 | p beside three odd
+    # prime powers (2^3 3^3 5^2 7), and primes near 10^6 and 10^9, whose
+    # witnesses stay as short as the others
     **{
         f"sphere-lens-{p}-{q}": ("--scenario", "sphere-lens", "--p", str(p), "--q", str(q))
         for p, qs in (
@@ -88,6 +90,9 @@ CASES: dict[str, tuple[str, ...]] = {
             (25, (4, 2)),
             (27, (4, 2)),
             (1009, (2, 11)),
+            (37800, (11,)),
+            (1000003, (2,)),
+            (1000000009, (11,)),
         )
         for q in qs
     },

@@ -1,11 +1,12 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from dehn4 import cli
+from dehn4 import cli, forms
 from dehn4.cli import main
 from dehn4.report import render, render_json, render_text, report_to_json_dict
 from dehn4.scenarios import (
@@ -30,7 +31,8 @@ def test_sphere_lens_5_2_obstructed_with_witness():
     assert report.verdict is Verdict.OBSTRUCTED
     text = render_text(report)
     assert "verdict: Obstructed" in text
-    assert "{1, 4}" in text
+    assert "{5^1:4, 5^1:4}" in text
+    assert "witness: neither 2 mod 5^1 nor 3 mod 5^1 is a square" in text
 
 
 def test_sphere_lens_5_1_not_obstructed():
@@ -214,7 +216,7 @@ def test_cli_report_text(capsys):
     assert main(["report", "--scenario", "sphere-lens", "--p", "5", "--q", "2"]) == 0
     out = capsys.readouterr().out
     assert "verdict: Obstructed" in out
-    assert "{1, 4}" in out
+    assert "{5^1:4, 5^1:4}" in out
 
 
 def test_cli_exit_zero_on_not_obstructed(capsys):
@@ -413,13 +415,35 @@ def test_parameter_the_scenario_does_not_take_is_rejected(capsys, argv, message)
     assert _cli_error(capsys, argv) == f"dehn4: error: {message}"
 
 
-def test_sphere_lens_checks_q_before_listing_residues(monkeypatch):
-    def residues_must_not_run(p):
-        raise AssertionError("quadratic_residues ran before q was checked")
+def test_sphere_lens_checks_q_before_factoring_p(monkeypatch):
+    def factor_must_not_run(n):
+        raise AssertionError("p was factored before q was checked")
 
-    monkeypatch.setattr("dehn4.forms.quadratic_residues", residues_must_not_run)
+    monkeypatch.setattr("dehn4.forms.factor", factor_must_not_run)
     with pytest.raises(ValueError, match="0 < q < p"):
         run("sphere-lens", p=2_000_000, q=2_000_000)
+
+
+def test_sphere_lens_factors_p_once(monkeypatch):
+    calls = []
+    real_factor = forms.factor
+    monkeypatch.setattr("dehn4.forms.factor", lambda n: calls.append(n) or real_factor(n))
+    for fmt in ("text", "json"):
+        render(run("sphere-lens", p=37800, q=11), fmt)
+    assert calls == [37800, 37800]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sphere_lens_memory_does_not_grow_with_p(fmt):
+    """build + run + render at p = 10^9 + 7 allocates less than 1 MiB at its peak:
+    no structure of size O(p) is built."""
+    tracemalloc.start()
+    try:
+        render(run("sphere-lens", p=10**9 + 7, q=2), fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize(

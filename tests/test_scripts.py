@@ -14,11 +14,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SEPARATOR = "=" * 72
 
 
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
 def run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env,
+        env=ENV,
         capture_output=True,
         text=True,
         timeout=120,
@@ -46,3 +48,30 @@ def test_twist_extension_sweep():
     assert [tuple(int(x) for x in row.split()[:2]) for row in rows] == pairs
     verdicts = {v.value for v in Verdict}
     assert all(row.split()[-1] in verdicts for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "dehn4.cli", "report", "--scenario", "sphere-lens"],
+        [str(ROOT / "scripts" / "run_all_scenarios.py")],
+        [str(ROOT / "scripts" / "twist_extension_sweep.py"), "--bound", "3"],
+    ],
+    ids=["cli", "run_all_scenarios", "twist_extension_sweep"],
+)
+def test_reader_gone_before_first_write_exits_quietly(argv):
+    """stdout is a pipe whose read end is closed before the child starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, *argv],
+            env=ENV,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
