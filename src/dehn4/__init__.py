@@ -2,8 +2,8 @@
 solid tori in the boundaries of 4-manifolds.
 
 Subpackages by topic:
-  surgery     surgery presentations, curves, linking matrices, trace text
-  linking     Smith normal form, homology, surgery linking numbers,
+  surgery     surgery presentations, torus basis, linking matrices, trace text
+  linking     homology from the Smith diagonal, Hoste self-linking,
               self-linking forms and their zero classes
   seifert     Seifert matrices, Alexander polynomials, signatures,
               Fox-Milnor, sliceness verdicts

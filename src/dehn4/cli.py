@@ -26,9 +26,9 @@ Exit code 0 on any successful computation regardless of verdict; 1 on an
 error, with one `dehn4: error:` line on stderr, and 1 without a word when
 the reader of stdout has gone.  The optional JSON config
 file supplies the same fields (scenario, p, q, n, knot_j, knot_k, flags);
-unknown fields and values of the wrong JSON type are rejected.  Config
-flags replace the scenario's default flags.  DEHN4_CONFIG_DIR, when set,
-is the search path for relative --config paths.
+unknown fields and values of the wrong JSON type are rejected.  A config
+flag replaces the default flag of its name; the others keep their
+defaults.  DEHN4_CONFIG_DIR is the search path for relative --config paths.
 """
 from __future__ import annotations
 

@@ -1,14 +1,16 @@
-"""Exact integer linear algebra.
+"""Exact integer linear algebra: the determinant, signature and Smith kernels.
 
-Bareiss elimination is the only elimination scheme: `det` for
-determinants and `signature_symmetric` for signatures, both fraction-free
-on arbitrary-precision integers, each division exact by the previous
-pivot.  There is no rational solve and no floating point anywhere.
-Matrices are plain tuples of tuples (immutable) or lists of lists
-(scratch space).
+`det` for determinants and `signature_symmetric` for signatures are
+fraction-free Bareiss elimination on arbitrary-precision integers, each
+division exact by the previous pivot.  `invariant_factors` gives the
+Smith diagonal by Euclid's algorithm on the smallest pivot, with no
+unimodular factors kept.  There is no rational solve and no floating
+point anywhere.  Matrices are plain tuples of tuples (immutable) or lists
+of lists (scratch space).
 """
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -24,24 +26,10 @@ def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return frozen
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def transpose(m: Sequence[Sequence[int]]) -> IntMatrix:
     if not m:
         return ()
     return tuple(tuple(row[i] for row in m) for i in range(len(m[0])))
-
-
-def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    if not a or not b:
-        return ()
-    cols = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for i in range(len(a))
-    )
 
 
 def is_square(m: Sequence[Sequence[int]]) -> bool:
@@ -119,6 +107,46 @@ def signature_symmetric(m: Sequence[Sequence[int]]) -> int:
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
         prev = pivot
     return sig
+
+
+def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Diagonal d1 | d2 | ... of the Smith normal form over Z.
+
+    min(rows, cols) nonnegative entries, zeros last.  Euclid's algorithm
+    on the smallest nonzero entry clears its row and column by unimodular
+    row and column operations, one pivot at a time; a gcd/lcm pass then
+    turns the diagonal into a divisibility chain (gcd * lcm keeps each
+    pair's product, and with it every prime-power elementary divisor).
+    """
+    a = [list(row) for row in m]
+    size = min(len(a), len(a[0])) if a else 0
+    diag = []
+    while a and a[0]:
+        entries = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        pivot = a[0][0]
+        for row in a[1:]:
+            f = row[0] // pivot
+            for c, x in enumerate(a[0]):
+                row[c] -= f * x
+        for c in range(1, len(a[0])):
+            f = a[0][c] // pivot
+            for row in a:
+                row[c] -= f * row[0]
+        # a nonzero remainder is smaller than the pivot and becomes the next one
+        if all(row[0] == 0 for row in a[1:]) and not any(a[0][1:]):
+            diag.append(abs(pivot))
+            a = [row[1:] for row in a[1:]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return tuple(diag) + (0,) * (size - len(diag))
 
 
 def block_diagonal(*blocks: Sequence[Sequence[int]]) -> IntMatrix:

@@ -1,21 +1,20 @@
 """Homology of surgered manifolds and linking numbers of boundary curves.
 
-Smith normal form drives the homology computation; Hoste's surgery formula
+The Smith diagonal of the linking matrix B (exact.invariant_factors)
+gives the first homology.  Hoste's surgery formula
 
-    lk_Y(sigma, eta) = lk_{S^3}(sigma, eta) - a . B^{-1} . b^T
+    lk_Y(sigma, sigma+) = lk_{S^3}(sigma, sigma+) - a . B^{-1} . a^T
 
-(a, b the curves' component-linking vectors, B the linking matrix) gives
-linking numbers of homologically trivial curves in the surgered manifold.
-The correction term is a bordered determinant,
-a . B^{-1} . b^T = -det([[B, b^T], [a, 0]]) / det(B), so Bareiss `det` is
-the only elimination involved.
-From it we read off the self-linking quadratic form on a boundary torus
-and enumerate the primitive classes on which it vanishes.
+(a the curve's component-linking vector) gives the self-linking of a
+homologically trivial curve in the surgered manifold.  The correction
+term is a bordered determinant,
+a . B^{-1} . a^T = -det([[B, a^T], [a, 0]]) / det(B), so Bareiss `det` is
+all it needs.  Evaluated on alpha, beta and alpha + beta
+of a boundary torus basis it gives the self-linking quadratic form, whose
+primitive zero classes are then enumerated.
 
-Sign convention: the correction term is subtracted as written above; when
-sigma != eta the S^3 term is lk(sigma, eta+), read from the recorded
-pushoff pair.  With the standard two-component data this yields the form
-n*x^2 - x*y on the torus basis.
+With the standard two-component data (lk(alpha, beta+) = 0,
+lk(beta, alpha+) = 1) this yields the form n*x^2 - x*y on the torus basis.
 """
 from __future__ import annotations
 
@@ -24,109 +23,13 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
-from .exact import IntMatrix, det, freeze, identity, is_symmetric
-from .surgery import CurveSpec, TorusCurveBasis
+from .exact import det, invariant_factors, is_symmetric
+from .surgery import CurveSpec, SurgeryPresentation
 
 
 class SingularLinkingMatrix(ValueError):
     """The linking matrix is singular over Q; the curves need not be
     homologically trivial, so the surgery linking number is undefined."""
-
-
-def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form over Z: returns (U, D, V) with D = U*M*V.
-
-    D is diagonal with nonnegative entries d1 | d2 | ...; U and V are
-    unimodular.  Exact integer arithmetic throughout.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[int(x) for x in row] for row in m]
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-        if a[t][t] < 0:
-            negate_row(t)
-
-        while True:
-            # clear the pivot column, then the pivot row
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:  # remainder became the new, smaller pivot
-                        swap_rows(t, i)
-                        if a[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        if a[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility: the pivot must divide the whole tail submatrix
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        t += 1
-
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            negate_row(i)  # keep D = U*M*V exact with nonnegative diagonal
-    return freeze(u), freeze(a), freeze(v)
 
 
 @dataclass(frozen=True)
@@ -147,51 +50,32 @@ class HomologyReport:
 
 
 def first_homology(b: Sequence[Sequence[int]]) -> HomologyReport:
-    """Torsion and free rank of coker(B) read off the Smith form."""
+    """Torsion and free rank of coker(B) read off the Smith diagonal."""
     if not is_symmetric(b):
         raise ValueError("linking matrix must be symmetric")
-    _, d, _ = smith_normal_form(b)
-    diag = [d[i][i] for i in range(len(d))]
+    diag = invariant_factors(b)
     torsion = tuple(x for x in diag if x > 1)
-    free = sum(1 for x in diag if x == 0)
-    return HomologyReport(torsion_coefficients=torsion, free_rank=free)
+    return HomologyReport(torsion_coefficients=torsion, free_rank=diag.count(0))
 
 
-def hoste_linking(
-    b: Sequence[Sequence[int]], sigma: CurveSpec, eta: CurveSpec
-) -> Fraction:
-    """Linking number of two homologically trivial curves in the surgered
+def hoste_linking(b: Sequence[Sequence[int]], curve: CurveSpec) -> Fraction:
+    """Self-linking of a homologically trivial curve in the surgered
     manifold, by Hoste's formula.
 
-    For sigma == eta (same id) the S^3 term is the recorded tangential
-    pushoff self-linking; otherwise it is lk(sigma, eta+) from the
-    recorded cross-pushoff pair.  Exact rational output; an integer
-    whenever |det B| = 1.
+    The S^3 term is the recorded tangential pushoff self-linking.  Exact
+    rational output; an integer whenever |det B| = 1.
     """
-    n = len(b)
-    if len(sigma.component_linkings) != n or len(eta.component_linkings) != n:
-        raise ValueError("curve linking vectors do not match the matrix size")
+    if len(curve.component_linkings) != len(b):
+        raise ValueError("curve linking vector does not match the matrix size")
     det_b = det(b)
     if det_b == 0:
         raise SingularLinkingMatrix(
             "linking matrix is singular; surgery linking numbers are undefined"
         )
-    if sigma.id == eta.id:
-        s3 = sigma.pushoff_self_linking
-    else:
-        pair = sigma.cross_pair(eta.id)
-        if pair is not None:
-            s3 = pair[0]
-        else:
-            pair = eta.cross_pair(sigma.id)
-            if pair is None:
-                raise ValueError(
-                    f"no pushoff data recorded between curves {sigma.id!r} and {eta.id!r}"
-                )
-            s3 = pair[1]
-    bordered = [list(row) + [y] for row, y in zip(b, eta.component_linkings)]
-    bordered.append(list(sigma.component_linkings) + [0])
-    return s3 + Fraction(det(bordered), det_b)
+    a = curve.component_linkings
+    bordered = [list(row) + [y] for row, y in zip(b, a)]
+    bordered.append(list(a) + [0])
+    return curve.pushoff_self_linking + Fraction(det(bordered), det_b)
 
 
 @dataclass(frozen=True)
@@ -222,14 +106,14 @@ class SelfLinkingForm:
         return " ".join(terms) if terms else "0"
 
 
-def combined_curve(basis: TorusCurveBasis, x: int, y: int) -> CurveSpec:
+def combined_curve(pres: SurgeryPresentation, x: int, y: int) -> CurveSpec:
     """Linking data of a curve in class x*[alpha] + y*[beta].
 
     Component linkings are linear; the pushoff self-linking expands
-    bilinearly through the recorded pushoff pairs.
+    bilinearly through the recorded cross pushoff pair.
     """
-    alpha, beta = basis.alpha, basis.beta
-    ab, ba = basis.cross_data()
+    alpha, beta = pres.alpha, pres.beta
+    ab, ba = pres.cross_pushoff
     vector = tuple(
         x * u + y * w for u, w in zip(alpha.component_linkings, beta.component_linkings)
     )
@@ -246,12 +130,12 @@ def combined_curve(basis: TorusCurveBasis, x: int, y: int) -> CurveSpec:
 
 
 def self_linking_form(
-    b: Sequence[Sequence[int]], basis: TorusCurveBasis
+    b: Sequence[Sequence[int]], pres: SurgeryPresentation
 ) -> SelfLinkingForm:
     """Quadratic form giving the surgery self-linking of x*alpha + y*beta."""
-    q10 = hoste_linking(b, *2 * (combined_curve(basis, 1, 0),))
-    q01 = hoste_linking(b, *2 * (combined_curve(basis, 0, 1),))
-    q11 = hoste_linking(b, *2 * (combined_curve(basis, 1, 1),))
+    q10 = hoste_linking(b, combined_curve(pres, 1, 0))
+    q01 = hoste_linking(b, combined_curve(pres, 0, 1))
+    q11 = hoste_linking(b, combined_curve(pres, 1, 1))
     coeffs = (q10, q11 - q10 - q01, q01)
     if any(v.denominator != 1 for v in coeffs):
         raise ValueError(

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from . import forms, legendrian, linking, seifert, surgery, twists
 from .linking import canonical_class
-from .seifert import Knot, SliceTag
+from .seifert import Knot, SliceTag, is_single_line
 
 
 class Verdict(Enum):
@@ -53,6 +53,11 @@ class HypothesisFlag:
     def __post_init__(self):
         if not self.provenance:
             raise ValueError(f"hypothesis flag {self.name!r} is missing its provenance")
+        if not is_single_line(self.provenance):
+            raise ValueError(
+                f"hypothesis flag {self.name!r}: provenance must not contain "
+                f"line breaks or control characters, got {self.provenance!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,6 @@ class Scenario:
     knot_j: Knot | None = None
     knot_k: Knot | None = None
     flags: tuple[HypothesisFlag, ...] = ()
-
-    def flag(self, name: str) -> HypothesisFlag | None:
-        for f in self.flags:
-            if f.name == name:
-                return f
-        return None
 
     def parameters(self) -> dict:
         out: dict = {}
@@ -197,8 +196,10 @@ def build_scenario(
 ) -> Scenario:
     """Fill in per-scenario defaults; reject what the scenario does not take.
 
-    A parameter left as None takes the scenario's default.  Given flags
-    replace the defaults, and each must be one of the scenario's flags.
+    A parameter left as None takes the scenario's default.  Each given
+    flag replaces the default flag of its name, and must be one of the
+    scenario's flags; a flag not given keeps its default, so the scenario
+    lists every flag it reads.
     """
     kind = _SCENARIOS.get(name)
     if kind is None:
@@ -223,19 +224,19 @@ def build_scenario(
             except ValueError as exc:
                 raise ScenarioError(f"{param}: {exc}") from None
     defaults = kind.flags(args)
-    if flags is None:
-        return Scenario(name, flags=defaults, **args)
     known = [f.name for f in defaults]
-    names = [f.name for f in flags]
-    for i, flag in enumerate(names):
-        if flag not in known:
+    given_flags: dict[str, HypothesisFlag] = {}
+    for flag in flags or ():
+        if flag.name not in known:
             raise ScenarioError(
-                f"scenario {name!r} reads no flag {flag!r}; "
+                f"scenario {name!r} reads no flag {flag.name!r}; "
                 f"its flags are {', '.join(known) or 'none'}"
             )
-        if flag in names[:i]:
-            raise ScenarioError(f"flag {flag!r} is given twice")
-    return Scenario(name, flags=tuple(flags), **args)
+        if flag.name in given_flags:
+            raise ScenarioError(f"flag {flag.name!r} is given twice")
+        given_flags[flag.name] = flag
+    merged = tuple(given_flags.get(f.name, f) for f in defaults)
+    return Scenario(name, flags=merged, **args)
 
 
 def standard_torus_presentation(n: int) -> surgery.SurgeryPresentation:
@@ -252,10 +253,9 @@ def standard_torus_presentation(n: int) -> surgery.SurgeryPresentation:
             surgery.ComponentRecord("L2", surgery.ComponentKind.FRAMED, n),
         ),
         linkings=(("L1", "L2", 1),),
-        curves=(
-            surgery.CurveSpec("alpha", (1, 0), 0, (("beta", (0, 1)),)),
-            surgery.CurveSpec("beta", (0, 1), 0, (("alpha", (1, 0)),)),
-        ),
+        alpha=surgery.CurveSpec("alpha", (1, 0)),
+        beta=surgery.CurveSpec("beta", (0, 1)),
+        cross_pushoff=(0, 1),
     )
 
 
@@ -332,8 +332,8 @@ def _run_sphere_lens(s: Scenario) -> Report:
 
 
 def _run_sphere_smooth(s: Scenario, total: forms.EvenFormClass, exclusions: bool) -> Report:
-    rho1 = 1 if _flag_value(s, "rho-y1", True) else 0
-    rho2 = 1 if _flag_value(s, "rho-y2", True) else 0
+    rho1 = 1 if _flag_value(s, "rho-y1") else 0
+    rho2 = 1 if _flag_value(s, "rho-y2") else 0
     c1 = forms.rohlin_constraint(rho1)
     c2 = forms.rohlin_constraint(rho2)
     trace = [
@@ -362,9 +362,9 @@ def _run_sphere_smooth(s: Scenario, total: forms.EvenFormClass, exclusions: bool
     survivors = 0
     for a, b in pairs:
         excluded_by = None
-        if a == forms.EvenFormClass(1, 0) and _flag_value(s, "no-e8-filling-y1", False):
+        if a == forms.EvenFormClass(1, 0) and _flag_value(s, "no-e8-filling-y1"):
             excluded_by = "no-e8-filling-y1"
-        elif b == forms.EvenFormClass(0, 0) and _flag_value(s, "no-acyclic-filling-y2", False):
+        elif b == forms.EvenFormClass(0, 0) and _flag_value(s, "no-acyclic-filling-y2"):
             excluded_by = "no-acyclic-filling-y2"
         if excluded_by is None:
             survivors += 1
@@ -385,9 +385,9 @@ def _run_sphere_smooth(s: Scenario, total: forms.EvenFormClass, exclusions: bool
     return Report(s, tuple(trace), Verdict.NOT_OBSTRUCTED, None, tuple(citations))
 
 
-def _flag_value(s: Scenario, name: str, default: bool) -> bool:
-    flag = s.flag(name)
-    return flag.value if flag is not None else default
+def _flag_value(s: Scenario, name: str) -> bool:
+    """The value of a flag; build_scenario lists every flag a scenario reads."""
+    return {f.name: f.value for f in s.flags}[name]
 
 
 def _class_knot(s: Scenario, cls: tuple[int, int]) -> Knot | None:
@@ -431,8 +431,7 @@ def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], linking.ZeroClasses]:
             {"group": str(hom), "is_homology_sphere": hom.is_homology_sphere},
         )
     )
-    basis = pres.torus_basis("alpha", "beta")
-    form = linking.self_linking_form(b, basis)
+    form = linking.self_linking_form(b, pres)
     trace.append(
         TraceStep(
             "self_linking_form",
@@ -532,8 +531,8 @@ def _run_torus_top_vs_smooth(s: Scenario) -> Report:
         if not delta.is_one():
             topological_ok = False
             notes.append("Alexander polynomial of the surgery curve is not 1")
-    if not _flag_value(s, "alexander-one-slice", False) or not _flag_value(
-        s, "surgered-manifold-irreducible", False
+    if not _flag_value(s, "alexander-one-slice") or not _flag_value(
+        s, "surgered-manifold-irreducible"
     ):
         topological_ok = False
         notes.append("a hypothesis flag for the embedding criterion is unset")
@@ -543,7 +542,7 @@ def _run_torus_top_vs_smooth(s: Scenario) -> Report:
             {
                 "class_nonzero": alpha_class in zc.classes,
                 "topologically_slice": topological_ok,
-                "irreducible": _flag_value(s, "surgered-manifold-irreducible", False),
+                "irreducible": _flag_value(s, "surgered-manifold-irreducible"),
             },
             {"topological_solid_torus": topological_ok},
         )
@@ -647,8 +646,8 @@ def _run_twist_extension(s: Scenario) -> Report:
     )
     all_extend = (
         subgroup.is_full
-        and _flag_value(s, "meridian-twist-extends", False)
-        and _flag_value(s, "orbit-twist-extends", False)
+        and _flag_value(s, "meridian-twist-extends")
+        and _flag_value(s, "orbit-twist-extends")
     )
 
     companion = build_scenario(

@@ -15,6 +15,7 @@ Sign conventions (documented, tests pin them down):
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
@@ -417,6 +418,11 @@ def knot_names() -> tuple[str, ...]:
     return tuple(sorted(_NAMED_KNOTS))
 
 
+def is_single_line(text: str) -> bool:
+    """No line break and no control character, so text renders as part of one report line."""
+    return re.search("[\x00-\x1f\x7f-\x9f\u2028\u2029]", text) is None  # Cc, Zl, Zp
+
+
 def _spec_error(field: str, expected: str, value) -> ValueError:
     return ValueError(
         f"knot spec field {field!r} must be {expected}, got {json.dumps(value, default=repr)}"
@@ -441,8 +447,9 @@ def knot_from_spec(spec) -> Knot:
       {"seifert": [[...], ...]}        explicit Seifert matrix,
                                        optional "name" label
     A string that parses as JSON is treated as the object form.  Numbers
-    must be integers (not booleans) and "name" a string; anything else is
-    a ValueError that names the field.
+    must be integers (not booleans) and "name" a string without line
+    breaks or control characters; anything else is a ValueError that
+    names the field.
     """
     if isinstance(spec, Knot):
         return spec
@@ -462,6 +469,10 @@ def knot_from_spec(spec) -> Knot:
         raise ValueError(f"cannot interpret knot spec of type {type(spec).__name__}")
     if "name" in spec and not isinstance(spec["name"], str):
         raise _spec_error("name", "a string", spec["name"])
+    if "name" in spec and not is_single_line(spec["name"]):
+        raise _spec_error(
+            "name", "a string without line breaks or control characters", spec["name"]
+        )
     keys = set(spec) - {"name"}
     if keys == set() and "name" in spec:
         return knot_from_spec(spec["name"])

@@ -2,8 +2,9 @@
 
 The data model takes combinatorial linking data as given (nothing is
 computed from diagrams): components are dotted 1-handles or framed
-2-handles with pairwise linking numbers, and named curves carry their
-linking vector with the components plus pushoff self/cross linkings.
+2-handles with pairwise linking numbers, and the basis curves alpha, beta
+of one boundary torus carry their linking vectors with the components,
+their pushoff self-linkings and the pair of cross pushoff linkings.
 
 serialize_presentation writes a presentation as canonical text
 (declaration order, zero linkings omitted) for report traces.
@@ -34,20 +35,12 @@ class CurveSpec:
 
     component_linkings[i] is the linking number with the i-th surgery
     component; pushoff_self_linking is lk(curve, curve+) for the tangential
-    pushoff; cross_pushoff_linkings maps another curve's id to the pair
-    (lk(this, other+), lk(other, this+)).
+    pushoff.
     """
 
     id: str
     component_linkings: tuple[int, ...]
     pushoff_self_linking: int = 0
-    cross_pushoff_linkings: tuple[tuple[str, tuple[int, int]], ...] = ()
-
-    def cross_pair(self, other_id: str) -> tuple[int, int] | None:
-        for name, pair in self.cross_pushoff_linkings:
-            if name == other_id:
-                return pair
-        return None
 
 
 @dataclass(frozen=True)
@@ -56,22 +49,16 @@ class SurgeryPresentation:
 
     Linkings are triples (a, b, value), at most one per unordered pair; a
     pair is looked up in either order and a missing pair links zero.
+    alpha and beta, both given or both None, are the ordered basis of one
+    boundary torus, and cross_pushoff is (lk(alpha, beta+), lk(beta, alpha+)).
     Construction checks nothing.
     """
 
     components: tuple[ComponentRecord, ...] = ()
     linkings: tuple[tuple[str, str, int], ...] = ()
-    curves: tuple[CurveSpec, ...] = ()
-
-    @property
-    def component_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.components)
-
-    def curve(self, cid: str) -> CurveSpec:
-        for c in self.curves:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+    alpha: CurveSpec | None = None
+    beta: CurveSpec | None = None
+    cross_pushoff: tuple[int, int] = (0, 0)
 
     def linking(self, a: str, b: str) -> int:
         for x, y, v in self.linkings:
@@ -79,34 +66,10 @@ class SurgeryPresentation:
                 return v
         return 0
 
-    def torus_basis(self, alpha_id: str, beta_id: str) -> "TorusCurveBasis":
-        return TorusCurveBasis(self.curve(alpha_id), self.curve(beta_id))
-
-
-@dataclass(frozen=True)
-class TorusCurveBasis:
-    """Ordered basis (alpha, beta) of curves on one boundary torus."""
-
-    alpha: CurveSpec
-    beta: CurveSpec
-
-    def cross_data(self) -> tuple[int, int]:
-        """(lk(alpha, beta+), lk(beta, alpha+)); raises if not recorded."""
-        pair = self.alpha.cross_pair(self.beta.id)
-        if pair is not None:
-            return pair
-        pair = self.beta.cross_pair(self.alpha.id)
-        if pair is not None:
-            return (pair[1], pair[0])
-        raise ValueError(
-            f"no pushoff data recorded between curves "
-            f"{self.alpha.id!r} and {self.beta.id!r}"
-        )
-
 
 def boundary_linking_matrix(pres: SurgeryPresentation) -> IntMatrix:
     """Symmetric matrix of framings (dots count as 0) and pairwise linkings."""
-    ids = pres.component_ids
+    ids = [c.id for c in pres.components]
     n = len(ids)
     b = [[0] * n for _ in range(n)]
     for i, comp in enumerate(pres.components):
@@ -126,22 +89,16 @@ def serialize_presentation(pres: SurgeryPresentation) -> str:
             lines.append(f"component {comp.id} dotted")
         else:
             lines.append(f"component {comp.id} framed {comp.framing}")
-    ids = pres.component_ids
+    ids = [c.id for c in pres.components]
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
             v = pres.linking(ids[i], ids[j])
             if v != 0:
                 lines.append(f"lk {ids[i]} {ids[j]} {v}")
-    for curve in pres.curves:
-        vec = " ".join(str(x) for x in curve.component_linkings)
-        lines.append(f"curve {curve.id} lk ( {vec} ) self {curve.pushoff_self_linking}")
-    order = {c.id: i for i, c in enumerate(pres.curves)}
-    emitted = set()
-    for curve in pres.curves:
-        for other, (u, v) in curve.cross_pushoff_linkings:
-            key = frozenset((curve.id, other))
-            if key in emitted or order.get(other, -1) < order[curve.id]:
-                continue
-            emitted.add(key)
-            lines.append(f"pushoff {curve.id} {other} {u} {v}")
+    if pres.alpha is not None:
+        for curve in (pres.alpha, pres.beta):
+            vec = " ".join(str(x) for x in curve.component_linkings)
+            lines.append(f"curve {curve.id} lk ( {vec} ) self {curve.pushoff_self_linking}")
+        u, v = pres.cross_pushoff
+        lines.append(f"pushoff {pres.alpha.id} {pres.beta.id} {u} {v}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,7 +1,10 @@
+from itertools import combinations
+from math import gcd
+
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from dehn4.exact import freeze
+from dehn4.exact import det, freeze
 from dehn4.seifert import SeifertMatrix
 
 settings.register_profile("exact", deadline=None, max_examples=60)
@@ -52,3 +55,32 @@ def int_matrices(draw, max_dim=5, coeff=9):
         )
         for _ in range(rows)
     )
+
+
+def determinantal_divisors(m):
+    """D_1, ..., D_r with D_k the gcd of all k x k minors of m (r = min(rows, cols)).
+
+    The Smith diagonal is determined by them: d_1 * ... * d_k = D_k.
+    """
+    rows, cols = len(m), len(m[0])
+    out = []
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                g = gcd(g, det([[m[i][j] for j in cs] for i in rs]))
+        out.append(g)
+    return out
+
+
+def smith_diagonal_well_formed(m, diag):
+    """diag is nonnegative, a divisibility chain with zeros last, and its
+    partial products are the determinantal divisors of m."""
+    assert len(diag) == min(len(m), len(m[0]))
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b == 0 if a == 0 else b % a == 0
+    product = 1
+    for d, divisor in zip(diag, determinantal_divisors(m)):
+        product *= d
+        assert product == divisor

@@ -9,8 +9,8 @@ import random
 import time
 from math import gcd
 
-from conftest import build_seifert
-from dehn4.exact import det, matmul
+from conftest import build_seifert, smith_diagonal_well_formed
+from dehn4.exact import det, invariant_factors
 from dehn4.forms import (
     EvenFormClass,
     enumerate_even_splittings,
@@ -30,7 +30,6 @@ from dehn4.linking import (
     canonical_class,
     hoste_linking,
     self_linking_form,
-    smith_normal_form,
     zero_classes,
 )
 from dehn4.report import render_text
@@ -80,10 +79,10 @@ def test_self_linking_form_criterion():
         for n in range(-5, 6):
             pres = standard_torus_presentation(n)
             b = ((0, 1), (1, n))
-            form = self_linking_form(b, pres.torus_basis("alpha", "beta"))
+            form = self_linking_form(b, pres)
             assert (form.a, form.b, form.c) == (n, -1, 0)
-            alpha, beta = pres.curve("alpha"), pres.curve("beta")
-            ab_pair = alpha.cross_pair("beta")
+            alpha, beta = pres.alpha, pres.beta
+            ab_pair = pres.cross_pushoff
             for x in range(-5, 6):
                 for y in range(-5, 6):
                     vec = tuple(
@@ -98,7 +97,7 @@ def test_self_linking_form_criterion():
                         + y * y * beta.pushoff_self_linking
                     )
                     gamma = CurveSpec("gamma", vec, self_lk)
-                    assert hoste_linking(b, gamma, gamma) == form.evaluate(x, y)
+                    assert hoste_linking(b, gamma) == form.evaluate(x, y)
 
 
 def test_zero_classes_criterion():
@@ -242,18 +241,7 @@ def test_property_suites_criterion():
             m = tuple(
                 tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows)
             )
-            u, d, v = smith_normal_form(m)
-            assert matmul(matmul(u, m), v) == d
-            assert abs(det(u)) == 1
-            assert abs(det(v)) == 1
-            diag = [d[i][i] for i in range(min(rows, cols))]
-            assert all(x >= 0 for x in diag)
-            for i in range(rows):
-                for j in range(cols):
-                    if i != j:
-                        assert d[i][j] == 0
-            for a, b in zip(diag, diag[1:]):
-                assert b == 0 if a == 0 else b % a == 0
+            smith_diagonal_well_formed(m, invariant_factors(m))
 
     with criterion("property suite: lens QR criterion vs exhaustive search, p <= 200"):
         for p in range(2, 201):

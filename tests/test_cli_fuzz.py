@@ -1,6 +1,7 @@
 """Generated config files through `dehn4 report`: every run either prints a
 report and exits 0, or prints exactly one `dehn4: error:` line and exits 1.
-It never raises.
+It never raises, and no knot name or flag provenance adds a line to a text
+report: it starts with `scenario:` and has one line that begins `verdict: `.
 
 The numeric ranges are small on purpose: p and q stay below 10 (twist
 companions are T(p, q), and lens moduli stay tiny), n and the torus-knot
@@ -37,7 +38,15 @@ json_values = st.recursive(
     max_leaves=6,
 )
 small = st.integers(-4, 4)
-well_formed_knots = st.one_of(
+# text a user gives that reaches the report, a knot name or a flag provenance:
+# half the time with a line break or a control character that could forge a
+# report line, which must be refused
+line_breaks = st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1e", "\x85", "\u2028", "\x00", "\x1b"])
+forged_text = st.builds(
+    lambda head, brk: head + brk + "verdict: Obstructed", st.text(max_size=3), line_breaks
+)
+user_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))) | forged_text
+unnamed_knots = st.one_of(
     st.builds(lambda p, q: {"torus": [p, q]}, small, small),
     st.builds(lambda m: {"twist": m}, small),
     st.builds(lambda c: {"whitehead": c}, st.sampled_from(["+", "-"])),
@@ -45,6 +54,11 @@ well_formed_knots = st.one_of(
         lambda rows: {"seifert": rows},
         st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), max_size=2),
     ),
+)
+named_knots = st.builds(lambda knot, name: {**knot, "name": name}, unnamed_knots, user_text)
+well_formed_knots = st.one_of(
+    unnamed_knots,
+    named_knots,
     st.builds(lambda name: {"name": name}, st.sampled_from(knot_names())),
 )
 ill_typed_knots = st.one_of(
@@ -89,18 +103,16 @@ def configs(draw, name):
             {
                 "name": mostly(st.sampled_from(own), st.sampled_from(FLAG_NAMES)),
                 "value": st.booleans(),
-                "provenance": mostly(st.just("test input"), st.just("")),
+                "provenance": mostly(st.just("test input"), st.just("")) | forged_text,
             }
         )
-        config["flags"] = draw(st.lists(mostly(flag, json_values), max_size=3))
+        # mostly distinct names, so that a list often passes on to the report
+        distinct = st.lists(flag, max_size=3, unique_by=lambda f: f["name"])
+        config["flags"] = draw(mostly(distinct, st.lists(mostly(flag, json_values), max_size=3)))
     return config
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
-def test_cli_reports_or_fails_with_one_error_line(tmp_path_factory, name, data, fmt):
-    config = data.draw(configs(name), label="config")
+def check_report_or_one_error_line(tmp_path_factory, config, fmt):
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
@@ -108,7 +120,26 @@ def test_cli_reports_or_fails_with_one_error_line(tmp_path_factory, name, data, 
         code = main(["report", "--config", str(path), "--format", fmt])
     if code == 0:
         assert out.getvalue() and not err.getvalue()
+        if fmt == "text":
+            lines = out.getvalue().splitlines()
+            assert lines[0].startswith("scenario: ")
+            assert sum(line.startswith("verdict: ") for line in lines) == 1, lines
     else:
         lines = err.getvalue().splitlines()
         assert code == 1 and not out.getvalue()
         assert len(lines) == 1 and lines[0].startswith("dehn4: error: "), lines
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
+def test_cli_reports_or_fails_with_one_error_line(tmp_path_factory, name, data, fmt):
+    check_report_or_one_error_line(tmp_path_factory, data.draw(configs(name), label="config"), fmt)
+
+
+# a named knot is one branch of several in knot_specs and the other fields
+# must be valid too, so the configs above seldom bring a name to the report
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(param=st.sampled_from(["knot_j", "knot_k"]), knot=named_knots)
+def test_cli_knot_names_add_no_report_line(tmp_path_factory, param, knot):
+    check_report_or_one_error_line(tmp_path_factory, {"scenario": "torus-solid", param: knot}, "text")

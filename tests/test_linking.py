@@ -6,8 +6,8 @@ import sympy
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import int_matrices
-from dehn4.exact import det, matmul
+from conftest import int_matrices, smith_diagonal_well_formed
+from dehn4.exact import det, invariant_factors
 from dehn4.linking import (
     HomologyReport,
     SelfLinkingForm,
@@ -18,63 +18,47 @@ from dehn4.linking import (
     first_homology,
     hoste_linking,
     self_linking_form,
-    smith_normal_form,
     zero_classes,
 )
 from dehn4.scenarios import standard_torus_presentation
-from dehn4.surgery import CurveSpec, TorusCurveBasis
-
-
-def snf_well_formed(m, u, d, v):
-    rows, cols = len(m), len(m[0]) if m else 0
-    assert matmul(matmul(u, m), v) == d
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    diag = [d[i][i] for i in range(min(rows, cols))]
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert d[i][j] == 0
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a == 0:
-            assert b == 0
-        else:
-            assert b % a == 0
+from dehn4.surgery import CurveSpec, SurgeryPresentation
 
 
 def test_smith_of_paper_matrix_is_identity():
     m = ((0, 1), (1, 5))
-    u, d, v = smith_normal_form(m)
-    snf_well_formed(m, u, d, v)
-    assert d == ((1, 0), (0, 1))
+    assert invariant_factors(m) == (1, 1)
+    smith_diagonal_well_formed(m, invariant_factors(m))
 
 
 def test_smith_of_zero_matrix():
-    m = ((0, 0), (0, 0))
-    u, d, v = smith_normal_form(m)
-    assert d == m
-    assert u == ((1, 0), (0, 1))
-    assert v == ((1, 0), (0, 1))
+    assert invariant_factors(((0, 0), (0, 0))) == (0, 0)
+    assert invariant_factors(((0, 0, 0),)) == (0,)
 
 
 def test_smith_of_single_entry():
-    u, d, v = smith_normal_form(((7,),))
-    snf_well_formed(((7,),), u, d, v)
-    assert d == ((7,),)
+    assert invariant_factors(((7,),)) == (7,)
+    assert invariant_factors(((-7,),)) == (7,)
 
 
 def test_smith_divisibility_chain():
     m = ((2, 0), (0, 3))
-    u, d, v = smith_normal_form(m)
-    snf_well_formed(m, u, d, v)
-    assert d == ((1, 0), (0, 6))
+    assert invariant_factors(m) == (1, 6)
+    assert invariant_factors(((4, 0, 0), (0, 6, 0), (0, 0, 0))) == (2, 12, 0)
+    assert invariant_factors(((0, 0), (0, 5), (0, 0))) == (5, 0)
 
 
-@given(int_matrices())
+@st.composite
+def smith_cases(draw, max_dim=5):
+    """Integer matrices weighted toward zeros and entries that share small
+    prime factors, where the pivots alone leave no divisibility chain."""
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    entry = st.sampled_from((0, 0, 0, 2, -2, 3, -3, 4, 6, -9, 10, 15)) | st.integers(-9, 9)
+    return tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+
+
+@given(int_matrices() | smith_cases())
 def test_smith_normal_form_properties(m):
-    u, d, v = smith_normal_form(m)
-    snf_well_formed(m, u, d, v)
+    smith_diagonal_well_formed(m, invariant_factors(m))
 
 
 def test_first_homology_examples():
@@ -92,11 +76,10 @@ def test_first_homology_matches_determinant():
 
 @st.composite
 def hoste_cases(draw, max_dim=4, coeff=5):
-    """A nonsingular integer matrix and two curves with S^3 data.
+    """A nonsingular integer matrix and a curve with S^3 data.
 
     The matrix need not be symmetric: the bordered-determinant identity
-    holds for any B, and a nonsymmetric one pins which curve borders the
-    rows and which the columns.
+    holds for any B.
     """
     n = draw(st.integers(1, max_dim))
     entry = st.integers(-coeff, coeff)
@@ -106,27 +89,17 @@ def hoste_cases(draw, max_dim=4, coeff=5):
             tuple(x + (n * coeff + 1) * (i == j) for j, x in enumerate(row))
             for i, row in enumerate(b)
         )  # strictly diagonally dominant, hence nonsingular
-    vec = st.tuples(*[entry] * n)
-    pair = (draw(entry), draw(entry))
-    sigma = CurveSpec("s", draw(vec), draw(entry), (("e", pair),))
-    eta = CurveSpec("e", draw(vec), draw(entry))
-    return b, sigma, eta
+    curve = CurveSpec("c", draw(st.tuples(*[entry] * n)), draw(entry))
+    return b, curve
 
 
 @given(hoste_cases())
 def test_hoste_matches_sympy_inverse(case):
-    b, sigma, eta = case
-    inv = sympy.Matrix(b).inv()
-    for x, y, s3 in (
-        (sigma, sigma, sigma.pushoff_self_linking),
-        (sigma, eta, sigma.cross_pair("e")[0]),
-        (eta, sigma, sigma.cross_pair("e")[1]),
-    ):
-        a_row = sympy.Matrix([list(x.component_linkings)])
-        b_col = sympy.Matrix(y.component_linkings)
-        expected = s3 - (a_row * inv * b_col)[0, 0]
-        value = hoste_linking(b, x, y)
-        assert (value.numerator, value.denominator) == (expected.p, expected.q)
+    b, curve = case
+    a_row = sympy.Matrix([list(curve.component_linkings)])
+    expected = curve.pushoff_self_linking - (a_row * sympy.Matrix(b).inv() * a_row.T)[0, 0]
+    value = hoste_linking(b, curve)
+    assert (value.numerator, value.denominator) == (expected.p, expected.q)
 
 
 PRES = standard_torus_presentation(3)
@@ -135,87 +108,59 @@ B3 = ((0, 1), (1, 3))
 
 def test_hoste_alpha_self_linking_is_n():
     for n in range(-5, 6):
-        pres = standard_torus_presentation(n)
-        alpha = pres.curve("alpha")
-        assert hoste_linking(((0, 1), (1, n)), alpha, alpha) == n
+        alpha = standard_torus_presentation(n).alpha
+        assert hoste_linking(((0, 1), (1, n)), alpha) == n
 
 
 def test_hoste_beta_self_linking_is_zero():
-    beta = PRES.curve("beta")
-    assert hoste_linking(B3, beta, beta) == 0
+    assert hoste_linking(B3, PRES.beta) == 0
 
 
 def test_hoste_unlinked_curve_keeps_s3_value():
     curve = CurveSpec("c", (0, 0), pushoff_self_linking=7)
-    assert hoste_linking(B3, curve, curve) == 7
+    assert hoste_linking(B3, curve) == 7
 
 
 def test_hoste_rational_output():
     curve = CurveSpec("c", (1, 0), pushoff_self_linking=0)
-    value = hoste_linking(((2, 0), (0, 2)), curve, curve)
-    assert value == Fraction(-1, 2)
+    assert hoste_linking(((2, 0), (0, 2)), curve) == Fraction(-1, 2)
 
 
 def test_hoste_singular_matrix_raises():
     curve = CurveSpec("c", (1, 1), pushoff_self_linking=0)
     with pytest.raises(SingularLinkingMatrix):
-        hoste_linking(((1, 1), (1, 1)), curve, curve)
-
-
-def test_hoste_missing_cross_data_raises():
-    sigma = CurveSpec("s", (1, 0))
-    eta = CurveSpec("e", (0, 1))
-    with pytest.raises(ValueError, match="pushoff data"):
-        hoste_linking(B3, sigma, eta)
+        hoste_linking(((1, 1), (1, 1)), curve)
 
 
 def test_hoste_vector_length_mismatch_raises():
-    curve = CurveSpec("c", (1,))
     with pytest.raises(ValueError, match="matrix size"):
-        hoste_linking(B3, curve, curve)
-
-
-def test_hoste_cross_term_read_from_either_side():
-    sigma = CurveSpec("s", (0, 0), cross_pushoff_linkings=(("e", (3, 7)),))
-    eta_plain = CurveSpec("e", (0, 0))
-    assert hoste_linking(B3, sigma, eta_plain) == 3
-    assert hoste_linking(B3, eta_plain, sigma) == 7
-
-
-def test_hoste_symmetric_when_data_symmetric():
-    sigma = CurveSpec("s", (1, 2), cross_pushoff_linkings=(("e", (4, 4)),))
-    eta = CurveSpec("e", (2, -1), cross_pushoff_linkings=(("s", (4, 4)),))
-    b = ((1, 0), (0, -1))
-    assert hoste_linking(b, sigma, eta) == hoste_linking(b, eta, sigma)
+        hoste_linking(B3, CurveSpec("c", (1,)))
 
 
 def test_self_linking_form_matches_paper_for_all_n():
     for n in range(-5, 6):
-        pres = standard_torus_presentation(n)
-        form = self_linking_form(
-            ((0, 1), (1, n)), pres.torus_basis("alpha", "beta")
-        )
+        form = self_linking_form(((0, 1), (1, n)), standard_torus_presentation(n))
         assert (form.a, form.b, form.c) == (n, -1, 0)
 
 
 def test_self_linking_form_all_zero_data():
-    alpha = CurveSpec("alpha", (0, 0), 0, (("beta", (0, 0)),))
-    beta = CurveSpec("beta", (0, 0), 0, (("alpha", (0, 0)),))
-    form = self_linking_form(((0, 1), (1, 0)), TorusCurveBasis(alpha, beta))
+    pres = SurgeryPresentation(
+        alpha=CurveSpec("alpha", (0, 0)), beta=CurveSpec("beta", (0, 0))
+    )
+    form = self_linking_form(((0, 1), (1, 0)), pres)
     assert (form.a, form.b, form.c) == (0, 0, 0)
 
 
 def manual_combined_curve(pres, x, y):
     """Composite-curve oracle assembled by hand from the raw data."""
-    alpha, beta = pres.curve("alpha"), pres.curve("beta")
-    ab = alpha.cross_pair("beta")
+    alpha, beta = pres.alpha, pres.beta
     vec = tuple(
         x * a + y * b
         for a, b in zip(alpha.component_linkings, beta.component_linkings)
     )
     self_lk = (
         x * x * alpha.pushoff_self_linking
-        + x * y * (ab[0] + ab[1])
+        + x * y * sum(pres.cross_pushoff)
         + y * y * beta.pushoff_self_linking
     )
     return CurveSpec("gamma", vec, self_lk)
@@ -225,18 +170,17 @@ def test_self_linking_form_agrees_with_hoste_grid():
     for n in (-5, -2, 0, 1, 3, 5):
         pres = standard_torus_presentation(n)
         b = ((0, 1), (1, n))
-        form = self_linking_form(b, pres.torus_basis("alpha", "beta"))
+        form = self_linking_form(b, pres)
         for x in range(-5, 6):
             for y in range(-5, 6):
                 gamma = manual_combined_curve(pres, x, y)
-                assert hoste_linking(b, gamma, gamma) == form.evaluate(x, y)
+                assert hoste_linking(b, gamma) == form.evaluate(x, y)
 
 
 def test_combined_curve_matches_manual():
     pres = standard_torus_presentation(2)
-    basis = pres.torus_basis("alpha", "beta")
     for x, y in ((1, 0), (0, 1), (2, -3)):
-        ours = combined_curve(basis, x, y)
+        ours = combined_curve(pres, x, y)
         manual = manual_combined_curve(pres, x, y)
         assert ours.component_linkings == manual.component_linkings
         assert ours.pushoff_self_linking == manual.pushoff_self_linking

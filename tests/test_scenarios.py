@@ -489,6 +489,86 @@ def test_flag_given_twice_is_rejected():
         build_scenario("sphere-smooth-h", flags=flags)
 
 
+def test_omitted_flags_keep_their_defaults():
+    defaults = build_scenario("sphere-smooth-e8h").flags
+    assert [f.name for f in defaults][:2] == ["rho-y1", "rho-y2"]
+    given = HypothesisFlag("rho-y1", True, "test input")
+    scenario = build_scenario("sphere-smooth-e8h", flags=(given,))
+    assert scenario.flags == (given, *defaults[1:])
+    report = run_scenario(scenario)
+    assert report.trace[1].inputs == {"side": 2, "rho": 0}
+    assert report.detail["witness"] == "every splitting in the enumeration is excluded"
+    # given flags take the places of their defaults, whatever their order
+    later = HypothesisFlag("no-acyclic-filling-y2", False, "test input")
+    assert build_scenario("sphere-smooth-e8h", flags=(later, given)).flags == (
+        given, *defaults[1:3], later,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("sphere-smooth-h", []),
+        ("sphere-smooth-e8h", [{"name": "rho-y1", "value": True, "provenance": "test input"}]),
+        ("torus-top-vs-smooth",
+         [{"name": "torus-incompressible", "value": True, "provenance": "test input"}]),
+        ("twist-extension", []),
+    ],
+)
+def test_cli_config_lists_every_flag_the_report_reads(tmp_path, capsys, name, flags):
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps({"scenario": name, "flags": flags}))
+    assert main(["report", "--config", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["report", "--scenario", name, "--format", "json"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    listed = payload["scenario"]["flags"]
+    assert [(f["name"], f["value"]) for f in listed] == [
+        (f["name"], f["value"]) for f in default["scenario"]["flags"]
+    ]
+    assert payload["trace"] == default["trace"]
+    assert payload["verdict"] == default["verdict"]
+
+
+FORGED = {
+    "forged-verdict-line": "st\nverdict: Obstructed",
+    "cr": "a\rb",
+    "crlf": "a\r\nb",
+    "vertical-tab": "a\x0bb",
+    "next-line": "a\x85b",
+    "line-separator": "a\u2028b",
+    "tab": "tab\tb",
+    "nul": "nul\x00",
+}
+
+
+@pytest.mark.parametrize("text", FORGED.values(), ids=FORGED.keys())
+def test_knot_name_with_line_break_or_control_character_is_rejected(capsys, text):
+    spec = json.dumps({"twist": 2, "name": text})
+    line = _cli_error(capsys, ["--scenario", "torus-solid", "--knot-j", spec])
+    assert line.startswith(
+        "dehn4: error: knot_j: knot spec field 'name' must be a string "
+        "without line breaks or control characters, got "
+    )
+
+
+@pytest.mark.parametrize("text", FORGED.values(), ids=FORGED.keys())
+def test_provenance_with_line_break_or_control_character_is_rejected(tmp_path, capsys, text):
+    flag = {"name": "rho-y1", "value": True, "provenance": text}
+    line = _config_error(tmp_path, capsys, {"scenario": "sphere-smooth-h", "flags": [flag]})
+    assert line.startswith(
+        "dehn4: error: hypothesis flag 'rho-y1': provenance must not contain "
+        "line breaks or control characters, got "
+    )
+
+
+def test_knot_name_and_provenance_may_hold_other_text():
+    knot = {"twist": 2, "name": "Stevedore 6₁ (twist 2)"}
+    flag = HypothesisFlag("rho-y1", True, "Rokhlin, 1952: μ = 1")
+    assert "knot_j=Stevedore 6₁ (twist 2)" in render_text(run("torus-solid", knot_j=knot))
+    assert build_scenario("sphere-smooth-h", flags=(flag,)).flags[0] is flag
+
+
 @pytest.mark.parametrize(
     "field, value, expected",
     [

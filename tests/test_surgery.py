@@ -23,16 +23,14 @@ def dotted(cid):
 
 def test_two_component_presentation_data():
     pres = standard_torus_presentation(3)
-    assert pres.component_ids == ("L1", "L2")
+    assert [c.id for c in pres.components] == ["L1", "L2"]
     assert [c.kind for c in pres.components] == [ComponentKind.DOTTED, ComponentKind.FRAMED]
     assert pres.components[1].framing == 3
     assert pres.linking("L1", "L2") == 1
     assert pres.linking("L2", "L1") == 1
-    alpha = pres.curve("alpha")
-    assert alpha.component_linkings == (1, 0)
-    assert alpha.cross_pair("beta") == (0, 1)
-    assert pres.curve("beta").cross_pair("alpha") == (1, 0)
-    assert pres.torus_basis("alpha", "beta").cross_data() == (0, 1)
+    assert pres.alpha == CurveSpec("alpha", (1, 0), 0)
+    assert pres.beta == CurveSpec("beta", (0, 1), 0)
+    assert pres.cross_pushoff == (0, 1)
 
 
 @pytest.mark.parametrize("n", range(-3, 4))
@@ -114,12 +112,3 @@ def test_dotted_components_contribute_zero_diagonal():
         (dotted("A"), dotted("B"), framed("C", -4)), (("C", "A", 2),)
     )
     assert boundary_linking_matrix(pres) == ((0, 0, 2), (0, 0, 0), (2, 0, -4))
-
-
-def test_torus_basis_requires_pushoff_data():
-    pres = SurgeryPresentation(
-        (dotted("A"),), curves=(CurveSpec("u", (0,)), CurveSpec("v", (1,)))
-    )
-    basis = pres.torus_basis("u", "v")
-    with pytest.raises(ValueError, match="pushoff"):
-        basis.cross_data()
