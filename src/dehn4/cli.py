@@ -23,8 +23,9 @@ these hypothesis flags:
 Any other parameter or flag is an error, as is a flag given twice.
 
 Exit code 0 on any successful computation regardless of verdict; 1 on an
-error, with one `dehn4: error:` line on stderr, and 1 without a word when
-the reader of stdout has gone.  The optional JSON config
+error, a bad command line included, with one `dehn4: error:` line on
+stderr, and 1 without a word when the reader of stdout has gone; --help
+exits 0.  The optional JSON config
 file supplies the same fields (scenario, p, q, n, knot_j, knot_k, flags);
 unknown fields and values of the wrong JSON type are rejected.  A config
 flag replaces the default flag of its name; the others keep their
@@ -40,12 +41,14 @@ from pathlib import Path
 
 from .report import render
 from .scenarios import (
+    PARAMS,
     SCENARIO_NAMES,
     HypothesisFlag,
     ScenarioError,
     build_scenario,
     run_scenario,
 )
+from .seifert import is_single_line
 
 # each config field with the JSON types it may have (bool is not an int here)
 _CONFIG_FIELDS = {
@@ -123,8 +126,17 @@ def _parse_flags(raw: list) -> tuple[HypothesisFlag, ...]:
     return tuple(flags)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ScenarioError, which main reports in
+    one error line, in place of printing the usage and exiting 2."""
+
+    def error(self, message):
+        # unrecognized arguments are echoed as given, line breaks included
+        raise ScenarioError(message if is_single_line(message) else repr(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dehn4",
         description=(
             "exact-arithmetic obstruction reports for balls and solid tori "
@@ -133,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     rep = sub.add_parser("report", help="run a named scenario and print its report")
-    rep.add_argument("--scenario", choices=SCENARIO_NAMES, help="scenario name")
+    rep.add_argument("--scenario", help=f"scenario name: {', '.join(SCENARIO_NAMES)}")
     rep.add_argument("--p", type=int, help="first integer parameter")
     rep.add_argument("--q", type=int, help="second integer parameter")
     rep.add_argument("--n", type=int, help="framing / cabling parameter")
@@ -145,16 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _load_config(args.config) if args.config else {}
         scenario_name = args.scenario or config.get("scenario")
         if not scenario_name:
             raise ScenarioError("no scenario given (use --scenario or a config file)")
         flags = _parse_flags(config["flags"]) if "flags" in config else None
         params = {}
-        for param in ("p", "q", "n", "knot_j", "knot_k"):
+        for param in PARAMS:
             value = getattr(args, param)
             params[param] = value if value is not None else config.get(param)
         scenario = build_scenario(scenario_name, flags=flags, **params)

@@ -106,12 +106,7 @@ def render_text(report: Report) -> str:
         lines.extend(_format_value(step.output, "     "))
     lines.append(f"verdict: {report.verdict.value}")
     if report.detail:
-        for key, value in report.detail.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"  {key}:")
-                lines.extend(_format_value(value, "    "))
-            else:
-                lines.append(f"  {key}: {_scalar(value)}")
+        lines.extend(_format_value(report.detail, "  "))
     if report.citations:
         lines.append("citations:")
         for c in report.citations:

@@ -66,9 +66,6 @@ class TraceStep:
     inputs: dict
     output: object
 
-    def prefixed(self, prefix: str) -> "TraceStep":
-        return TraceStep(f"{prefix}.{self.operation}", self.inputs, self.output)
-
 
 @dataclass(frozen=True)
 class Report:
@@ -77,6 +74,13 @@ class Report:
     verdict: Verdict
     detail: dict | None = None
     citations: tuple[str, ...] = ()
+
+
+# what a scenario's run function returns; run_scenario makes the Report
+_Run = tuple[list[TraceStep], Verdict, "dict | None"]
+
+# the parameters a scenario may take, in the order reports list them
+PARAMS = ("p", "q", "n", "knot_j", "knot_k")
 
 
 @dataclass(frozen=True)
@@ -91,16 +95,10 @@ class Scenario:
 
     def parameters(self) -> dict:
         out: dict = {}
-        if self.p is not None:
-            out["p"] = self.p
-        if self.q is not None:
-            out["q"] = self.q
-        if self.n is not None:
-            out["n"] = self.n
-        if self.knot_j is not None:
-            out["knot_j"] = self.knot_j.name
-        if self.knot_k is not None:
-            out["knot_k"] = self.knot_k.name
+        for param in PARAMS:
+            value = getattr(self, param)
+            if value is not None:
+                out[param] = value.name if isinstance(value, Knot) else value
         return out
 
 
@@ -201,12 +199,8 @@ def build_scenario(
     scenario's flags; a flag not given keeps its default, so the scenario
     lists every flag it reads.
     """
-    kind = _SCENARIOS.get(name)
-    if kind is None:
-        raise ScenarioError(
-            f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
-        )
-    given = {"p": p, "q": q, "n": n, "knot_j": knot_j, "knot_k": knot_k}
+    kind = _kind(name)
+    given = dict(zip(PARAMS, (p, q, n, knot_j, knot_k)))
     args = dict(kind.params)
     for param, value in given.items():
         if value is None:
@@ -215,6 +209,10 @@ def build_scenario(
             raise ScenarioError(
                 f"scenario {name!r} takes no parameter {param!r}; "
                 f"it takes {', '.join(kind.params) or 'none'}"
+            )
+        if param in ("p", "q", "n") and type(value) is not int:
+            raise ScenarioError(
+                f"parameter {param!r} must be an integer, got {type(value).__name__}"
             )
         args[param] = value
     for param in ("knot_j", "knot_k"):
@@ -260,8 +258,28 @@ def standard_torus_presentation(n: int) -> surgery.SurgeryPresentation:
 
 
 def run_scenario(scenario: Scenario) -> Report:
-    """Deterministic report for a validated scenario."""
-    return _SCENARIOS[scenario.name].run(scenario)
+    """Deterministic report for a scenario made by build_scenario.
+
+    A scenario made otherwise that lacks a known name, a parameter or a
+    flag the run reads fails with a ScenarioError that names it.
+    """
+    kind = _kind(scenario.name)
+    for param in kind.params:
+        if getattr(scenario, param) is None:
+            raise ScenarioError(
+                f"scenario {scenario.name!r} is missing parameter {param!r}"
+            )
+    trace, verdict, detail = kind.run(scenario)
+    return Report(scenario, tuple(trace), verdict, detail, kind.citations)
+
+
+def _kind(name: str) -> _Kind:
+    kind = _SCENARIOS.get(name)
+    if kind is None:
+        raise ScenarioError(
+            f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
+        )
+    return kind
 
 
 def _verdict_dict(v: seifert.SliceVerdict) -> dict:
@@ -284,7 +302,7 @@ def _verdict_dict(v: seifert.SliceVerdict) -> dict:
     return out
 
 
-def _run_sphere_lens(s: Scenario) -> Report:
+def _run_sphere_lens(s: Scenario) -> _Run:
     p, q = s.p, s.q
     trace = [
         TraceStep(
@@ -314,24 +332,16 @@ def _run_sphere_lens(s: Scenario) -> Report:
             },
         )
     )
-    verdict = Verdict.NOT_OBSTRUCTED if w.bounds else Verdict.OBSTRUCTED
-    detail = None
-    if not w.bounds:
-        fails = [next(pk for pk, v in zip(powers, checks) if v != 1) for checks in signs]
-        detail = {
-            "conclusion": "no topologically embedded ball",
-            "witness": f"neither {q} mod {fails[0]} nor {p - q} mod {fails[1]} is a square",
-        }
-    return Report(
-        scenario=s,
-        trace=tuple(trace),
-        verdict=verdict,
-        detail=detail,
-        citations=(_LENS_QR_CITE,),
-    )
+    if w.bounds:
+        return trace, Verdict.NOT_OBSTRUCTED, None
+    fails = [next(pk for pk, v in zip(powers, checks) if v != 1) for checks in signs]
+    return trace, Verdict.OBSTRUCTED, {
+        "conclusion": "no topologically embedded ball",
+        "witness": f"neither {q} mod {fails[0]} nor {p - q} mod {fails[1]} is a square",
+    }
 
 
-def _run_sphere_smooth(s: Scenario, total: forms.EvenFormClass, exclusions: bool) -> Report:
+def _run_sphere_smooth(s: Scenario, total: forms.EvenFormClass, exclusions: bool) -> _Run:
     rho1 = 1 if _flag_value(s, "rho-y1") else 0
     rho2 = 1 if _flag_value(s, "rho-y2") else 0
     c1 = forms.rohlin_constraint(rho1)
@@ -348,15 +358,13 @@ def _run_sphere_smooth(s: Scenario, total: forms.EvenFormClass, exclusions: bool
             {"count": len(pairs), "splittings": [[str(a), str(b)] for a, b in pairs]},
         )
     )
-    citations = [_ROKHLIN_CONGRUENCE, _EVEN_FORM_CLASSIFICATION]
     if not exclusions:
-        verdict = Verdict.OBSTRUCTED if not pairs else Verdict.NOT_OBSTRUCTED
-        detail = (
-            {"conclusion": "no smoothly embedded ball", "witness": "empty splitting enumeration"}
-            if not pairs
-            else None
-        )
-        return Report(s, tuple(trace), verdict, detail, tuple(citations))
+        if pairs:
+            return trace, Verdict.NOT_OBSTRUCTED, None
+        return trace, Verdict.OBSTRUCTED, {
+            "conclusion": "no smoothly embedded ball",
+            "witness": "empty splitting enumeration",
+        }
 
     rows = []
     survivors = 0
@@ -370,24 +378,20 @@ def _run_sphere_smooth(s: Scenario, total: forms.EvenFormClass, exclusions: bool
             survivors += 1
         rows.append({"splitting": [str(a), str(b)], "excluded_by": excluded_by})
     trace.append(TraceStep("exclude_splittings", {"count": len(pairs)}, rows))
-    citations += [_DONALDSON, _FS_ACYCLIC]
-    if survivors == 0:
-        return Report(
-            s,
-            tuple(trace),
-            Verdict.OBSTRUCTED,
-            {
-                "conclusion": "no smoothly embedded ball",
-                "witness": "every splitting in the enumeration is excluded",
-            },
-            tuple(citations),
-        )
-    return Report(s, tuple(trace), Verdict.NOT_OBSTRUCTED, None, tuple(citations))
+    if survivors:
+        return trace, Verdict.NOT_OBSTRUCTED, None
+    return trace, Verdict.OBSTRUCTED, {
+        "conclusion": "no smoothly embedded ball",
+        "witness": "every splitting in the enumeration is excluded",
+    }
 
 
 def _flag_value(s: Scenario, name: str) -> bool:
     """The value of a flag; build_scenario lists every flag a scenario reads."""
-    return {f.name: f.value for f in s.flags}[name]
+    for flag in s.flags:
+        if flag.name == name:
+            return flag.value
+    raise ScenarioError(f"scenario {s.name!r} is missing flag {name!r}")
 
 
 def _class_knot(s: Scenario, cls: tuple[int, int]) -> Knot | None:
@@ -450,14 +454,12 @@ def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], linking.ZeroClasses]:
     return trace, zc
 
 
-def _run_torus_solid(s: Scenario) -> Report:
+def _run_torus_solid(s: Scenario) -> _Run:
     trace, zc = _torus_pipeline(s)
-    all_obstructed = True
     notes = []
     for cls in zc.classes:
         knot = _class_knot(s, cls)
         if knot is None:
-            all_obstructed = False
             notes.append(f"class {cls} has no modeled representative")
             continue
         trace.append(
@@ -476,43 +478,19 @@ def _run_torus_solid(s: Scenario) -> Report:
             )
         )
         if verdict.tag is SliceTag.UNKNOWN:
-            all_obstructed = False
             notes.append(f"class {list(cls)} carries no algebraic obstruction")
     if zc.all_classes:
-        all_obstructed = False
         notes.append("the self-linking form vanishes identically")
-    citations = (
-        _FREEDMAN_CONTRACTIBLE,
-        _HOSTE_CITE,
-        _SIGNATURE_OBSTRUCTS,
-        _FOX_MILNOR_CITE,
-    )
-    if all_obstructed and zc.classes:
-        detail = {
-            "conclusion": "no embedded solid torus",
-            "witness": "every zero self-linking class is algebraically non-slice",
-        }
-        return Report(s, tuple(trace), Verdict.OBSTRUCTED, detail, citations)
-    return Report(
-        s,
-        tuple(trace),
-        Verdict.INCONCLUSIVE,
-        {"notes": notes} if notes else None,
-        citations,
-    )
+    if notes or not zc.classes:
+        return trace, Verdict.INCONCLUSIVE, {"notes": notes} if notes else None
+    return trace, Verdict.OBSTRUCTED, {
+        "conclusion": "no embedded solid torus",
+        "witness": "every zero self-linking class is algebraically non-slice",
+    }
 
 
-def _run_torus_top_vs_smooth(s: Scenario) -> Report:
+def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     trace, zc = _torus_pipeline(s)
-    citations = [
-        _HOSTE_CITE,
-        _FREEDMAN_ALEX_ONE,
-        _GABAI_ZERO_SURGERY,
-        _EMBEDDING_CRITERION,
-        _STEIN_CONDITION_CITE,
-        _SLICE_BENNEQUIN_CITE,
-        _SIGNATURE_OBSTRUCTS,
-    ]
     notes = []
 
     # --- topological side: the (1, n) class bounds a topological disk ---
@@ -603,27 +581,17 @@ def _run_torus_top_vs_smooth(s: Scenario) -> Report:
     }
 
     if topological_ok and smooth_obstructed:
-        return Report(
-            s,
-            tuple(trace),
-            Verdict.MIXED,
-            {"topological": "yes", "smooth": "no"},
-            tuple(citations),
-        )
+        return trace, Verdict.MIXED, {"topological": "yes", "smooth": "no"}
     if topological_ok:
-        return Report(
-            s,
-            tuple(trace),
-            Verdict.EXTENDS,
-            {"topological": "yes", "smooth": "undetermined", "notes": notes},
-            tuple(citations),
-        )
-    return Report(
-        s, tuple(trace), Verdict.INCONCLUSIVE, {"notes": notes}, tuple(citations)
-    )
+        return trace, Verdict.EXTENDS, {
+            "topological": "yes",
+            "smooth": "undetermined",
+            "notes": notes,
+        }
+    return trace, Verdict.INCONCLUSIVE, {"notes": notes}
 
 
-def _run_twist_extension(s: Scenario) -> Report:
+def _run_twist_extension(s: Scenario) -> _Run:
     p, q = s.p, s.q
     orbit = twists.seifert_orbit_class(p, q)
     trace = [
@@ -656,37 +624,20 @@ def _run_twist_extension(s: Scenario) -> Report:
         knot_j={"torus": [p, q]},
         knot_k="unknot",
     )
-    companion_report = run_scenario(companion)
-    trace.extend(step.prefixed("companion") for step in companion_report.trace)
-    citations = (
-        _GOMPF_MERIDIAN,
-        _ORBIT_ISOTOPY,
-        _HOSTE_CITE,
-        _SIGNATURE_OBSTRUCTS,
+    companion_trace, companion_verdict, _ = _run_torus_solid(companion)
+    trace.extend(
+        TraceStep(f"companion.{t.operation}", t.inputs, t.output) for t in companion_trace
     )
-    if all_extend and companion_report.verdict is Verdict.OBSTRUCTED:
-        return Report(
-            s,
-            tuple(trace),
-            Verdict.MIXED,
-            {"twists_extend": "yes", "smooth_solid_torus": "no"},
-            citations,
-        )
+    if all_extend and companion_verdict is Verdict.OBSTRUCTED:
+        return trace, Verdict.MIXED, {"twists_extend": "yes", "smooth_solid_torus": "no"}
     if all_extend:
-        return Report(
-            s,
-            tuple(trace),
-            Verdict.EXTENDS,
-            {"twists_extend": "yes", "smooth_solid_torus": "undetermined"},
-            citations,
-        )
-    return Report(
-        s,
-        tuple(trace),
-        Verdict.INCONCLUSIVE,
-        {"notes": [f"extension subgroup has index {subgroup.index}"]},
-        citations,
-    )
+        return trace, Verdict.EXTENDS, {
+            "twists_extend": "yes",
+            "smooth_solid_torus": "undetermined",
+        }
+    return trace, Verdict.INCONCLUSIVE, {
+        "notes": [f"extension subgroup has index {subgroup.index}"]
+    }
 
 
 def _torus_solid_flags(args: dict) -> tuple[HypothesisFlag, ...]:
@@ -695,13 +646,14 @@ def _torus_solid_flags(args: dict) -> tuple[HypothesisFlag, ...]:
 
 
 class _Kind(NamedTuple):
-    run: Callable[[Scenario], Report]
+    run: Callable[[Scenario], _Run]
     params: dict  # every accepted parameter with its default; knots as specs
     flags: Callable[[dict], tuple[HypothesisFlag, ...]]  # of the filled-in parameters
+    citations: tuple[str, ...]
 
 
 _SCENARIOS = {
-    "sphere-lens": _Kind(_run_sphere_lens, {"p": 5, "q": 2}, lambda args: ()),
+    "sphere-lens": _Kind(_run_sphere_lens, {"p": 5, "q": 2}, lambda args: (), (_LENS_QR_CITE,)),
     "sphere-smooth-h": _Kind(
         partial(_run_sphere_smooth, total=forms.EvenFormClass(0, 1), exclusions=False),
         {},
@@ -709,6 +661,7 @@ _SCENARIOS = {
             HypothesisFlag("rho-y1", True, _ROKHLIN_P),
             HypothesisFlag("rho-y2", True, _ROKHLIN_P),
         ),
+        (_ROKHLIN_CONGRUENCE, _EVEN_FORM_CLASSIFICATION),
     ),
     "sphere-smooth-e8h": _Kind(
         partial(_run_sphere_smooth, total=forms.EvenFormClass(1, 1), exclusions=True),
@@ -719,11 +672,13 @@ _SCENARIOS = {
             HypothesisFlag("no-e8-filling-y1", True, _DONALDSON),
             HypothesisFlag("no-acyclic-filling-y2", True, _FS_ACYCLIC),
         ),
+        (_ROKHLIN_CONGRUENCE, _EVEN_FORM_CLASSIFICATION, _DONALDSON, _FS_ACYCLIC),
     ),
     "torus-solid": _Kind(
         _run_torus_solid,
         {"n": 1, "knot_j": "left-trefoil", "knot_k": "left-trefoil"},
         _torus_solid_flags,
+        (_FREEDMAN_CONTRACTIBLE, _HOSTE_CITE, _SIGNATURE_OBSTRUCTS, _FOX_MILNOR_CITE),
     ),
     "torus-top-vs-smooth": _Kind(
         _run_torus_top_vs_smooth,
@@ -733,6 +688,15 @@ _SCENARIOS = {
             HypothesisFlag("surgered-manifold-irreducible", True, _GABAI_ZERO_SURGERY),
             HypothesisFlag("alexander-one-slice", True, _FREEDMAN_ALEX_ONE),
         ),
+        (
+            _HOSTE_CITE,
+            _FREEDMAN_ALEX_ONE,
+            _GABAI_ZERO_SURGERY,
+            _EMBEDDING_CRITERION,
+            _STEIN_CONDITION_CITE,
+            _SLICE_BENNEQUIN_CITE,
+            _SIGNATURE_OBSTRUCTS,
+        ),
     ),
     "twist-extension": _Kind(
         _run_twist_extension,
@@ -741,6 +705,7 @@ _SCENARIOS = {
             HypothesisFlag("meridian-twist-extends", True, _GOMPF_MERIDIAN),
             HypothesisFlag("orbit-twist-extends", True, _ORBIT_ISOTOPY),
         ),
+        (_GOMPF_MERIDIAN, _ORBIT_ISOTOPY, _HOSTE_CITE, _SIGNATURE_OBSTRUCTS),
     ),
 }
 

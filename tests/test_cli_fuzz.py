@@ -2,6 +2,7 @@
 report and exits 0, or prints exactly one `dehn4: error:` line and exits 1.
 It never raises, and no knot name or flag provenance adds a line to a text
 report: it starts with `scenario:` and has one line that begins `verdict: `.
+A bad command line fails the same way, with one error line.
 
 The numeric ranges are small on purpose: p and q stay below 10 (twist
 companions are T(p, q), and lens moduli stay tiny), n and the torus-knot
@@ -112,12 +113,17 @@ def configs(draw, name):
     return config
 
 
-def check_report_or_one_error_line(tmp_path_factory, config, fmt):
+def check_config(tmp_path_factory, config, fmt):
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
     path.write_text(json.dumps(config))
+    check_report_or_one_error_line(["report", "--config", str(path), "--format", fmt], fmt)
+
+
+def check_report_or_one_error_line(argv, fmt="text") -> int:
+    """The exit status of `dehn4 argv`, after checking its output."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["report", "--config", str(path), "--format", fmt])
+        code = main(argv)
     if code == 0:
         assert out.getvalue() and not err.getvalue()
         if fmt == "text":
@@ -128,13 +134,14 @@ def check_report_or_one_error_line(tmp_path_factory, config, fmt):
         lines = err.getvalue().splitlines()
         assert code == 1 and not out.getvalue()
         assert len(lines) == 1 and lines[0].startswith("dehn4: error: "), lines
+    return code
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
 def test_cli_reports_or_fails_with_one_error_line(tmp_path_factory, name, data, fmt):
-    check_report_or_one_error_line(tmp_path_factory, data.draw(configs(name), label="config"), fmt)
+    check_config(tmp_path_factory, data.draw(configs(name), label="config"), fmt)
 
 
 # a named knot is one branch of several in knot_specs and the other fields
@@ -142,4 +149,20 @@ def test_cli_reports_or_fails_with_one_error_line(tmp_path_factory, name, data, 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(param=st.sampled_from(["knot_j", "knot_k"]), knot=named_knots)
 def test_cli_knot_names_add_no_report_line(tmp_path_factory, param, knot):
-    check_report_or_one_error_line(tmp_path_factory, {"scenario": "torus-solid", param: knot}, "text")
+    check_config(tmp_path_factory, {"scenario": "torus-solid", param: knot}, "text")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--scenario", "nope"],
+        ["report", "--scenario", "sphere-lens", "--p", "x"],
+        ["report", "--bogus"],
+        [],
+        # argparse echoes an unrecognized argument as given
+        ["report", "--scenario", "sphere-lens", "x\nverdict: Obstructed"],
+    ],
+    ids=["unknown-scenario", "p-not-int", "unknown-option", "no-command", "line-break"],
+)
+def test_cli_argv_errors_are_one_line(argv):
+    assert check_report_or_one_error_line(argv) == 1

@@ -12,6 +12,7 @@ from dehn4.report import render, render_json, render_text, report_to_json_dict
 from dehn4.scenarios import (
     SCENARIO_NAMES,
     HypothesisFlag,
+    Scenario,
     ScenarioError,
     Verdict,
     build_scenario,
@@ -202,6 +203,37 @@ def test_unknown_scenario_rejected():
         build_scenario("sphere-cube")
 
 
+@pytest.mark.parametrize(
+    "name, kwargs, message",
+    [
+        ("sphere-lens", {"p": "7"}, "parameter 'p' must be an integer, got str"),
+        ("sphere-lens", {"p": 7.0}, "parameter 'p' must be an integer, got float"),
+        ("torus-solid", {"n": True}, "parameter 'n' must be an integer, got bool"),
+    ],
+    ids=["p-str", "p-float", "n-bool"],
+)
+def test_library_integer_parameters_must_be_int(name, kwargs, message):
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(name, **kwargs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (Scenario("sphere-lens"), "scenario 'sphere-lens' is missing parameter 'p'"),
+        (Scenario("sphere-smooth-h"), "scenario 'sphere-smooth-h' is missing flag 'rho-y1'"),
+        (Scenario("torus-solid"), "scenario 'torus-solid' is missing parameter 'n'"),
+        (Scenario("nope"), "unknown scenario 'nope'; expected one of " + ", ".join(SCENARIO_NAMES)),
+    ],
+    ids=["sphere-lens", "sphere-smooth-h", "torus-solid", "nope"],
+)
+def test_run_scenario_names_what_a_hand_made_scenario_lacks(scenario, message):
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(scenario)
+    assert str(exc.value) == message
+
+
 def test_scenario_parameters_echoed():
     report = run("torus-solid", knot_j="trefoil", knot_k="figure-eight", n=2)
     data = report_to_json_dict(report)
@@ -331,6 +363,13 @@ def test_cli_config_flag_provenance_required(tmp_path, capsys):
 def test_cli_requires_scenario(capsys):
     assert main(["report"]) == 1
     assert "no scenario" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--help"])
+    assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
 
 
 def _config_error(tmp_path, capsys, config) -> str:
