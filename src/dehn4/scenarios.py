@@ -81,6 +81,7 @@ _Run = tuple[list[TraceStep], Verdict, "dict | None"]
 
 # the parameters a scenario may take, in the order reports list them
 PARAMS = ("p", "q", "n", "knot_j", "knot_k")
+_INT_PARAMS = ("p", "q", "n")  # the others are knots
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,8 @@ def build_scenario(
                 f"scenario {name!r} takes no parameter {param!r}; "
                 f"it takes {', '.join(kind.params) or 'none'}"
             )
-        if param in ("p", "q", "n") and type(value) is not int:
-            raise ScenarioError(
-                f"parameter {param!r} must be an integer, got {type(value).__name__}"
-            )
+        if param in _INT_PARAMS:
+            _check_int(param, value)
         args[param] = value
     for param in ("knot_j", "knot_k"):
         if param in args:
@@ -261,16 +260,31 @@ def run_scenario(scenario: Scenario) -> Report:
     """Deterministic report for a scenario made by build_scenario.
 
     A scenario made otherwise that lacks a known name, a parameter or a
-    flag the run reads fails with a ScenarioError that names it.
+    flag the run reads, or holds a parameter of the wrong type, fails with
+    a ScenarioError that names it.
     """
     kind = _kind(scenario.name)
     for param in kind.params:
-        if getattr(scenario, param) is None:
+        value = getattr(scenario, param)
+        if value is None:
             raise ScenarioError(
                 f"scenario {scenario.name!r} is missing parameter {param!r}"
             )
+        if param in _INT_PARAMS:
+            _check_int(param, value)
+        elif not isinstance(value, Knot):
+            raise ScenarioError(
+                f"parameter {param!r} must be a Knot, got {type(value).__name__}"
+            )
     trace, verdict, detail = kind.run(scenario)
     return Report(scenario, tuple(trace), verdict, detail, kind.citations)
+
+
+def _check_int(param: str, value) -> None:
+    if type(value) is not int:
+        raise ScenarioError(
+            f"parameter {param!r} must be an integer, got {type(value).__name__}"
+        )
 
 
 def _kind(name: str) -> _Kind:

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import int_matrices
+from conftest import dense_det, dense_signature_symmetric, int_matrices, structured_matrices
 from dehn4.exact import (
     block_diagonal,
     det,
@@ -13,6 +14,7 @@ from dehn4.exact import (
     signature_symmetric,
     transpose,
 )
+from dehn4.seifert import torus_knot_seifert
 
 
 def test_det_basics():
@@ -51,6 +53,33 @@ def test_det_matches_fraction_elimination(m):
             f = a[r][col] / a[col][col]
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     assert det(m) == sign * value
+
+
+@settings(max_examples=400)
+@given(structured_matrices())
+def test_det_matches_dense_oracle(m):
+    assert det(m) == dense_det(m)
+
+
+@settings(max_examples=400)
+@given(structured_matrices(symmetric=True))
+def test_signature_matches_dense_oracle(m):
+    assert signature_symmetric(m) == dense_signature_symmetric(m)
+
+
+@pytest.mark.parametrize(
+    "p,q", [(p, q) for p in range(2, 9) for q in (p + 1, p + 2) if gcd(p, q) == 1]
+)
+def test_kernel_matches_dense_oracle_on_torus_knots(p, q):
+    # banded brick matrices up to 56 x 56: a row is untouched until the
+    # pivot comes within its band, about q steps before its own index
+    v = torus_knot_seifert(p, q).entries
+    n = len(v)
+    for t in (-3, 1, 2):
+        m = [[v[i][j] - t * v[j][i] for j in range(n)] for i in range(n)]
+        assert det(m) == dense_det(m)
+    sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]
+    assert signature_symmetric(sym) == dense_signature_symmetric(sym)
 
 
 def test_signature_symmetric():

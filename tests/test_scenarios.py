@@ -225,8 +225,14 @@ def test_library_integer_parameters_must_be_int(name, kwargs, message):
         (Scenario("sphere-smooth-h"), "scenario 'sphere-smooth-h' is missing flag 'rho-y1'"),
         (Scenario("torus-solid"), "scenario 'torus-solid' is missing parameter 'n'"),
         (Scenario("nope"), "unknown scenario 'nope'; expected one of " + ", ".join(SCENARIO_NAMES)),
+        (Scenario("sphere-lens", p="7", q=2), "parameter 'p' must be an integer, got str"),
+        (Scenario("twist-extension", p=2.0, q=3), "parameter 'p' must be an integer, got float"),
+        (
+            Scenario("torus-solid", n=1, knot_j="trefoil", knot_k="trefoil"),
+            "parameter 'knot_j' must be a Knot, got str",
+        ),
     ],
-    ids=["sphere-lens", "sphere-smooth-h", "torus-solid", "nope"],
+    ids=["sphere-lens", "sphere-smooth-h", "torus-solid", "nope", "p-str", "p-float", "knot-str"],
 )
 def test_run_scenario_names_what_a_hand_made_scenario_lacks(scenario, message):
     with pytest.raises(ScenarioError) as exc:

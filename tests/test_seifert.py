@@ -103,7 +103,9 @@ def test_glm_count_reproduces_pinned_signatures():
 
 
 @pytest.mark.parametrize(
-    "p,q", [(p, q) for p in range(2, 10) for q in range(p + 1, 10) if gcd(p, q) == 1]
+    "p,q",
+    [(p, q) for p in range(2, 10) for q in range(p + 1, 10) if gcd(p, q) == 1]
+    + [(20, 21), (13, 29)],  # 380 x 380 and 336 x 336
 )
 def test_torus_knot_signature_matches_glm_count(p, q):
     assert signature(torus_knot_seifert(p, q)) == glm_torus_signature(p, q)
