@@ -18,7 +18,8 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from fractions import Fraction
+from math import comb, gcd, isqrt
 from typing import TYPE_CHECKING
 
 from .exact import IntMatrix, block_diagonal, det, freeze, signature_symmetric, transpose
@@ -107,7 +108,7 @@ def _positive_torus_bricks(p: int, q: int) -> SeifertMatrix:
                 v[idx(i + 1, j)][x] = 1
                 if j - 1 >= 0:
                     v[idx(i + 1, j - 1)][x] = -1
-    return SeifertMatrix(freeze(v))
+    return SeifertMatrix(v)
 
 
 def twist_knot_seifert(m: int) -> SeifertMatrix:
@@ -175,7 +176,7 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
             for i in range(g2):
                 for j in range(g2):
                     out[bi * g2 + i][bj * g2 + j] = blk[i][j]
-    return SeifertMatrix(freeze(out))
+    return SeifertMatrix(out)
 
 
 def signature(v: SeifertMatrix) -> int:
@@ -188,32 +189,47 @@ def signature(v: SeifertMatrix) -> int:
 def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     """Normalized Alexander polynomial det(V - t*V^T).
 
-    The determinant is a polynomial of degree at most n = size(V), so it is
-    evaluated with `det` at the n + 1 integer nodes -n/2 .. n/2 and
-    recovered by Newton interpolation.  On consecutive nodes the order-k
-    divided difference of an integer polynomial is an integer, so each step
-    divides exactly by k; a remainder raises ArithmeticError.
+    For V of size n = 2m, f(t) = det(V - t*V^T) is palindromic,
+    f(t) = t^n f(1/t), since (V - t*V^T)^T = -t(V - V^T/t) and n is even.
+    So f(t)/t^m is an integer polynomial of degree <= m in Conway's
+    variable u = (t - 1)^2/t: f(t) = sum_j c_j t^(m-j) (t - 1)^(2j).  The
+    top coefficient is c_m = f(0) = det V.  The rest come from `det` at
+    the m integer nodes t = 2, -1, 3, -2, 4, ..., whose u are distinct and
+    whose |t| stays small (the entries of V - t*V^T grow with |t|), by
+    exact Newton interpolation over Fractions of f(t)/t^m - c_m u^m, which
+    has degree <= m - 1.  That is m + 1 determinants.  A c_j that is not
+    an integer raises ArithmeticError.
 
     The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
     """
     n, e = v.size, v.entries
-    nodes = range(-(n // 2), n // 2 + 1)
-    dd = [det([[e[i][j] - t * e[j][i] for j in range(n)] for i in range(n)]) for t in nodes]
+    m = n // 2
+
+    def f(t: int) -> int:
+        return det([[e[i][j] - t * e[j][i] for j in range(n)] for i in range(n)])
+
+    top = f(0)
+    nodes = [2 + k // 2 if k % 2 == 0 else -1 - k // 2 for k in range(m)]
+    us = [Fraction((t - 1) ** 2, t) for t in nodes]
+    dd = [Fraction(f(t), t**m) - top * u**m for t, u in zip(nodes, us)]
     # in place: after step k, dd[i] is the divided difference on nodes i-k .. i
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            dd[i], rem = divmod(dd[i] - dd[i - 1], k)
-            if rem:
-                raise ArithmeticError(
-                    "det(V - t*V^T) is not an integer polynomial of degree <= n"
-                )
-    # expand the Newton form dd[0] + dd[1](t - x0) + ... by Horner's rule,
-    # lowest degree first: coeffs <- coeffs * (t - x_k) + dd[k]
-    coeffs: list[int] = []
-    for k in range(n, -1, -1):
-        coeffs = [a - nodes[k] * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += dd[k]
-    return LaurentPoly(dict(enumerate(coeffs))).normalized()
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (us[i] - us[i - k])
+    # expand the Newton form dd[0] + dd[1](u - u0) + ... by Horner's rule,
+    # lowest degree first: cs <- cs * (u - u_k) + dd[k]
+    cs: list[Fraction] = []
+    for k in range(m - 1, -1, -1):
+        cs = [a - us[k] * b for a, b in zip([0] + cs, cs + [0])]
+        cs[0] += dd[k]
+    if any(c.denominator != 1 for c in cs):
+        raise ArithmeticError("det(V - t*V^T) is not an integer polynomial in (t - 1)^2/t")
+    # sum_j c_j t^(m-j) (t - 1)^(2j), expanded by binomials; LaurentPoly adds like terms
+    return LaurentPoly(
+        (m - j + i, (-1) ** i * comb(2 * j, i) * c)
+        for j, c in enumerate([int(c) for c in cs] + [top])
+        for i in range(2 * j + 1)
+    ).normalized()
 
 
 class FactorizationBoundError(ValueError):

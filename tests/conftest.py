@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from dehn4.exact import freeze
+from dehn4.laurent import LaurentPoly
 from dehn4.seifert import SeifertMatrix
 
 settings.register_profile("exact", deadline=None, max_examples=60)
@@ -85,6 +86,32 @@ def dense_det(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def newton_alexander(v):
+    """det(V - t*V^T) from all n + 1 nodes: the oracle for `seifert.alexander_polynomial`.
+
+    The determinant, of degree at most n = size(V), is taken by `dense_det`
+    at the integers -n/2 .. n/2 and recovered by Newton interpolation; on
+    consecutive nodes the order-k divided difference of an integer
+    polynomial is an integer, so each step divides exactly by k.  Nothing
+    here uses the palindromic symmetry that the code under test relies on.
+    """
+    n, e = v.size, v.entries
+    nodes = range(-(n // 2), n // 2 + 1)
+    dd = [dense_det([[e[i][j] - t * e[j][i] for j in range(n)] for i in range(n)]) for t in nodes]
+    # in place: after step k, dd[i] is the divided difference on nodes i-k .. i
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            dd[i], rem = divmod(dd[i] - dd[i - 1], k)
+            assert rem == 0
+    # expand the Newton form dd[0] + dd[1](t - x0) + ... by Horner's rule,
+    # lowest degree first: coeffs <- coeffs * (t - x_k) + dd[k]
+    coeffs: list[int] = []
+    for k in range(n, -1, -1):
+        coeffs = [a - nodes[k] * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += dd[k]
+    return LaurentPoly(dict(enumerate(coeffs))).normalized()
 
 
 def dense_signature_symmetric(m):

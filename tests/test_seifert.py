@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given
 
-from conftest import seifert_matrices
+from conftest import newton_alexander, seifert_matrices
 from dehn4.exact import det
 from dehn4 import seifert
 from dehn4.laurent import LaurentPoly
@@ -67,7 +67,9 @@ def test_torus_knot_det_invariant():
 
 
 @pytest.mark.parametrize(
-    "p,q", [(p, q) for p in range(2, 10) for q in range(p + 1, 10) if gcd(p, q) == 1]
+    "p,q",
+    [(p, q) for p in range(2, 10) for q in range(p + 1, 10) if gcd(p, q) == 1]
+    + [(10, 11)],  # 90 x 90
 )
 def test_torus_knot_alexander_matches_closed_form(p, q):
     v = torus_knot_seifert(p, q)
@@ -320,12 +322,45 @@ def test_alexander_matches_leibniz_expansion(v):
     assert alexander_polynomial(v) == leibniz_alexander(v)
 
 
+@given(seifert_matrices(max_genus=5))
+def test_alexander_matches_newton_oracle(v):
+    assert alexander_polynomial(v) == newton_alexander(v)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        connected_sum(whitehead_double_seifert("+"), torus_knot_seifert(3, 4)),
+        connected_sum(whitehead_double_seifert("+"), whitehead_double_seifert("-")),
+    ],
+)
+def test_alexander_with_singular_seifert_matrix(v):
+    assert det(v.entries) == 0  # the top coefficient c_m = det V vanishes
+    assert alexander_polynomial(v) == newton_alexander(v)
+
+
+@pytest.mark.parametrize(
+    "v", [unknot(), TREFOIL, torus_knot_seifert(3, 4), torus_knot_seifert(5, 6)]
+)
+def test_alexander_takes_half_the_size_plus_one_determinants(monkeypatch, v):
+    sizes = []
+    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    alexander_polynomial(v)
+    assert sizes == [v.size] * (v.size // 2 + 1)
+
+
 def test_alexander_interpolation_checks_every_division(monkeypatch):
-    # values 0, 0, 1 at t = -1, 0, 1 give the second divided difference 1/2
-    values = iter([0, 0, 1])
-    monkeypatch.setattr(seifert, "det", lambda m: next(values))
-    with pytest.raises(ArithmeticError, match="not an integer polynomial"):
-        alexander_polynomial(TREFOIL)
+    cases = [
+        # f(0) = c_1 = 0 and f(2) = 1 give c_0 = (f(2) - f(0))/2 = 1/2
+        (TREFOIL, [0, 1]),
+        # f(0), f(2), f(-1) = 0, 9, 0 give c_0 = 2, an integer, and c_1 = 1/2
+        (torus_knot_seifert(2, 5), [0, 9, 0]),
+    ]
+    for v, values in cases:
+        feed = iter(values)
+        monkeypatch.setattr(seifert, "det", lambda m: next(feed))
+        with pytest.raises(ArithmeticError, match="not an integer polynomial"):
+            alexander_polynomial(v)
 
 
 @given(seifert_matrices())
