@@ -1,9 +1,12 @@
 """dehn4: exact-arithmetic obstruction pipelines for embedded balls and
 solid tori in the boundaries of 4-manifolds.
 
-Subpackages by topic:
-  surgery     surgery presentations, torus basis, linking matrices, trace text
-  linking     homology from the Smith diagonal, Hoste self-linking,
+Modules by topic:
+  exact       sparse fraction-free Bareiss determinant and signature,
+              integer matrix helpers
+  laurent     integer Laurent polynomials (Alexander polynomials)
+  linking     the torus presentation (trace text and linking matrix),
+              homology from determinantal divisors, Hoste self-linking,
               self-linking forms and their zero classes
   seifert     Seifert matrices, Alexander polynomials, signatures,
               Fox-Milnor, sliceness verdicts
@@ -12,6 +15,8 @@ Subpackages by topic:
   legendrian  tb/rot from front counts, Stein condition, slice-Bennequin
   twists      Dehn-twist classes on a torus and extension subgroups
   scenarios   the named end-to-end obstruction reports
+  report      deterministic text and JSON rendering
+  cli         the `dehn4 report` command line
 """
 
 from .scenarios import Report, Scenario, Verdict, build_scenario, run_scenario

@@ -91,6 +91,8 @@ def _load_config(path: str) -> dict:
         raise ScenarioError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"config file {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ScenarioError(f"config file {path} is not valid JSON: nested too deeply")
     if not isinstance(data, dict):
         raise ScenarioError("config file must hold a JSON object")
     unknown = set(data) - _CONFIG_FIELDS.keys()

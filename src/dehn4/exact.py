@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: the determinant, signature and Smith kernels.
+"""Exact integer linear algebra: the determinant and signature kernels.
 
 `det` for determinants and `signature_symmetric` for signatures are
 fraction-free Bareiss elimination on arbitrary-precision integers, each
@@ -7,15 +7,14 @@ division exact (Sylvester's identity: after step k every live entry is a
 scaling is lazy: a row with a zero in the pivot column would only be
 multiplied by pivot/prev, and those factors telescope, so it is left as
 it is and keeps the pivot its values belong to.  The work is
-O(sum of fill^2) over the steps, not O(n^3).  `invariant_factors` gives the
-Smith diagonal by Euclid's algorithm on the smallest pivot, with no
-unimodular factors kept.  There is no rational solve and no floating
-point anywhere.  Matrices are plain tuples of tuples (immutable) or lists
-of lists (scratch space).
+O(sum of fill^2) over the steps, not O(n^3).  The rest are helpers:
+`freeze` (the integer check), `transpose`, the shape tests and
+`block_diagonal`.  There is no rational solve and no floating point
+anywhere.  Matrices are plain tuples of tuples (immutable) or lists of
+lists (scratch space).
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -163,46 +162,6 @@ def _add_row(rows, scale, k, off, prev) -> None:
             r[k] = x
         else:
             del r[k]  # x == 0 needs r[k] == -r[off] != 0
-
-
-def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Diagonal d1 | d2 | ... of the Smith normal form over Z.
-
-    min(rows, cols) nonnegative entries, zeros last.  Euclid's algorithm
-    on the smallest nonzero entry clears its row and column by unimodular
-    row and column operations, one pivot at a time; a gcd/lcm pass then
-    turns the diagonal into a divisibility chain (gcd * lcm keeps each
-    pair's product, and with it every prime-power elementary divisor).
-    """
-    a = [list(row) for row in m]
-    size = min(len(a), len(a[0])) if a else 0
-    diag = []
-    while a and a[0]:
-        entries = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
-        if not entries:
-            break
-        _, i, j = min(entries)
-        a[0], a[i] = a[i], a[0]
-        for row in a:
-            row[0], row[j] = row[j], row[0]
-        pivot = a[0][0]
-        for row in a[1:]:
-            f = row[0] // pivot
-            for c, x in enumerate(a[0]):
-                row[c] -= f * x
-        for c in range(1, len(a[0])):
-            f = a[0][c] // pivot
-            for row in a:
-                row[c] -= f * row[0]
-        # a nonzero remainder is smaller than the pivot and becomes the next one
-        if all(row[0] == 0 for row in a[1:]) and not any(a[0][1:]):
-            diag.append(abs(pivot))
-            a = [row[1:] for row in a[1:]]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return tuple(diag) + (0,) * (size - len(diag))
 
 
 def block_diagonal(*blocks: Sequence[Sequence[int]]) -> IntMatrix:

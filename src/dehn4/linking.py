@@ -1,20 +1,23 @@
-"""Homology of surgered manifolds and linking numbers of boundary curves.
+"""The torus presentation, its homology, and Hoste's linking numbers.
 
-The Smith diagonal of the linking matrix B (exact.invariant_factors)
-gives the first homology.  Hoste's surgery formula
+Every torus in the scenarios lies on the boundary of one presentation: a
+dotted circle L1 and an n-framed circle L2 linking it once, with linking
+matrix B = [[0, 1], [1, n]].  The boundary torus has the basis alpha
+(linking L1 once) and beta (linking L2 once), with pushoff data
+lk(alpha, beta+) = 0 and lk(beta, alpha+) = 1, so x*alpha + y*beta has
+linking vector (x, y) and S^3 self-linking x*y.
+
+The first homology of a 2x2 linking matrix comes from its determinantal
+divisors.  Hoste's surgery formula
 
     lk_Y(sigma, sigma+) = lk_{S^3}(sigma, sigma+) - a . B^{-1} . a^T
 
-(a the curve's component-linking vector) gives the self-linking of a
-homologically trivial curve in the surgered manifold.  The correction
-term is a bordered determinant,
-a . B^{-1} . a^T = -det([[B, a^T], [a, 0]]) / det(B), so Bareiss `det` is
-all it needs.  Evaluated on alpha, beta and alpha + beta
-of a boundary torus basis it gives the self-linking quadratic form, whose
-primitive zero classes are then enumerated.
-
-With the standard two-component data (lk(alpha, beta+) = 0,
-lk(beta, alpha+) = 1) this yields the form n*x^2 - x*y on the torus basis.
+(a the curve's linking vector) gives the self-linking of a homologically
+trivial curve in the surgered manifold.  The correction term is a
+bordered determinant, a . B^{-1} . a^T = -det([[B, a^T], [a, 0]]) / det(B),
+so Bareiss `det` is all it needs.  Evaluated on alpha, beta and
+alpha + beta it gives the self-linking quadratic form, n*x^2 - x*y for
+the presentation above, whose primitive zero classes are then enumerated.
 """
 from __future__ import annotations
 
@@ -23,8 +26,20 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
-from .exact import det, invariant_factors, is_symmetric
-from .surgery import CurveSpec, SurgeryPresentation
+from .exact import IntMatrix, det, is_symmetric
+
+
+def torus_presentation(n: int) -> tuple[str, IntMatrix]:
+    """The presentation carrying the boundary torus: trace text and B."""
+    text = (
+        "component L1 dotted\n"
+        f"component L2 framed {n}\n"
+        "lk L1 L2 1\n"
+        "curve alpha lk ( 1 0 ) self 0\n"
+        "curve beta lk ( 0 1 ) self 0\n"
+        "pushoff alpha beta 0 1\n"
+    )
+    return text, ((0, 1), (1, n))
 
 
 class SingularLinkingMatrix(ValueError):
@@ -50,32 +65,37 @@ class HomologyReport:
 
 
 def first_homology(b: Sequence[Sequence[int]]) -> HomologyReport:
-    """Torsion and free rank of coker(B) read off the Smith diagonal."""
-    if not is_symmetric(b):
-        raise ValueError("linking matrix must be symmetric")
-    diag = invariant_factors(b)
+    """Torsion and free rank of coker(B) for a symmetric 2x2 matrix B.
+
+    The Smith diagonal is d1 = D1 = gcd of the entries and d2 = D2 / D1
+    with D2 = |det B| (d2 = 0 when D1 = 0, the zero matrix).
+    """
+    if len(b) != 2 or not is_symmetric(b):
+        raise ValueError("linking matrix must be a symmetric 2x2 matrix")
+    (p, q), (_, r) = b
+    d1 = gcd(p, q, r)
+    diag = (d1, abs(p * r - q * q) // d1 if d1 else 0)
     torsion = tuple(x for x in diag if x > 1)
     return HomologyReport(torsion_coefficients=torsion, free_rank=diag.count(0))
 
 
-def hoste_linking(b: Sequence[Sequence[int]], curve: CurveSpec) -> Fraction:
-    """Self-linking of a homologically trivial curve in the surgered
-    manifold, by Hoste's formula.
+def hoste_linking(b: Sequence[Sequence[int]], a: Sequence[int], self_lk: int) -> Fraction:
+    """Self-linking in the surgered manifold of a homologically trivial
+    curve with linking vector a and S^3 pushoff self-linking self_lk, by
+    Hoste's formula.
 
-    The S^3 term is the recorded tangential pushoff self-linking.  Exact
-    rational output; an integer whenever |det B| = 1.
+    Exact rational output; an integer whenever |det B| = 1.
     """
-    if len(curve.component_linkings) != len(b):
+    if len(a) != len(b):
         raise ValueError("curve linking vector does not match the matrix size")
     det_b = det(b)
     if det_b == 0:
         raise SingularLinkingMatrix(
             "linking matrix is singular; surgery linking numbers are undefined"
         )
-    a = curve.component_linkings
     bordered = [list(row) + [y] for row, y in zip(b, a)]
     bordered.append(list(a) + [0])
-    return curve.pushoff_self_linking + Fraction(det(bordered), det_b)
+    return self_lk + Fraction(det(bordered), det_b)
 
 
 @dataclass(frozen=True)
@@ -106,36 +126,15 @@ class SelfLinkingForm:
         return " ".join(terms) if terms else "0"
 
 
-def combined_curve(pres: SurgeryPresentation, x: int, y: int) -> CurveSpec:
-    """Linking data of a curve in class x*[alpha] + y*[beta].
+def self_linking_form(b: Sequence[Sequence[int]]) -> SelfLinkingForm:
+    """Quadratic form giving the surgery self-linking of x*alpha + y*beta.
 
-    Component linkings are linear; the pushoff self-linking expands
-    bilinearly through the recorded cross pushoff pair.
+    Hoste's formula at alpha, beta and alpha + beta, whose linking vectors
+    are (1, 0), (0, 1), (1, 1) and S^3 self-linkings 0, 0, 1.
     """
-    alpha, beta = pres.alpha, pres.beta
-    ab, ba = pres.cross_pushoff
-    vector = tuple(
-        x * u + y * w for u, w in zip(alpha.component_linkings, beta.component_linkings)
-    )
-    self_lk = (
-        x * x * alpha.pushoff_self_linking
-        + x * y * (ab + ba)
-        + y * y * beta.pushoff_self_linking
-    )
-    return CurveSpec(
-        id=f"{x}*{alpha.id}+{y}*{beta.id}",
-        component_linkings=vector,
-        pushoff_self_linking=self_lk,
-    )
-
-
-def self_linking_form(
-    b: Sequence[Sequence[int]], pres: SurgeryPresentation
-) -> SelfLinkingForm:
-    """Quadratic form giving the surgery self-linking of x*alpha + y*beta."""
-    q10 = hoste_linking(b, combined_curve(pres, 1, 0))
-    q01 = hoste_linking(b, combined_curve(pres, 0, 1))
-    q11 = hoste_linking(b, combined_curve(pres, 1, 1))
+    q10 = hoste_linking(b, (1, 0), 0)
+    q01 = hoste_linking(b, (0, 1), 0)
+    q11 = hoste_linking(b, (1, 1), 1)
     coeffs = (q10, q11 - q10 - q01, q01)
     if any(v.denominator != 1 for v in coeffs):
         raise ValueError(

@@ -29,7 +29,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple
 
-from . import forms, legendrian, linking, seifert, surgery, twists
+from . import forms, legendrian, linking, seifert, twists
 from .linking import canonical_class
 from .seifert import Knot, SliceTag, is_single_line
 
@@ -236,26 +236,6 @@ def build_scenario(
     return Scenario(name, flags=merged, **args)
 
 
-def standard_torus_presentation(n: int) -> surgery.SurgeryPresentation:
-    """The two-component presentation carrying the boundary torus.
-
-    One dotted component, one n-framed component linking it once; the
-    torus basis curves alpha (meridional, linking the dotted component)
-    and beta (longitudinal, linking the framed component) carry the
-    standard pushoff data lk(alpha, beta+) = 0, lk(beta, alpha+) = 1.
-    """
-    return surgery.SurgeryPresentation(
-        components=(
-            surgery.ComponentRecord("L1", surgery.ComponentKind.DOTTED),
-            surgery.ComponentRecord("L2", surgery.ComponentKind.FRAMED, n),
-        ),
-        linkings=(("L1", "L2", 1),),
-        alpha=surgery.CurveSpec("alpha", (1, 0)),
-        beta=surgery.CurveSpec("beta", (0, 1)),
-        cross_pushoff=(0, 1),
-    )
-
-
 def run_scenario(scenario: Scenario) -> Report:
     """Deterministic report for a scenario made by build_scenario.
 
@@ -431,15 +411,8 @@ def _class_knot(s: Scenario, cls: tuple[int, int]) -> Knot | None:
 
 def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], linking.ZeroClasses]:
     """Shared head of the torus scenarios: presentation through zero classes."""
-    pres = standard_torus_presentation(s.n)
-    trace = [
-        TraceStep(
-            "parse_presentation",
-            {"n": s.n},
-            {"text": surgery.serialize_presentation(pres)},
-        )
-    ]
-    b = surgery.boundary_linking_matrix(pres)
+    text, b = linking.torus_presentation(s.n)
+    trace = [TraceStep("parse_presentation", {"n": s.n}, {"text": text})]
     trace.append(TraceStep("boundary_linking_matrix", {}, [list(r) for r in b]))
     hom = linking.first_homology(b)
     trace.append(
@@ -449,7 +422,7 @@ def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], linking.ZeroClasses]:
             {"group": str(hom), "is_homology_sphere": hom.is_homology_sphere},
         )
     )
-    form = linking.self_linking_form(b, pres)
+    form = linking.self_linking_form(b)
     trace.append(
         TraceStep(
             "self_linking_form",

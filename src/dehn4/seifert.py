@@ -476,6 +476,8 @@ def knot_from_spec(spec) -> Knot:
                 return knot_from_spec(json.loads(stripped))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"invalid knot JSON: {exc}") from exc
+            except RecursionError:
+                raise ValueError("invalid knot JSON: nested too deeply") from None
         if stripped in _NAMED_KNOTS:
             return Knot(stripped, _NAMED_KNOTS[stripped]())
         raise ValueError(

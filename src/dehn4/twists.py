@@ -134,10 +134,3 @@ def to_alpha_beta(c: TwistClass) -> TwistClass:
         raise BasisMismatch("expected a class in the (mu, lambda) basis")
     u, v = c.vector
     return TwistClass((u - v, v), TwistBasis.ALPHA_BETA)
-
-
-def to_mu_lambda(c: TwistClass) -> TwistClass:
-    if c.basis is not TwistBasis.ALPHA_BETA:
-        raise BasisMismatch("expected a class in the (alpha, beta) basis")
-    x, y = c.vector
-    return TwistClass((x + y, y), TwistBasis.MU_LAMBDA)

@@ -208,11 +208,52 @@ def structured_matrices(draw, symmetric=False, max_dim=10, coeff=6):
     return tuple(tuple(row) for row in a)
 
 
+def invariant_factors(m):
+    """Diagonal d1 | d2 | ... of the Smith normal form over Z, the oracle
+    for `linking.first_homology`.
+
+    min(rows, cols) nonnegative entries, zeros last.  Euclid's algorithm
+    on the smallest nonzero entry clears its row and column by unimodular
+    row and column operations, one pivot at a time; a gcd/lcm pass then
+    turns the diagonal into a divisibility chain (gcd * lcm keeps each
+    pair's product, and with it every prime-power elementary divisor).
+    """
+    a = [list(row) for row in m]
+    size = min(len(a), len(a[0])) if a else 0
+    diag = []
+    while a and a[0]:
+        entries = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        pivot = a[0][0]
+        for row in a[1:]:
+            f = row[0] // pivot
+            for c, x in enumerate(a[0]):
+                row[c] -= f * x
+        for c in range(1, len(a[0])):
+            f = a[0][c] // pivot
+            for row in a:
+                row[c] -= f * row[0]
+        # a nonzero remainder is smaller than the pivot and becomes the next one
+        if all(row[0] == 0 for row in a[1:]) and not any(a[0][1:]):
+            diag.append(abs(pivot))
+            a = [row[1:] for row in a[1:]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return tuple(diag) + (0,) * (size - len(diag))
+
+
 def determinantal_divisors(m):
     """D_1, ..., D_r with D_k the gcd of all k x k minors of m (r = min(rows, cols)).
 
     The minors come from the dense oracle `dense_det`, so this check of
-    `exact.invariant_factors` does not depend on `exact.det`.
+    `invariant_factors` does not depend on `exact.det`.
 
     The Smith diagonal is determined by them: d_1 * ... * d_k = D_k.
     """
@@ -225,6 +266,13 @@ def determinantal_divisors(m):
                 g = gcd(g, dense_det([[m[i][j] for j in cs] for i in rs]))
         out.append(g)
     return out
+
+
+def homology_diagonal(report):
+    """The 2x2 Smith diagonal a HomologyReport stands for: units, torsion, zeros."""
+    torsion = report.torsion_coefficients
+    units = 2 - report.free_rank - len(torsion)
+    return (1,) * units + torsion + (0,) * report.free_rank
 
 
 def smith_diagonal_well_formed(m, diag):

@@ -9,8 +9,13 @@ import random
 import time
 from math import gcd
 
-from conftest import build_seifert, smith_diagonal_well_formed
-from dehn4.exact import det, invariant_factors
+from conftest import (
+    build_seifert,
+    homology_diagonal,
+    invariant_factors,
+    smith_diagonal_well_formed,
+)
+from dehn4.exact import det
 from dehn4.forms import (
     EvenFormClass,
     enumerate_even_splittings,
@@ -28,12 +33,14 @@ from dehn4.legendrian import (
 from dehn4.linking import (
     SelfLinkingForm,
     canonical_class,
+    first_homology,
     hoste_linking,
     self_linking_form,
+    torus_presentation,
     zero_classes,
 )
 from dehn4.report import render_text
-from dehn4.scenarios import Verdict, build_scenario, run_scenario, standard_torus_presentation
+from dehn4.scenarios import Verdict, build_scenario, run_scenario
 from dehn4.seifert import (
     alexander_polynomial,
     connected_sum,
@@ -44,7 +51,6 @@ from dehn4.seifert import (
     torus_knot_seifert,
     whitehead_double_seifert,
 )
-from dehn4.surgery import CurveSpec
 
 
 @contextlib.contextmanager
@@ -75,29 +81,16 @@ def test_sphere_lens_criterion():
 
 
 def test_self_linking_form_criterion():
-    with criterion("self-linking form is n*x^2 - x*y for n in [-5, 5]"):
-        for n in range(-5, 6):
-            pres = standard_torus_presentation(n)
-            b = ((0, 1), (1, n))
-            form = self_linking_form(b, pres)
+    with criterion("self-linking form is n*x^2 - x*y for n in [-50, 50]"):
+        for n in range(-50, 51):
+            b = torus_presentation(n)[1]
+            form = self_linking_form(b)
             assert (form.a, form.b, form.c) == (n, -1, 0)
-            alpha, beta = pres.alpha, pres.beta
-            ab_pair = pres.cross_pushoff
             for x in range(-5, 6):
                 for y in range(-5, 6):
-                    vec = tuple(
-                        x * u + y * w
-                        for u, w in zip(
-                            alpha.component_linkings, beta.component_linkings
-                        )
-                    )
-                    self_lk = (
-                        x * x * alpha.pushoff_self_linking
-                        + x * y * (ab_pair[0] + ab_pair[1])
-                        + y * y * beta.pushoff_self_linking
-                    )
-                    gamma = CurveSpec("gamma", vec, self_lk)
-                    assert hoste_linking(b, gamma) == form.evaluate(x, y)
+                    # alpha = (1, 0), beta = (0, 1), pushoffs (0, 1): x*alpha + y*beta
+                    # links (x, y) and has S^3 self-linking x*y
+                    assert hoste_linking(b, (x, y), x * y) == form.evaluate(x, y)
 
 
 def test_zero_classes_criterion():
@@ -242,6 +235,14 @@ def test_property_suites_criterion():
                 tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows)
             )
             smith_diagonal_well_formed(m, invariant_factors(m))
+
+    with criterion("property suite: first homology of 2x2 linking matrices (>= 100)"):
+        for _ in range(104):
+            q = rng.randint(-12, 12)
+            m = ((rng.randint(-12, 12), q), (q, rng.randint(-12, 12)))
+            diag = homology_diagonal(first_homology(m))
+            assert diag == invariant_factors(m), m
+            smith_diagonal_well_formed(m, diag)
 
     with criterion("property suite: lens QR criterion vs exhaustive search, p <= 200"):
         for p in range(2, 201):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -6,22 +7,25 @@ import sympy
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import int_matrices, smith_diagonal_well_formed
-from dehn4.exact import det, invariant_factors
+from conftest import (
+    homology_diagonal,
+    int_matrices,
+    invariant_factors,
+    smith_diagonal_well_formed,
+)
+from dehn4.exact import det
 from dehn4.linking import (
     HomologyReport,
     SelfLinkingForm,
     SingularLinkingMatrix,
     ZeroClasses,
     canonical_class,
-    combined_curve,
     first_homology,
     hoste_linking,
     self_linking_form,
+    torus_presentation,
     zero_classes,
 )
-from dehn4.scenarios import standard_torus_presentation
-from dehn4.surgery import CurveSpec, SurgeryPresentation
 
 
 def test_smith_of_paper_matrix_is_identity():
@@ -63,9 +67,11 @@ def test_smith_normal_form_properties(m):
 
 def test_first_homology_examples():
     assert first_homology(((0, 1), (1, 5))).is_homology_sphere
-    assert first_homology(((5,),)) == HomologyReport(torsion_coefficients=(5,), free_rank=0)
-    assert first_homology(((0,),)) == HomologyReport(torsion_coefficients=(), free_rank=1)
-    assert str(first_homology(((0,),))) == "Z^1"
+    assert first_homology(((1, 0), (0, 5))) == HomologyReport(torsion_coefficients=(5,), free_rank=0)
+    assert first_homology(((1, 0), (0, 0))) == HomologyReport(torsion_coefficients=(), free_rank=1)
+    assert str(first_homology(((1, 0), (0, 0)))) == "Z^1"
+    assert str(first_homology(((2, 4), (4, 2)))) == "Z/2 + Z/6"
+    assert str(first_homology(((0, 0), (0, 0)))) == "Z^2"
 
 
 def test_first_homology_matches_determinant():
@@ -74,9 +80,35 @@ def test_first_homology_matches_determinant():
         assert report.is_homology_sphere == (abs(det(((0, 1), (1, n)))) == 1)
 
 
+def test_first_homology_matches_smith_oracle():
+    # every symmetric 2x2 matrix with entries in [-12, 12]
+    for p, q, r in product(range(-12, 13), repeat=3):
+        m = ((p, q), (q, r))
+        diag = homology_diagonal(first_homology(m))
+        assert diag == invariant_factors(m), m
+        smith_diagonal_well_formed(m, diag)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        (),
+        ((5,),),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 1), (1,)),
+        ((0, 1, 0), (1, 0, 0)),
+        ((0, 1), (2, 3)),
+        ((0, -1), (1, 0)),
+    ],
+)
+def test_first_homology_rejects_all_but_symmetric_2x2(m):
+    with pytest.raises(ValueError, match="symmetric 2x2"):
+        first_homology(m)
+
+
 @st.composite
 def hoste_cases(draw, max_dim=4, coeff=5):
-    """A nonsingular integer matrix and a curve with S^3 data.
+    """A nonsingular integer matrix, a linking vector and an S^3 self-linking.
 
     The matrix need not be symmetric: the bordered-determinant identity
     holds for any B.
@@ -89,101 +121,63 @@ def hoste_cases(draw, max_dim=4, coeff=5):
             tuple(x + (n * coeff + 1) * (i == j) for j, x in enumerate(row))
             for i, row in enumerate(b)
         )  # strictly diagonally dominant, hence nonsingular
-    curve = CurveSpec("c", draw(st.tuples(*[entry] * n)), draw(entry))
-    return b, curve
+    return b, draw(st.tuples(*[entry] * n)), draw(entry)
 
 
 @given(hoste_cases())
 def test_hoste_matches_sympy_inverse(case):
-    b, curve = case
-    a_row = sympy.Matrix([list(curve.component_linkings)])
-    expected = curve.pushoff_self_linking - (a_row * sympy.Matrix(b).inv() * a_row.T)[0, 0]
-    value = hoste_linking(b, curve)
+    b, a, self_lk = case
+    a_row = sympy.Matrix([list(a)])
+    expected = self_lk - (a_row * sympy.Matrix(b).inv() * a_row.T)[0, 0]
+    value = hoste_linking(b, a, self_lk)
     assert (value.numerator, value.denominator) == (expected.p, expected.q)
 
 
-PRES = standard_torus_presentation(3)
 B3 = ((0, 1), (1, 3))
 
 
 def test_hoste_alpha_self_linking_is_n():
-    for n in range(-5, 6):
-        alpha = standard_torus_presentation(n).alpha
-        assert hoste_linking(((0, 1), (1, n)), alpha) == n
+    for n in range(-50, 51):
+        assert hoste_linking(((0, 1), (1, n)), (1, 0), 0) == n
 
 
 def test_hoste_beta_self_linking_is_zero():
-    assert hoste_linking(B3, PRES.beta) == 0
+    assert hoste_linking(B3, (0, 1), 0) == 0
 
 
 def test_hoste_unlinked_curve_keeps_s3_value():
-    curve = CurveSpec("c", (0, 0), pushoff_self_linking=7)
-    assert hoste_linking(B3, curve) == 7
+    assert hoste_linking(B3, (0, 0), 7) == 7
 
 
 def test_hoste_rational_output():
-    curve = CurveSpec("c", (1, 0), pushoff_self_linking=0)
-    assert hoste_linking(((2, 0), (0, 2)), curve) == Fraction(-1, 2)
+    assert hoste_linking(((2, 0), (0, 2)), (1, 0), 0) == Fraction(-1, 2)
 
 
 def test_hoste_singular_matrix_raises():
-    curve = CurveSpec("c", (1, 1), pushoff_self_linking=0)
     with pytest.raises(SingularLinkingMatrix):
-        hoste_linking(((1, 1), (1, 1)), curve)
+        hoste_linking(((1, 1), (1, 1)), (1, 1), 0)
 
 
 def test_hoste_vector_length_mismatch_raises():
     with pytest.raises(ValueError, match="matrix size"):
-        hoste_linking(B3, CurveSpec("c", (1,)))
+        hoste_linking(B3, (1,), 0)
 
 
 def test_self_linking_form_matches_paper_for_all_n():
-    for n in range(-5, 6):
-        form = self_linking_form(((0, 1), (1, n)), standard_torus_presentation(n))
+    for n in range(-50, 51):
+        form = self_linking_form(((0, 1), (1, n)))
         assert (form.a, form.b, form.c) == (n, -1, 0)
 
 
-def test_self_linking_form_all_zero_data():
-    pres = SurgeryPresentation(
-        alpha=CurveSpec("alpha", (0, 0)), beta=CurveSpec("beta", (0, 0))
-    )
-    form = self_linking_form(((0, 1), (1, 0)), pres)
-    assert (form.a, form.b, form.c) == (0, 0, 0)
-
-
-def manual_combined_curve(pres, x, y):
-    """Composite-curve oracle assembled by hand from the raw data."""
-    alpha, beta = pres.alpha, pres.beta
-    vec = tuple(
-        x * a + y * b
-        for a, b in zip(alpha.component_linkings, beta.component_linkings)
-    )
-    self_lk = (
-        x * x * alpha.pushoff_self_linking
-        + x * y * sum(pres.cross_pushoff)
-        + y * y * beta.pushoff_self_linking
-    )
-    return CurveSpec("gamma", vec, self_lk)
-
-
 def test_self_linking_form_agrees_with_hoste_grid():
-    for n in (-5, -2, 0, 1, 3, 5):
-        pres = standard_torus_presentation(n)
-        b = ((0, 1), (1, n))
-        form = self_linking_form(b, pres)
+    for n in range(-50, 51):
+        b = torus_presentation(n)[1]
+        form = self_linking_form(b)
         for x in range(-5, 6):
             for y in range(-5, 6):
-                gamma = manual_combined_curve(pres, x, y)
-                assert hoste_linking(b, gamma) == form.evaluate(x, y)
-
-
-def test_combined_curve_matches_manual():
-    pres = standard_torus_presentation(2)
-    for x, y in ((1, 0), (0, 1), (2, -3)):
-        ours = combined_curve(pres, x, y)
-        manual = manual_combined_curve(pres, x, y)
-        assert ours.component_linkings == manual.component_linkings
-        assert ours.pushoff_self_linking == manual.pushoff_self_linking
+                # alpha = (1, 0), beta = (0, 1), pushoffs (0, 1): x*alpha + y*beta
+                # links (x, y) and has S^3 self-linking x*y
+                assert hoste_linking(b, (x, y), x * y) == form.evaluate(x, y)
 
 
 def test_zero_classes_paper_family():

@@ -420,6 +420,33 @@ def test_cli_config_rejects_non_array_flags(tmp_path, capsys):
     assert "config field 'flags' must be an array" in line
 
 
+# deep enough to exhaust the JSON decoder's recursion limit on any Python version
+_DEEP = 50_000
+
+
+def test_cli_config_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * _DEEP + "]" * _DEEP)
+    assert main(["report", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"dehn4: error: config file {path} is not valid JSON: nested too deeply"
+    ]
+
+
+@pytest.mark.parametrize("param", ["knot_j", "knot_k"])
+def test_cli_knot_json_nested_too_deeply(capsys, param):
+    spec = '{"seifert": [[' + "[" * _DEEP + "]" * _DEEP + "]]}"
+    flag = "--" + param.replace("_", "-")
+    assert main(["report", "--scenario", "torus-solid", flag, spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"dehn4: error: {param}: invalid knot JSON: nested too deeply"
+    ]
+
+
 def test_cli_config_false_flag_is_kept_false(tmp_path, capsys):
     path = tmp_path / "flags.json"
     flags = [
@@ -641,3 +668,11 @@ def test_docs_list_the_parameters_and_flags_of_each_scenario(name):
     for flag in scenario.flags:
         assert f"`{flag.name}`" in readme
         assert flag.name in usage
+
+
+def test_readme_layout_lists_every_module():
+    layout = (ROOT / "README.md").read_text().split("## Library layout")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `dehn4\.(\w+)` ", layout, re.MULTILINE)
+    modules = {p.stem for p in (ROOT / "src" / "dehn4").glob("*.py")} - {"__init__"}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == modules

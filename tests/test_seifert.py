@@ -391,3 +391,5 @@ def test_knot_from_spec_errors():
         knot_from_spec({"cable": [2, 3]})
     with pytest.raises(ValueError, match="invalid knot JSON"):
         knot_from_spec("{broken")
+    with pytest.raises(ValueError, match="invalid knot JSON: nested too deeply"):
+        knot_from_spec('{"torus": ' + "[" * 50_000 + "]" * 50_000 + "}")
