@@ -2,14 +2,14 @@
 solid tori in the boundaries of 4-manifolds.
 
 Modules by topic:
-  exact       sparse fraction-free Bareiss determinant and signature,
-              integer matrix helpers
+  exact       sparse fraction-free Bareiss determinant and signature
+              on sparse rows, dense-to-sparse conversion, shape tests
   laurent     integer Laurent polynomials (Alexander polynomials)
   linking     the torus presentation (trace text and linking matrix),
               homology from determinantal divisors, Hoste self-linking,
               self-linking forms and their zero classes
-  seifert     Seifert matrices, Alexander polynomials, signatures,
-              Fox-Milnor, sliceness verdicts
+  seifert     Seifert matrices as checked sparse rows, Alexander
+              polynomials, signatures, Fox-Milnor, sliceness verdicts
   forms       even form classes a*E8 + b*H, splitting enumeration under
               Rokhlin constraints, lens-space QR test
   legendrian  tb/rot from front counts, Stein condition, slice-Bennequin

@@ -34,7 +34,6 @@ defaults.  DEHN4_CONFIG_DIR is the search path for relative --config paths.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -48,7 +47,7 @@ from .scenarios import (
     build_scenario,
     run_scenario,
 )
-from .seifert import is_single_line
+from .seifert import is_single_line, parse_json
 
 # each config field with the JSON types it may have (bool is not an int here)
 _CONFIG_FIELDS = {
@@ -86,13 +85,13 @@ def _load_config(path: str) -> dict:
         if search_dir and not candidate.exists():
             candidate = Path(search_dir) / path
     try:
-        data = json.loads(candidate.read_text("utf-8"))
+        text = candidate.read_text("utf-8")
     except FileNotFoundError:
         raise ScenarioError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    try:
+        data = parse_json(text)
+    except ValueError as exc:
         raise ScenarioError(f"config file {path} is not valid JSON: {exc}")
-    except RecursionError:
-        raise ScenarioError(f"config file {path} is not valid JSON: nested too deeply")
     if not isinstance(data, dict):
         raise ScenarioError("config file must hold a JSON object")
     unknown = set(data) - _CONFIG_FIELDS.keys()

@@ -3,37 +3,34 @@
 `det` for determinants and `signature_symmetric` for signatures are
 fraction-free Bareiss elimination on arbitrary-precision integers, each
 division exact (Sylvester's identity: after step k every live entry is a
-(k+1)-minor).  Rows are sparse, dicts of their nonzero entries, and their
-scaling is lazy: a row with a zero in the pivot column would only be
-multiplied by pivot/prev, and those factors telescope, so it is left as
-it is and keeps the pivot its values belong to.  The work is
-O(sum of fill^2) over the steps, not O(n^3).  The rest are helpers:
-`freeze` (the integer check), `transpose`, the shape tests and
-`block_diagonal`.  There is no rational solve and no floating point
-anywhere.  Matrices are plain tuples of tuples (immutable) or lists of
-lists (scratch space).
+(k+1)-minor).  Both take one input form, sparse rows: a sequence of n
+mappings {column: entry}, one per row, with every column in range(n).  A
+stored zero is allowed; the kernels copy the rows without their zeros and
+never change the caller's.  A row that is not a mapping (no `items`) is
+a TypeError (`k in row` would test a dense row's values, not its columns),
+a column outside range(n) a ValueError.  `sparse_rows` turns a dense
+square matrix into this form.  Row scaling is lazy: a row with a zero in
+the pivot column would only be multiplied by pivot/prev, and those
+factors telescope, so it is left as it is and keeps the pivot its values
+belong to.  The work is O(sum of fill^2) over the steps, not O(n^3).
+`is_square` and `is_symmetric` are the shape tests of dense matrices
+(tuples of tuples or lists of lists).  There is no rational solve and no
+floating point anywhere.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
+SparseRows = Sequence[Mapping[int, int]]
 
 
-def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Immutable copy; an entry that is not an int (bool, float, str) is a ValueError."""
-    frozen = tuple(tuple(row) for row in rows)
-    for i, row in enumerate(frozen):
-        for j, x in enumerate(row):
-            if type(x) is not int:
-                raise ValueError(f"matrix entry [{i}][{j}] must be an integer, got {x!r}")
-    return frozen
-
-
-def transpose(m: Sequence[Sequence[int]]) -> IntMatrix:
-    if not m:
-        return ()
-    return tuple(tuple(row[i] for row in m) for i in range(len(m[0])))
+def sparse_rows(m: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """The sparse rows of a dense square matrix; a non-square one is a ValueError."""
+    if not is_square(m):
+        raise ValueError("non-square matrix")
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 def is_square(m: Sequence[Sequence[int]]) -> bool:
@@ -44,19 +41,39 @@ def is_symmetric(m: Sequence[Sequence[int]]) -> bool:
     return is_square(m) and all(tuple(row) == col for row, col in zip(m, zip(*m)))
 
 
-def det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (sparse fraction-free Bareiss).
+def _copy(m: SparseRows) -> list[dict[int, int]]:
+    """Fresh rows without zeros; refuses a row that is not a mapping and
+    a column outside range(len(m))."""
+    n = len(m)
+    rows = []
+    for i, row in enumerate(m):
+        try:
+            r = dict(row.items())
+        except AttributeError:
+            raise TypeError(
+                f"row {i} must be a mapping {{column: entry}}, got {type(row).__name__}"
+            ) from None
+        if 0 in r.values():
+            r = {j: x for j, x in r.items() if x}
+        rows.append(r)
+    cols = set().union(*rows)
+    if cols and (min(cols) < 0 or max(cols) >= n):
+        raise ValueError(f"a column outside 0..{n - 1}: non-square matrix")
+    return rows
+
+
+def det(m: SparseRows) -> int:
+    """Determinant of a square integer matrix given by sparse rows (sparse
+    fraction-free Bareiss).
 
     Step k takes the first live row with a nonzero in column k as the
     pivot row, swapping it into place; the sign counts the swaps, and
     the last pivot is the determinant of the row-permuted matrix.
     """
     n = len(m)
+    rows = _copy(m)
     if n == 0:
         return 1
-    if not is_square(m):
-        raise ValueError("determinant of a non-square matrix")
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     scale = [1] * n
     sign = 1
     prev = 1
@@ -74,22 +91,26 @@ def det(m: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
-def signature_symmetric(m: Sequence[Sequence[int]]) -> int:
-    """Signature of a symmetric integer matrix by symmetric sparse Bareiss.
+def signature_symmetric(m: SparseRows) -> int:
+    """Signature of a symmetric integer matrix given by sparse rows, by
+    symmetric sparse Bareiss.
 
-    Symmetric swaps and row/column additions are congruences over Z, and
-    each pivot is a leading principal minor of the congruent matrix, so
-    pivot/prev is the k-th diagonal entry of a congruence diagonalization
-    over Q.  The result is (#positive) - (#negative) of those entries,
-    counted from the signs of pivot and prev; every division is exact.
-    A stored row differs from the current one by a positive or negative
-    rational factor, so its zero pattern is that of the symmetric current
-    matrix: the support of the pivot row lists the rows to update.
+    Symmetry is checked on the nonzeros, in O(nnz).  Symmetric swaps and
+    row/column additions are congruences over Z, and each pivot is a
+    leading principal minor of the congruent matrix, so pivot/prev is the
+    k-th diagonal entry of a congruence diagonalization over Q.  The
+    result is (#positive) - (#negative) of those entries, counted from
+    the signs of pivot and prev; every division is exact.  A stored row
+    differs from the current one by a positive or negative rational
+    factor, so its zero pattern is that of the symmetric current matrix:
+    the support of the pivot row lists the rows to update.
     """
     n = len(m)
-    if not is_symmetric(m):
-        raise ValueError("signature of a non-symmetric matrix")
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    rows = _copy(m)
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            if rows[j].get(i) != x:
+                raise ValueError("signature of a non-symmetric matrix")
     scale = [1] * n
     order = list(range(n))
     sig = 0
@@ -162,15 +183,3 @@ def _add_row(rows, scale, k, off, prev) -> None:
             r[k] = x
         else:
             del r[k]  # x == 0 needs r[k] == -r[off] != 0
-
-
-def block_diagonal(*blocks: Sequence[Sequence[int]]) -> IntMatrix:
-    size = sum(len(b) for b in blocks)
-    out = [[0] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[offset + i][offset + j] = x
-        offset += len(b)
-    return freeze(out)

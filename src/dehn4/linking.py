@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
-from .exact import IntMatrix, det, is_symmetric
+from .exact import IntMatrix, det, is_symmetric, sparse_rows
 
 
 def torus_presentation(n: int) -> tuple[str, IntMatrix]:
@@ -88,14 +88,14 @@ def hoste_linking(b: Sequence[Sequence[int]], a: Sequence[int], self_lk: int) ->
     """
     if len(a) != len(b):
         raise ValueError("curve linking vector does not match the matrix size")
-    det_b = det(b)
+    det_b = det(sparse_rows(b))
     if det_b == 0:
         raise SingularLinkingMatrix(
             "linking matrix is singular; surgery linking numbers are undefined"
         )
     bordered = [list(row) + [y] for row, y in zip(b, a)]
     bordered.append(list(a) + [0])
-    return self_lk + Fraction(det(bordered), det_b)
+    return self_lk + Fraction(det(sparse_rows(bordered)), det_b)
 
 
 @dataclass(frozen=True)

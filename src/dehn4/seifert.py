@@ -8,6 +8,15 @@ provides constructors for a small table of knots, the usual algebra
 chain: signature, Alexander polynomial, Fox-Milnor factorization test,
 and a three-valued sliceness verdict.
 
+`SeifertMatrix` keeps V as immutable sparse rows, the input form of the
+`exact` kernels.  Its constructor runs every check on every matrix, the
+derived ones too: each entry an int, the matrix square, its size even,
+and det(V - V^T) = 1, taken by `det` from sparse rows.  The builders
+write sparse rows directly, in O(nonzeros); the signature passes the
+kernel the sparse rows of V + V^T and the Alexander polynomial those of
+V - t*V^T.  Only `SeifertMatrix.entries`, a view for reports and tests,
+is dense.
+
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
   * signatures of positive torus knots are negative.
@@ -16,42 +25,89 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, isqrt
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .exact import IntMatrix, block_diagonal, det, freeze, signature_symmetric, transpose
+from .exact import IntMatrix, SparseRows, det, signature_symmetric
 from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
     import sympy
 
 
-@dataclass(frozen=True)
 class SeifertMatrix:
-    """Integer Seifert matrix of even size 2g with det(V - V^T) = 1."""
+    """Integer Seifert matrix V of even size 2g with det(V - V^T) = 1.
 
-    entries: IntMatrix
+    V is kept as immutable sparse rows: `rows[i]` is a read-only mapping
+    {j: V[i][j]} of the nonzeros of row i, the form the kernels take.
+    `SeifertMatrix(entries)` takes dense rows and `SeifertMatrix.from_rows`
+    sparse ones.  Both check every matrix, derived ones included, in this
+    order: every entry is an int (an error names [i][j]), the matrix is
+    square, its size is even, and det(V - V^T) = 1.  `entries` is a dense
+    view, a new tuple of tuples on each access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", freeze(self.entries))
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+    __slots__ = ("rows",)
+
+    def __init__(self, entries: Iterable[Iterable[int]]):
+        dense = [dict(enumerate(row)) for row in entries]
+        _check_ints(dense)
+        if any(len(row) != len(dense) for row in dense):
             raise ValueError("Seifert matrix must be square")
+        self._store(_without_zeros(dense))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Mapping[int, int]]) -> SeifertMatrix:
+        """From sparse rows {column: entry}, one per row; zeros may be stored."""
+        sparse = [dict(row) for row in rows]
+        _check_ints(sparse)
+        sparse = _without_zeros(sparse)
+        cols = set().union(*sparse)
+        if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= len(sparse)):
+            raise ValueError("Seifert matrix must be square")
+        v = cls.__new__(cls)
+        v._store(sparse)
+        return v
+
+    def _store(self, rows: list[dict[int, int]]) -> None:
+        n = len(rows)
         if n % 2 != 0:
             raise ValueError(f"Seifert matrix must have even size, got {n}")
-        skew = [
-            [self.entries[i][j] - self.entries[j][i] for j in range(n)]
-            for i in range(n)
-        ]
-        if det(skew) != 1:
+        if det(_plus_transpose(rows, -1)) != 1:
             raise ValueError("det(V - V^T) must equal 1")
+        object.__setattr__(self, "rows", tuple(MappingProxyType(row) for row in rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeifertMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SeifertMatrix is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SeifertMatrix):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash(tuple(frozenset(row.items()) for row in self.rows))
+
+    def __repr__(self) -> str:
+        return f"SeifertMatrix(entries={self.entries!r})"
+
+    @property
+    def entries(self) -> IntMatrix:
+        n = len(self.rows)
+        return tuple(tuple(row.get(j, 0) for j in range(n)) for row in self.rows)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @property
     def genus(self) -> int:
@@ -59,6 +115,42 @@ class SeifertMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
+
+
+def _check_ints(rows: list[dict[int, int]]) -> None:
+    """An entry that is not an int (bool, float, str) is a ValueError naming [i][j]."""
+    if set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
+        return
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if type(x) is not int:  # bool is an int subclass
+                raise ValueError(f"matrix entry [{i}][{j}] must be an integer, got {x!r}")
+
+
+def _without_zeros(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    return [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
+
+
+def _transpose(rows: SparseRows, s: int = 1) -> list[dict[int, int]]:
+    """Sparse rows of s * V^T."""
+    out: list[dict[int, int]] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = s * x
+    return out
+
+
+def _plus_transpose(rows: SparseRows, s: int) -> list[dict[int, int]]:
+    """Sparse rows of V + s * V^T, in O(nnz)."""
+    out = [dict(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            y = out[j].get(i, 0) + s * x
+            if y:
+                out[j][i] = y
+            else:
+                out[j].pop(i, None)
+    return out
 
 
 def unknot() -> SeifertMatrix:
@@ -93,7 +185,7 @@ def torus_knot_seifert(p: int, q: int) -> SeifertMatrix:
 def _positive_torus_bricks(p: int, q: int) -> SeifertMatrix:
     rows = q - 1
     n = (p - 1) * rows
-    v = [[0] * n for _ in range(n)]
+    v: list[dict[int, int]] = [{} for _ in range(n)]
 
     def idx(i, j):
         return i * rows + j
@@ -108,7 +200,7 @@ def _positive_torus_bricks(p: int, q: int) -> SeifertMatrix:
                 v[idx(i + 1, j)][x] = 1
                 if j - 1 >= 0:
                     v[idx(i + 1, j - 1)][x] = -1
-    return SeifertMatrix(v)
+    return SeifertMatrix.from_rows(v)
 
 
 def twist_knot_seifert(m: int) -> SeifertMatrix:
@@ -134,22 +226,24 @@ def whitehead_double_seifert(clasp: str) -> SeifertMatrix:
 
 def mirror(v: SeifertMatrix) -> SeifertMatrix:
     """Mirror image: -V^T."""
-    t = transpose(v.entries)
-    return SeifertMatrix(tuple(tuple(-x for x in row) for row in t))
+    return SeifertMatrix.from_rows(_transpose(v.rows, -1))
 
 
 def reverse(v: SeifertMatrix) -> SeifertMatrix:
     """Orientation reverse: V^T."""
-    return SeifertMatrix(transpose(v.entries))
+    return SeifertMatrix.from_rows(_transpose(v.rows))
 
 
 def concordance_inverse(v: SeifertMatrix) -> SeifertMatrix:
     """Reversed mirror -V, the inverse in algebraic concordance."""
-    return SeifertMatrix(tuple(tuple(-x for x in row) for row in v.entries))
+    return SeifertMatrix.from_rows({j: -x for j, x in row.items()} for row in v.rows)
 
 
 def connected_sum(v: SeifertMatrix, w: SeifertMatrix) -> SeifertMatrix:
-    return SeifertMatrix(block_diagonal(v.entries, w.entries))
+    """V and W as the two diagonal blocks."""
+    n = v.size
+    shifted = ({j + n: x for j, x in row.items()} for row in w.rows)
+    return SeifertMatrix.from_rows([*v.rows, *shifted])
 
 
 def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
@@ -165,25 +259,25 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
     """
     if n == 0:
         raise ValueError("parallel cable requires n != 0")
-    base = v.entries if n > 0 else transpose(v.entries)
+    base = v.rows if n > 0 else _transpose(v.rows)
+    base_t = _transpose(base)
     k = abs(n)
     g2 = len(base)
-    base_t = transpose(base)
-    out = [[0] * (g2 * k) for _ in range(g2 * k)]
+    out = []
     for bi in range(k):
-        for bj in range(k):
-            blk = base if bi <= bj else base_t
-            for i in range(g2):
-                for j in range(g2):
-                    out[bi * g2 + i][bj * g2 + j] = blk[i][j]
-    return SeifertMatrix(out)
+        for i in range(g2):
+            row = {}
+            for bj in range(k):
+                blk = base if bi <= bj else base_t
+                for j, x in blk[i].items():
+                    row[bj * g2 + j] = x
+            out.append(row)
+    return SeifertMatrix.from_rows(out)
 
 
 def signature(v: SeifertMatrix) -> int:
     """Signature of V + V^T, by exact congruence diagonalization."""
-    n = v.size
-    sym = [[v.entries[i][j] + v.entries[j][i] for j in range(n)] for i in range(n)]
-    return signature_symmetric(sym)
+    return signature_symmetric(_plus_transpose(v.rows, 1))
 
 
 def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
@@ -202,11 +296,10 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
 
     The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
     """
-    n, e = v.size, v.entries
-    m = n // 2
+    m = v.size // 2
 
     def f(t: int) -> int:
-        return det([[e[i][j] - t * e[j][i] for j in range(n)] for i in range(n)])
+        return det(_plus_transpose(v.rows, -t))
 
     top = f(0)
     nodes = [2 + k // 2 if k % 2 == 0 else -1 - k // 2 for k in range(m)]
@@ -439,6 +532,22 @@ def is_single_line(text: str) -> bool:
     return re.search("[\x00-\x1f\x7f-\x9f\u2028\u2029]", text) is None  # Cc, Zl, Zp
 
 
+def parse_json(text: str):
+    """json.loads, with each way it refuses a text as one ValueError whose
+    message says why: the decoder's own, "nested too deeply", or the
+    integer digit limit of int(str) (sys.set_int_max_str_digits)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(str(exc)) from None
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    except ValueError:  # the only other ValueError of json.loads on a str
+        limit = getattr(sys, "get_int_max_str_digits", None)  # Python >= 3.10.7
+        bound = f"the limit of {limit()} digits" if limit else "the digit limit"
+        raise ValueError(f"an integer exceeds {bound}") from None
+
+
 def _spec_error(field: str, expected: str, value) -> ValueError:
     return ValueError(
         f"knot spec field {field!r} must be {expected}, got {json.dumps(value, default=repr)}"
@@ -473,10 +582,12 @@ def knot_from_spec(spec) -> Knot:
         stripped = spec.strip()
         if stripped.startswith("{"):
             try:
-                return knot_from_spec(json.loads(stripped))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid knot JSON: {exc}") from exc
-            except RecursionError:
+                data = parse_json(stripped)
+            except ValueError as exc:
+                raise ValueError(f"invalid knot JSON: {exc}") from None
+            try:
+                return knot_from_spec(data)
+            except RecursionError:  # json.dumps of a value the decoder just managed
                 raise ValueError("invalid knot JSON: nested too deeply") from None
         if stripped in _NAMED_KNOTS:
             return Knot(stripped, _NAMED_KNOTS[stripped]())

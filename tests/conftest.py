@@ -4,7 +4,6 @@ from math import gcd
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from dehn4.exact import freeze
 from dehn4.laurent import LaurentPoly
 from dehn4.seifert import SeifertMatrix
 
@@ -28,7 +27,99 @@ def build_seifert(g, lower, skew=None):
         for j in range(i + 1, n):
             jij = 1 if (j == i + 1 and i % 2 == 0) else 0
             m[i][j] = m[j][i] + jij
-    return SeifertMatrix(freeze(m))
+    return SeifertMatrix(m)
+
+
+def freeze(rows):
+    """Immutable copy; an entry that is not an int (bool, float, str) is a ValueError."""
+    frozen = tuple(tuple(row) for row in rows)
+    for i, row in enumerate(frozen):
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise ValueError(f"matrix entry [{i}][{j}] must be an integer, got {x!r}")
+    return frozen
+
+
+def transpose(m):
+    if not m:
+        return ()
+    return tuple(tuple(row[i] for row in m) for i in range(len(m[0])))
+
+
+def block_diagonal(*blocks):
+    size = sum(len(b) for b in blocks)
+    out = [[0] * size for _ in range(size)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                out[offset + i][offset + j] = x
+        offset += len(b)
+    return freeze(out)
+
+
+# Dense oracles for the sparse Seifert builders: each takes and returns
+# tuples of tuples, as the builders did before they worked on sparse rows.
+
+
+def dense_torus_bricks(p, q):
+    """The fence-basis matrix of the positive torus knot T(p, q), p < q."""
+    rows = q - 1
+    n = (p - 1) * rows
+    v = [[0] * n for _ in range(n)]
+
+    def idx(i, j):
+        return i * rows + j
+
+    for i in range(p - 1):
+        for j in range(rows):
+            x = idx(i, j)
+            v[x][x] = -1
+            if j + 1 < rows:
+                v[x][idx(i, j + 1)] = 1
+            if i + 1 < p - 1:
+                v[idx(i + 1, j)][x] = 1
+                if j - 1 >= 0:
+                    v[idx(i + 1, j - 1)][x] = -1
+    return freeze(v)
+
+
+def dense_mirror(e):
+    return tuple(tuple(-x for x in row) for row in transpose(e))
+
+
+def dense_reverse(e):
+    return transpose(e)
+
+
+def dense_concordance_inverse(e):
+    return tuple(tuple(-x for x in row) for row in e)
+
+
+def dense_connected_sum(e, f):
+    return block_diagonal(e, f)
+
+
+def dense_parallel_cable(e, n):
+    base = e if n > 0 else transpose(e)
+    k = abs(n)
+    g2 = len(base)
+    base_t = transpose(base)
+    out = [[0] * (g2 * k) for _ in range(g2 * k)]
+    for bi in range(k):
+        for bj in range(k):
+            blk = base if bi <= bj else base_t
+            for i in range(g2):
+                for j in range(g2):
+                    out[bi * g2 + i][bj * g2 + j] = blk[i][j]
+    return freeze(out)
+
+
+def skew_det(v):
+    """det(V - V^T) by the dense oracle, independent of `exact.det`."""
+    e = v.entries
+    n = len(e)
+    return dense_det([[e[i][j] - e[j][i] for j in range(n)] for i in range(n)])
 
 
 @st.composite

@@ -6,30 +6,75 @@ import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import dense_det, dense_signature_symmetric, int_matrices, structured_matrices
-from dehn4.exact import (
+from conftest import (
     block_diagonal,
-    det,
-    is_symmetric,
-    signature_symmetric,
+    dense_det,
+    dense_signature_symmetric,
+    int_matrices,
+    structured_matrices,
     transpose,
 )
+from dehn4.exact import det, is_symmetric, signature_symmetric, sparse_rows
 from dehn4.seifert import torus_knot_seifert
 
 
+def sdet(m):
+    return det(sparse_rows(m))
+
+
+def ssig(m):
+    return signature_symmetric(sparse_rows(m))
+
+
 def test_det_basics():
-    assert det(()) == 1
-    assert det(((5,),)) == 5
-    assert det(((0, 1), (1, 3))) == -1
-    assert det(((2, 0, 0), (0, 3, 0), (0, 0, 4))) == 24
-    assert det(((1, 2), (2, 4))) == 0
+    assert sdet(()) == 1
+    assert sdet(((5,),)) == 5
+    assert sdet(((0, 1), (1, 3))) == -1
+    assert sdet(((2, 0, 0), (0, 3, 0), (0, 0, 4))) == 24
+    assert sdet(((1, 2), (2, 4))) == 0
     with pytest.raises(ValueError, match="non-square"):
-        det(((1, 2, 3), (4, 5, 6)))
+        sdet(((1, 2, 3), (4, 5, 6)))
+    with pytest.raises(ValueError, match="non-square"):
+        det([{0: 1, 2: 1}, {1: 1}])
+    with pytest.raises(ValueError, match="non-square"):
+        signature_symmetric([{-1: 1}])
 
 
 def test_det_needs_row_swap():
-    assert det(((0, 1), (1, 0))) == -1
-    assert det(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
+    assert sdet(((0, 1), (1, 0))) == -1
+    assert sdet(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
+
+
+@pytest.mark.parametrize(
+    "m", [((1, 2), (3, 4)), [[0, 1], [1, 0]], ((2,),), [(0, 0), {0: 1, 1: 1}]]
+)
+def test_kernels_refuse_dense_rows(m):
+    # k in a dense row would test its values, not its columns
+    with pytest.raises(TypeError, match="must be a mapping"):
+        det(m)
+    with pytest.raises(TypeError, match="must be a mapping"):
+        signature_symmetric(m)
+
+
+def test_kernels_drop_stored_zeros():
+    assert det([{0: 0, 1: 1}, {0: 1, 1: 0}]) == -1
+    assert det([{0: 0}]) == 0
+    assert signature_symmetric([{0: 2, 1: 0}, {0: 0, 1: -3}]) == 0
+    assert signature_symmetric([{0: 0, 1: 1}, {1: 0, 0: 1}]) == 0
+
+
+@settings(max_examples=200)
+@given(structured_matrices(symmetric=True))
+def test_kernels_leave_the_callers_rows_unchanged(m):
+    rows = sparse_rows(m)
+    if rows:
+        rows[0].setdefault(len(rows) - 1, 0)  # a stored zero takes the copy's other path
+    before = [dict(r) for r in rows]
+    ids = [id(r) for r in rows]
+    det(rows)
+    signature_symmetric(rows)
+    assert rows == before
+    assert [id(r) for r in rows] == ids
 
 
 @given(int_matrices(max_dim=4, coeff=6))
@@ -52,19 +97,19 @@ def test_det_matches_fraction_elimination(m):
         for r in range(col + 1, n):
             f = a[r][col] / a[col][col]
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert det(m) == sign * value
+    assert sdet(m) == sign * value
 
 
 @settings(max_examples=400)
 @given(structured_matrices())
 def test_det_matches_dense_oracle(m):
-    assert det(m) == dense_det(m)
+    assert sdet(m) == dense_det(m)
 
 
 @settings(max_examples=400)
 @given(structured_matrices(symmetric=True))
 def test_signature_matches_dense_oracle(m):
-    assert signature_symmetric(m) == dense_signature_symmetric(m)
+    assert ssig(m) == dense_signature_symmetric(m)
 
 
 @pytest.mark.parametrize(
@@ -77,24 +122,28 @@ def test_kernel_matches_dense_oracle_on_torus_knots(p, q):
     n = len(v)
     for t in (-3, 1, 2):
         m = [[v[i][j] - t * v[j][i] for j in range(n)] for i in range(n)]
-        assert det(m) == dense_det(m)
+        assert sdet(m) == dense_det(m)
     sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]
-    assert signature_symmetric(sym) == dense_signature_symmetric(sym)
+    assert ssig(sym) == dense_signature_symmetric(sym)
 
 
 def test_signature_symmetric():
-    assert signature_symmetric(()) == 0
-    assert signature_symmetric(((2,),)) == 1
-    assert signature_symmetric(((0, 1), (1, 0))) == 0
-    assert signature_symmetric(((0, 1, 0), (1, 0, 0), (0, 0, -3))) == -1
-    assert signature_symmetric(((0, 0), (0, 0))) == 0
+    assert ssig(()) == 0
+    assert ssig(((2,),)) == 1
+    assert ssig(((0, 1), (1, 0))) == 0
+    assert ssig(((0, 1, 0), (1, 0, 0), (0, 0, -3))) == -1
+    assert ssig(((0, 0), (0, 0))) == 0
     with pytest.raises(ValueError, match="symmetric"):
-        signature_symmetric(((0, 1), (2, 0)))
+        ssig(((0, 1), (2, 0)))
+    with pytest.raises(ValueError, match="symmetric"):
+        ssig(((0, 1), (0, 0)))
+    with pytest.raises(ValueError, match="symmetric"):
+        signature_symmetric([{1: 1}, {0: 1, 1: 0}, {2: 1, 1: 1}])
 
 
 def test_signature_degenerate_block():
     # rank-1 positive plus a null direction
-    assert signature_symmetric(((1, 1), (1, 1))) == 1
+    assert ssig(((1, 1), (1, 1))) == 1
 
 
 @st.composite
@@ -141,7 +190,7 @@ def test_signature_matches_descartes_count(m):
     deg = len(coeffs) - 1
     positive = sign_changes(coeffs)
     negative = sign_changes([c * (-1) ** (deg - k) for k, c in enumerate(coeffs)])
-    assert signature_symmetric(m) == positive - negative
+    assert ssig(m) == positive - negative
 
 
 def test_matrix_helpers():
@@ -161,4 +210,4 @@ def test_block_diagonal_det_multiplicative(m):
     if len(m) != len(m[0]):
         return
     other = ((2, 1), (1, 1))
-    assert det(block_diagonal(m, other)) == det(m) * det(other)
+    assert sdet(block_diagonal(m, other)) == sdet(m) * sdet(other)

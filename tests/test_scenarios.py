@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -444,6 +445,52 @@ def test_cli_knot_json_nested_too_deeply(capsys, param):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"dehn4: error: {param}: invalid knot JSON: nested too deeply"
+    ]
+
+
+@pytest.fixture
+def digit_limit():
+    """The int(str) digit limit, pinned to its default of 4300 for the test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no integer digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_cli_config_integer_over_the_digit_limit(tmp_path, capsys, digit_limit):
+    path = tmp_path / "big.json"
+    path.write_text('{"scenario": "sphere-lens", "p": 1' + "0" * digit_limit + "}")
+    assert main(["report", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"dehn4: error: config file {path} is not valid JSON: "
+        f"an integer exceeds the limit of {digit_limit} digits"
+    ]
+
+
+@pytest.mark.parametrize("param", ["knot_j", "knot_k"])
+def test_cli_knot_json_integer_over_the_digit_limit(capsys, digit_limit, param):
+    spec = '{"twist": 1' + "0" * digit_limit + "}"
+    flag = "--" + param.replace("_", "-")
+    assert main(["report", "--scenario", "torus-solid", flag, spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"dehn4: error: {param}: invalid knot JSON: "
+        f"an integer exceeds the limit of {digit_limit} digits"
+    ]
+
+
+def test_cli_digit_limit_message_without_the_getter(capsys, digit_limit, monkeypatch):
+    # early 3.10 releases enforce no limit and lack sys.get_int_max_str_digits
+    spec = '{"twist": 1' + "0" * digit_limit + "}"
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert main(["report", "--scenario", "torus-solid", "--knot-j", spec]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "dehn4: error: knot_j: invalid knot JSON: an integer exceeds the digit limit"
     ]
 
 

@@ -4,8 +4,20 @@ from math import gcd
 import pytest
 import sympy
 from hypothesis import given
+import hypothesis.strategies as st
 
-from conftest import newton_alexander, seifert_matrices
+from conftest import (
+    dense_concordance_inverse,
+    dense_connected_sum,
+    dense_det,
+    dense_mirror,
+    dense_parallel_cable,
+    dense_reverse,
+    dense_torus_bricks,
+    newton_alexander,
+    seifert_matrices,
+    skew_det,
+)
 from dehn4.exact import det
 from dehn4 import seifert
 from dehn4.laurent import LaurentPoly
@@ -42,13 +54,6 @@ def torus_alexander_oracle(p, q):
     return LaurentPoly(
         {m[0]: int(c) for m, c in quotient.terms()}
     ).normalized()
-
-
-def skew_det(v: SeifertMatrix) -> int:
-    n = v.size
-    return det(
-        [[v.entries[i][j] - v.entries[j][i] for j in range(n)] for i in range(n)]
-    )
 
 
 def test_trefoil_matrix_and_signature():
@@ -180,6 +185,93 @@ def test_seifert_matrix_validation():
         SeifertMatrix(((0, 0), (0, 0)))
     with pytest.raises(ValueError, match="square"):
         SeifertMatrix(((1, 2, 3), (0, 1, 2)))
+
+
+TORUS_PAIRS = [(p, q) for p in range(2, 10) for q in range(p + 1, 11) if gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("p,q", TORUS_PAIRS)
+def test_torus_bricks_match_dense_oracle(p, q):
+    bricks = dense_torus_bricks(p, q)
+    assert torus_knot_seifert(p, q).entries == bricks
+    assert torus_knot_seifert(-q, p).entries == dense_mirror(bricks)
+
+
+def assert_builders_match_dense_oracles(v, w):
+    e = v.entries
+    assert mirror(v).entries == dense_mirror(e)
+    assert reverse(v).entries == dense_reverse(e)
+    assert concordance_inverse(v).entries == dense_concordance_inverse(e)
+    assert connected_sum(v, w).entries == dense_connected_sum(e, w.entries)
+    assert connected_sum(w, v).entries == dense_connected_sum(w.entries, e)
+    for n in (-3, -2, -1, 1, 2, 3):
+        assert parallel_cable(v, n).entries == dense_parallel_cable(e, n)
+
+
+@given(
+    st.one_of(
+        seifert_matrices(),
+        st.sampled_from(TORUS_PAIRS).map(lambda pq: torus_knot_seifert(*pq)),
+    ),
+    seifert_matrices(max_genus=2),
+)
+def test_sparse_builders_match_dense_oracles(v, w):
+    assert_builders_match_dense_oracles(v, w)
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (5, 7), (9, 10)])
+def test_sparse_builders_match_dense_oracles_on_torus_knots(p, q):
+    # T(9, 10) is 72 x 72, and its +-3 cables 216 x 216
+    assert_builders_match_dense_oracles(torus_knot_seifert(p, q), FIG8)
+
+
+def test_seifert_matrix_value_semantics():
+    v = SeifertMatrix(((-1, 1), (0, -1)))
+    assert v == TREFOIL and hash(v) == hash(TREFOIL)
+    assert v == SeifertMatrix.from_rows([{0: -1, 1: 1}, {0: 0, 1: -1}])  # a stored zero is dropped
+    assert v != mirror(TREFOIL) and v != TREFOIL.entries
+    assert len({v, TREFOIL, mirror(TREFOIL)}) == 2
+    assert repr(v) == "SeifertMatrix(entries=((-1, 1), (0, -1)))"
+    with pytest.raises(TypeError):
+        v.rows[0][0] = 5
+    with pytest.raises(AttributeError):
+        v.rows = ()
+    assert v.entries == ((-1, 1), (0, -1))
+
+
+def test_seifert_matrix_from_rows_checks():
+    with pytest.raises(ValueError, match=r"entry \[1\]\[0\] must be an integer"):
+        SeifertMatrix.from_rows([{0: -1, 1: 1}, {0: 0.0, 1: -1}])
+    with pytest.raises(ValueError, match="square"):
+        SeifertMatrix.from_rows([{0: -1, 2: 1}, {1: -1}])
+    with pytest.raises(ValueError, match="square"):
+        SeifertMatrix.from_rows([{0: -1, -1: 1}, {1: -1}])
+    with pytest.raises(ValueError, match="even"):
+        SeifertMatrix.from_rows([{0: 1}])
+    with pytest.raises(ValueError, match="det"):
+        SeifertMatrix.from_rows([{}, {}])
+
+
+def test_every_builder_checks_unimodularity(monkeypatch):
+    # the det(V - V^T) step fails for every matrix built once it is patched,
+    # so each builder, derived matrices included, must reach it
+    v = TREFOIL
+    monkeypatch.setattr(seifert, "det", lambda m: 0)
+    builds = [
+        lambda: torus_knot_seifert(2, 3),
+        lambda: torus_knot_seifert(-2, 3),
+        lambda: mirror(v),
+        lambda: reverse(v),
+        lambda: concordance_inverse(v),
+        lambda: connected_sum(v, v),
+        lambda: parallel_cable(v, 1),
+        lambda: parallel_cable(v, -2),
+        lambda: SeifertMatrix(v.entries),
+        lambda: SeifertMatrix.from_rows(v.rows),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match=r"det\(V - V\^T\) must equal 1"):
+            build()
 
 
 def test_mirror_reverse_connected_sum_shapes():
@@ -335,7 +427,7 @@ def test_alexander_matches_newton_oracle(v):
     ],
 )
 def test_alexander_with_singular_seifert_matrix(v):
-    assert det(v.entries) == 0  # the top coefficient c_m = det V vanishes
+    assert dense_det(v.entries) == 0  # the top coefficient c_m = det V vanishes
     assert alexander_polynomial(v) == newton_alexander(v)
 
 
@@ -393,3 +485,11 @@ def test_knot_from_spec_errors():
         knot_from_spec("{broken")
     with pytest.raises(ValueError, match="invalid knot JSON: nested too deeply"):
         knot_from_spec('{"torus": ' + "[" * 50_000 + "]" * 50_000 + "}")
+
+
+def test_knot_from_spec_nesting_near_the_recursion_limit():
+    # the decoder accepts a little less depth than it takes to print the
+    # value back in an error message; every depth gives a ValueError
+    for depth in range(700, 1100):
+        with pytest.raises(ValueError, match="knot JSON: nested too deeply|must be an integer"):
+            knot_from_spec('{"seifert": [[' + "[" * depth + "]" * depth + "]]}")
