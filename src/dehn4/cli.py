@@ -88,6 +88,10 @@ def _load_config(path: str) -> dict:
         text = candidate.read_text("utf-8")
     except FileNotFoundError:
         raise ScenarioError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, no permission, an I/O error
+        raise ScenarioError(f"config file {path} cannot be read: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ScenarioError(f"config file {path} is not UTF-8 text")
     try:
         data = parse_json(text)
     except ValueError as exc:

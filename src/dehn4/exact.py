@@ -8,18 +8,20 @@ mappings {column: entry}, one per row, with every column in range(n).  A
 stored zero is allowed; the kernels copy the rows without their zeros and
 never change the caller's.  A row that is not a mapping (no `items`) is
 a TypeError (`k in row` would test a dense row's values, not its columns),
-a column outside range(n) a ValueError.  `sparse_rows` turns a dense
-square matrix into this form.  Row scaling is lazy: a row with a zero in
-the pivot column would only be multiplied by pivot/prev, and those
-factors telescope, so it is left as it is and keeps the pivot its values
-belong to.  The work is O(sum of fill^2) over the steps, not O(n^3).
-`is_square` and `is_symmetric` are the shape tests of dense matrices
-(tuples of tuples or lists of lists).  There is no rational solve and no
-floating point anywhere.
+as is an entry whose type is not exactly int (a float, a Fraction or a
+bool is refused, not coerced); a column outside range(n) is a
+ValueError.  `sparse_rows` turns a dense square matrix into this form.
+Row scaling is lazy: a row with a zero in the pivot column would only be
+multiplied by pivot/prev, and those factors telescope, so it is left as
+it is and keeps the pivot its values belong to.  The work is O(sum of
+fill^2) over the steps, not O(n^3).  `is_square` and `is_symmetric` are
+the shape tests of dense matrices (tuples of tuples or lists of lists).
+There is no rational solve and no floating point anywhere.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import chain
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -42,20 +44,23 @@ def is_symmetric(m: Sequence[Sequence[int]]) -> bool:
 
 
 def _copy(m: SparseRows) -> list[dict[int, int]]:
-    """Fresh rows without zeros; refuses a row that is not a mapping and
-    a column outside range(len(m))."""
+    """Fresh rows without zeros; refuses a row that is not a mapping, an
+    entry that is not an int and a column outside range(len(m))."""
     n = len(m)
     rows = []
     for i, row in enumerate(m):
         try:
-            r = dict(row.items())
+            rows.append(dict(row.items()))
         except AttributeError:
             raise TypeError(
                 f"row {i} must be a mapping {{column: entry}}, got {type(row).__name__}"
             ) from None
-        if 0 in r.values():
-            r = {j: x for j, x in r.items() if x}
-        rows.append(r)
+    if not set(map(type, chain.from_iterable(r.values() for r in rows))) <= {int}:
+        for i, r in enumerate(rows):
+            for j, x in r.items():
+                if type(x) is not int:  # bool is an int subclass
+                    raise TypeError(f"matrix entry [{i}][{j}] must be an int, got {x!r}")
+    rows = [{j: x for j, x in r.items() if x} if 0 in r.values() else r for r in rows]
     cols = set().union(*rows)
     if cols and (min(cols) < 0 or max(cols) >= n):
         raise ValueError(f"a column outside 0..{n - 1}: non-square matrix")

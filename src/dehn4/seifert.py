@@ -9,13 +9,21 @@ chain: signature, Alexander polynomial, Fox-Milnor factorization test,
 and a three-valued sliceness verdict.
 
 `SeifertMatrix` keeps V as immutable sparse rows, the input form of the
-`exact` kernels.  Its constructor runs every check on every matrix, the
-derived ones too: each entry an int, the matrix square, its size even,
-and det(V - V^T) = 1, taken by `det` from sparse rows.  The builders
-write sparse rows directly, in O(nonzeros); the signature passes the
-kernel the sparse rows of V + V^T and the Alexander polynomial those of
-V - t*V^T.  Only `SeifertMatrix.entries`, a view for reports and tests,
-is dense.
+`exact` kernels.  The public constructors, `SeifertMatrix(entries)` and
+`SeifertMatrix.from_rows`, are the one trust boundary: every matrix that
+enters there, from a `{"seifert": ...}` spec, a table knot or a torus
+knot's fence basis, is checked in this order: each entry an int, the
+matrix square, its size even, and det(V - V^T) = 1, taken by `det` from
+sparse rows.  The derived builders (mirror, reverse, concordance inverse,
+connected sum, parallel cable) take checked matrices and build through
+the private `SeifertMatrix._derived`, which checks nothing: their rows
+are int and zero-free by construction, and det(V - V^T) = 1 follows from
+the parent's by an identity that each builder's docstring names.  The
+tests take that determinant again, from an independent dense oracle.
+The builders write sparse rows directly, in O(nonzeros); the signature
+passes the kernel the sparse rows of V + V^T and the Alexander
+polynomial those of V - t*V^T.  Only `SeifertMatrix.entries`, a view for
+reports and tests, is dense.
 
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
@@ -47,10 +55,12 @@ class SeifertMatrix:
     V is kept as immutable sparse rows: `rows[i]` is a read-only mapping
     {j: V[i][j]} of the nonzeros of row i, the form the kernels take.
     `SeifertMatrix(entries)` takes dense rows and `SeifertMatrix.from_rows`
-    sparse ones.  Both check every matrix, derived ones included, in this
-    order: every entry is an int (an error names [i][j]), the matrix is
-    square, its size is even, and det(V - V^T) = 1.  `entries` is a dense
-    view, a new tuple of tuples on each access.
+    sparse ones.  Both check every matrix they are given, in this order:
+    every entry is an int (an error names [i][j]), the matrix is square,
+    its size is even, and det(V - V^T) = 1.  Matrices derived from checked
+    ones come from `_derived`, which checks nothing (see the module
+    docstring).  `entries` is a dense view, a new tuple of tuples on each
+    access.
     """
 
     __slots__ = ("rows",)
@@ -60,7 +70,9 @@ class SeifertMatrix:
         _check_ints(dense)
         if any(len(row) != len(dense) for row in dense):
             raise ValueError("Seifert matrix must be square")
-        self._store(_without_zeros(dense))
+        rows = _without_zeros(dense)
+        _check_unimodular(rows)
+        self._store(rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping[int, int]]) -> SeifertMatrix:
@@ -71,16 +83,18 @@ class SeifertMatrix:
         cols = set().union(*sparse)
         if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= len(sparse)):
             raise ValueError("Seifert matrix must be square")
+        _check_unimodular(sparse)
+        return cls._derived(sparse)
+
+    @classmethod
+    def _derived(cls, rows: list[dict[int, int]]) -> SeifertMatrix:
+        """Store sparse, zero-free int rows of a square, even-size V with
+        det(V - V^T) = 1, unchecked: the caller vouches for all of it."""
         v = cls.__new__(cls)
-        v._store(sparse)
+        v._store(rows)
         return v
 
     def _store(self, rows: list[dict[int, int]]) -> None:
-        n = len(rows)
-        if n % 2 != 0:
-            raise ValueError(f"Seifert matrix must have even size, got {n}")
-        if det(_plus_transpose(rows, -1)) != 1:
-            raise ValueError("det(V - V^T) must equal 1")
         object.__setattr__(self, "rows", tuple(MappingProxyType(row) for row in rows))
 
     def __setattr__(self, name, value):
@@ -129,6 +143,15 @@ def _check_ints(rows: list[dict[int, int]]) -> None:
 
 def _without_zeros(rows: list[dict[int, int]]) -> list[dict[int, int]]:
     return [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
+
+
+def _check_unimodular(rows: list[dict[int, int]]) -> None:
+    """The size of a square V is even and det(V - V^T) = 1, or a ValueError."""
+    n = len(rows)
+    if n % 2 != 0:
+        raise ValueError(f"Seifert matrix must have even size, got {n}")
+    if det(_plus_transpose(rows, -1)) != 1:
+        raise ValueError("det(V - V^T) must equal 1")
 
 
 def _transpose(rows: SparseRows, s: int = 1) -> list[dict[int, int]]:
@@ -225,25 +248,39 @@ def whitehead_double_seifert(clasp: str) -> SeifertMatrix:
 
 
 def mirror(v: SeifertMatrix) -> SeifertMatrix:
-    """Mirror image: -V^T."""
-    return SeifertMatrix.from_rows(_transpose(v.rows, -1))
+    """Mirror image: -V^T.
+
+    Unchecked: -V^T - (-V^T)^T = V - V^T, so det(V - V^T) = 1 carries over.
+    """
+    return SeifertMatrix._derived(_transpose(v.rows, -1))
 
 
 def reverse(v: SeifertMatrix) -> SeifertMatrix:
-    """Orientation reverse: V^T."""
-    return SeifertMatrix.from_rows(_transpose(v.rows))
+    """Orientation reverse: V^T.
+
+    Unchecked: V^T - V = -(V - V^T), and det(-A) = det A at even size.
+    """
+    return SeifertMatrix._derived(_transpose(v.rows))
 
 
 def concordance_inverse(v: SeifertMatrix) -> SeifertMatrix:
-    """Reversed mirror -V, the inverse in algebraic concordance."""
-    return SeifertMatrix.from_rows({j: -x for j, x in row.items()} for row in v.rows)
+    """Reversed mirror -V, the inverse in algebraic concordance.
+
+    Unchecked: -V - (-V)^T = -(V - V^T), and det(-A) = det A at even size.
+    """
+    return SeifertMatrix._derived([{j: -x for j, x in row.items()} for row in v.rows])
 
 
 def connected_sum(v: SeifertMatrix, w: SeifertMatrix) -> SeifertMatrix:
-    """V and W as the two diagonal blocks."""
+    """V and W as the two diagonal blocks.
+
+    Unchecked: the skew form is block-diagonal with blocks V - V^T and
+    W - W^T, and a block-diagonal determinant is the product of its
+    blocks, 1 * 1.
+    """
     n = v.size
-    shifted = ({j + n: x for j, x in row.items()} for row in w.rows)
-    return SeifertMatrix.from_rows([*v.rows, *shifted])
+    shifted = [{j + n: x for j, x in row.items()} for row in w.rows]
+    return SeifertMatrix._derived([*map(dict, v.rows), *shifted])
 
 
 def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
@@ -256,6 +293,11 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
 
     Negative n stacks |n| copies of the reversed surface (the curve runs
     backwards along the companion); the n = -1 cable is the reverse of V.
+
+    Unchecked: with B = V (n > 0) or V^T (n < 0), the skew form has
+    diagonal blocks B - B^T and off-diagonal blocks B - (B^T)^T = 0, so it
+    is block-diagonal with |n| copies of +-(V - V^T), each of determinant 1
+    (det(-A) = det A at even size).
     """
     if n == 0:
         raise ValueError("parallel cable requires n != 0")
@@ -272,7 +314,7 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
                 for j, x in blk[i].items():
                     row[bj * g2 + j] = x
             out.append(row)
-    return SeifertMatrix.from_rows(out)
+    return SeifertMatrix._derived(out)
 
 
 def signature(v: SeifertMatrix) -> int:

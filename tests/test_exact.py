@@ -56,6 +56,23 @@ def test_kernels_refuse_dense_rows(m):
         signature_symmetric(m)
 
 
+@pytest.mark.parametrize(
+    "m,entry",
+    [
+        ([{0: 1.5}], r"\[0\]\[0\] must be an int, got 1\.5"),
+        ([{0: 1}, {1: Fraction(5, 2)}], r"\[1\]\[1\] must be an int, got Fraction\(5, 2\)"),
+        ([{0: 2, 1: True}, {0: True, 1: 2}], r"\[0\]\[1\] must be an int, got True"),
+        ([{0: 1, 1: 0.0}, {0: 0.0, 1: 1}], r"\[0\]\[1\] must be an int, got 0\.0"),
+    ],
+    ids=["float", "fraction", "bool", "float-zero"],  # a stored float zero is not dropped
+)
+def test_kernels_refuse_non_int_entries(m, entry):
+    with pytest.raises(TypeError, match=entry):
+        det(m)
+    with pytest.raises(TypeError, match=entry):
+        signature_symmetric(m)
+
+
 def test_kernels_drop_stored_zeros():
     assert det([{0: 0, 1: 1}, {0: 1, 1: 0}]) == -1
     assert det([{0: 0}]) == 0

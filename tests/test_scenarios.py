@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 import sys
 import tracemalloc
@@ -434,6 +436,24 @@ def test_cli_config_nested_too_deeply(tmp_path, capsys):
     assert captured.err.splitlines() == [
         f"dehn4: error: config file {path} is not valid JSON: nested too deeply"
     ]
+
+
+def test_cli_config_directory_is_one_error_line(tmp_path, capsys):
+    assert main(["report", "--config", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"dehn4: error: config file {tmp_path} cannot be read: {os.strerror(errno.EISDIR)}"
+    ]
+
+
+def test_cli_config_not_utf8_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["report", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"dehn4: error: config file {path} is not UTF-8 text"]
 
 
 @pytest.mark.parametrize("param", ["knot_j", "knot_k"])

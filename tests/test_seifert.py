@@ -21,6 +21,7 @@ from conftest import (
 from dehn4.exact import det
 from dehn4 import seifert
 from dehn4.laurent import LaurentPoly
+from dehn4.scenarios import build_scenario, run_scenario
 from dehn4.seifert import (
     FactorizationBoundError,
     SeifertMatrix,
@@ -253,25 +254,53 @@ def test_seifert_matrix_from_rows_checks():
 
 
 def test_every_builder_checks_unimodularity(monkeypatch):
-    # the det(V - V^T) step fails for every matrix built once it is patched,
-    # so each builder, derived matrices included, must reach it
+    # the public constructors are the trust boundary: once the det(V - V^T)
+    # step is patched to fail, every matrix that enters through them fails
     v = TREFOIL
     monkeypatch.setattr(seifert, "det", lambda m: 0)
     builds = [
         lambda: torus_knot_seifert(2, 3),
         lambda: torus_knot_seifert(-2, 3),
-        lambda: mirror(v),
-        lambda: reverse(v),
-        lambda: concordance_inverse(v),
-        lambda: connected_sum(v, v),
-        lambda: parallel_cable(v, 1),
-        lambda: parallel_cable(v, -2),
         lambda: SeifertMatrix(v.entries),
         lambda: SeifertMatrix.from_rows(v.rows),
+        lambda: knot_from_spec({"seifert": [list(row) for row in v.entries]}),
     ]
     for build in builds:
         with pytest.raises(ValueError, match=r"det\(V - V\^T\) must equal 1"):
             build()
+
+
+def test_derived_builders_take_no_determinant(monkeypatch):
+    # each derived builder inherits det(V - V^T) = 1 from its checked parents
+    v, w = torus_knot_seifert(3, 4), FIG8
+    calls = []
+    monkeypatch.setattr(seifert, "det", lambda m: calls.append(len(m)) or det(m))
+    for op in (mirror, reverse, concordance_inverse):
+        op(v)
+    connected_sum(v, w)
+    for n in (-2, -1, 1, 2):
+        parallel_cable(v, n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 7), (8, 9)])
+def test_twist_extension_checks_the_companion_once(monkeypatch, p, q):
+    # the companion T(p, q) is checked where it is built; its concordance
+    # inverse, cable and connected sum are derived from it unchecked
+    sizes = []
+    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    run_scenario(build_scenario("twist-extension", p=p, q=q))
+    assert sizes.count((p - 1) * (q - 1)) == 1
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p, q in TORUS_PAIRS if p <= 5 and q <= 7])
+def test_derived_torus_matrices_are_unimodular(p, q):
+    # the identities the derived builders rely on, checked by the dense oracle
+    v = torus_knot_seifert(p, q)
+    derived = [mirror(v), reverse(v), concordance_inverse(v), connected_sum(v, TREFOIL)]
+    derived += [parallel_cable(v, n) for n in (-3, -2, -1, 1, 2, 3)]
+    for d in derived:
+        assert skew_det(d) == 1
 
 
 def test_mirror_reverse_connected_sum_shapes():
