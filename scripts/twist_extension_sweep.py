@@ -13,7 +13,6 @@ from math import gcd
 
 from dehn4 import build_scenario, run_scenario
 from dehn4.cli import silence_broken_pipe
-from dehn4.seifert import signature, torus_knot_seifert
 
 
 def main():
@@ -29,7 +28,13 @@ def main():
             sub = next(
                 t for t in report.trace if t.operation == "extension_subgroup"
             )
-            sigma = signature(torus_knot_seifert(p, q))
+            # the companion's class (0, 1) carries -T(p, q), of signature -sigma
+            beta = next(
+                t for t in report.trace
+                if t.operation == "companion.algebraic_slice_verdict"
+                and t.inputs["class"] == [0, 1]
+            )
+            sigma = -beta.output["signature"]
             print(
                 f"{p:>3} {q:>3} {sub.output['index']:>6} {sigma:>14} "
                 f"{report.verdict.value}"

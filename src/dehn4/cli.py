@@ -84,18 +84,20 @@ def _load_config(path: str) -> dict:
         search_dir = os.environ.get("DEHN4_CONFIG_DIR")
         if search_dir and not candidate.exists():
             candidate = Path(search_dir) / path
+    # a path with a line break would split the error line, so it is quoted
+    shown = path if is_single_line(path) else repr(path)
     try:
         text = candidate.read_text("utf-8")
     except FileNotFoundError:
-        raise ScenarioError(f"config file not found: {path}")
+        raise ScenarioError(f"config file not found: {shown}")
     except OSError as exc:  # a directory, no permission, an I/O error
-        raise ScenarioError(f"config file {path} cannot be read: {exc.strerror}")
+        raise ScenarioError(f"config file {shown} cannot be read: {exc.strerror}")
     except UnicodeDecodeError:
-        raise ScenarioError(f"config file {path} is not UTF-8 text")
+        raise ScenarioError(f"config file {shown} is not UTF-8 text")
     try:
         data = parse_json(text)
     except ValueError as exc:
-        raise ScenarioError(f"config file {path} is not valid JSON: {exc}")
+        raise ScenarioError(f"config file {shown} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ScenarioError("config file must hold a JSON object")
     unknown = set(data) - _CONFIG_FIELDS.keys()

@@ -29,10 +29,14 @@ SparseRows = Sequence[Mapping[int, int]]
 
 
 def sparse_rows(m: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    """The sparse rows of a dense square matrix; a non-square one is a ValueError."""
+    """The sparse rows of a dense square matrix; a non-square one is a ValueError.
+
+    Every entry is kept, zeros included: the kernels' copy drops the int
+    zeros and refuses an entry that is not an int, a float 0.0 among them.
+    """
     if not is_square(m):
         raise ValueError("non-square matrix")
-    return [{j: x for j, x in enumerate(row) if x} for row in m]
+    return [dict(enumerate(row)) for row in m]
 
 
 def is_square(m: Sequence[Sequence[int]]) -> bool:

@@ -47,11 +47,11 @@ def tb(front: FrontData) -> int:
 
 
 def rot(front: FrontData) -> int:
-    """Rotation number: (down cusps - up cusps)/2."""
-    diff = front.down_cusps - front.up_cusps
-    if diff % 2 != 0:
-        raise ValueError("cusp parity mismatch; rotation number is not an integer")
-    return diff // 2
+    """Rotation number: (down cusps - up cusps)/2.
+
+    FrontData requires an even total cusp count, so the difference is even.
+    """
+    return (front.down_cusps - front.up_cusps) // 2
 
 
 @dataclass(frozen=True)

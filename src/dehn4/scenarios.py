@@ -388,25 +388,24 @@ def _flag_value(s: Scenario, name: str) -> bool:
     raise ScenarioError(f"scenario {s.name!r} is missing flag {name!r}")
 
 
-def _class_knot(s: Scenario, cls: tuple[int, int]) -> Knot | None:
+def _class_knot(s: Scenario, cls: tuple[int, int]) -> Knot:
     """Knot carrying the algebraic concordance class of a zero class.
 
-    cls is canonicalized up to sign, so both (0, 1) and (1, n) are
-    compared through canonical_class; a sign flip reverses the curve,
-    which does not move the algebraic obstructions.
+    The zero classes of n*x^2 - x*y are beta = (0, 1) and alpha = (1, n),
+    up to sign (checked in _torus_pipeline), so any class but beta is
+    alpha; a sign flip reverses the curve, which does not move the
+    algebraic obstructions.
     """
     j, k, n = s.knot_j, s.knot_k, s.n
-    if cls == canonical_class(0, 1):
+    if cls == (0, 1):
         return Knot(f"-({j.name})", seifert.concordance_inverse(j.matrix))
-    if cls == canonical_class(1, n):
-        if n == 0:
-            return Knot(k.name, k.matrix)
-        cable = seifert.parallel_cable(j.matrix, n)
-        return Knot(
-            f"{k.name} # cable({j.name}; {n})",
-            seifert.connected_sum(k.matrix, cable),
-        )
-    return None
+    if n == 0:
+        return Knot(k.name, k.matrix)
+    cable = seifert.parallel_cable(j.matrix, n)
+    return Knot(
+        f"{k.name} # cable({j.name}; {n})",
+        seifert.connected_sum(k.matrix, cable),
+    )
 
 
 def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], linking.ZeroClasses]:
@@ -438,6 +437,10 @@ def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], linking.ZeroClasses]:
             {"classes": [list(c) for c in zc.classes], "all_classes": zc.all_classes},
         )
     )
+    # x*(n*x - y) vanishes on exactly these two primitive classes, so no
+    # verdict branch handles another class, none or all of them
+    if set(zc.classes) != {(0, 1), canonical_class(1, s.n)}:
+        raise AssertionError(f"internal error: zero classes {zc.classes} of {form}")
     return trace, zc
 
 
@@ -446,9 +449,6 @@ def _run_torus_solid(s: Scenario) -> _Run:
     notes = []
     for cls in zc.classes:
         knot = _class_knot(s, cls)
-        if knot is None:
-            notes.append(f"class {cls} has no modeled representative")
-            continue
         trace.append(
             TraceStep(
                 "curve_class_knot",
@@ -466,10 +466,8 @@ def _run_torus_solid(s: Scenario) -> _Run:
         )
         if verdict.tag is SliceTag.UNKNOWN:
             notes.append(f"class {list(cls)} carries no algebraic obstruction")
-    if zc.all_classes:
-        notes.append("the self-linking form vanishes identically")
-    if notes or not zc.classes:
-        return trace, Verdict.INCONCLUSIVE, {"notes": notes} if notes else None
+    if notes:
+        return trace, Verdict.INCONCLUSIVE, {"notes": notes}
     return trace, Verdict.OBSTRUCTED, {
         "conclusion": "no embedded solid torus",
         "witness": "every zero self-linking class is algebraically non-slice",
@@ -483,19 +481,17 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     # --- topological side: the (1, n) class bounds a topological disk ---
     alpha_class = canonical_class(1, s.n)
     alpha_knot = _class_knot(s, alpha_class)
-    topological_ok = alpha_class in zc.classes and alpha_knot is not None
-    if alpha_knot is not None:
-        delta = seifert.alexander_polynomial(alpha_knot.matrix)
-        trace.append(
-            TraceStep(
-                "alexander_polynomial",
-                {"class": list(alpha_class), "knot": alpha_knot.name},
-                str(delta),
-            )
+    delta = seifert.alexander_polynomial(alpha_knot.matrix)
+    trace.append(
+        TraceStep(
+            "alexander_polynomial",
+            {"class": list(alpha_class), "knot": alpha_knot.name},
+            str(delta),
         )
-        if not delta.is_one():
-            topological_ok = False
-            notes.append("Alexander polynomial of the surgery curve is not 1")
+    )
+    topological_ok = delta.is_one()
+    if not topological_ok:
+        notes.append("Alexander polynomial of the surgery curve is not 1")
     if not _flag_value(s, "alexander-one-slice") or not _flag_value(
         s, "surgered-manifold-irreducible"
     ):
@@ -562,12 +558,8 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     if not beta_dead:
         notes.append("the longitudinal class carries no algebraic obstruction")
 
-    smooth_obstructed = alpha_smooth_dead and beta_dead and set(zc.classes) == {
-        (0, 1),
-        alpha_class,
-    }
-
-    if topological_ok and smooth_obstructed:
+    # _torus_pipeline checked that alpha and beta are the only zero classes
+    if topological_ok and alpha_smooth_dead and beta_dead:
         return trace, Verdict.MIXED, {"topological": "yes", "smooth": "no"}
     if topological_ok:
         return trace, Verdict.EXTENDS, {

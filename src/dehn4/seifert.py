@@ -385,24 +385,31 @@ class FoxMilnorResult:
     failure: FoxMilnorFailure | None = None
 
 
-def fox_milnor(delta: LaurentPoly, degree_bound: int = 16) -> FoxMilnorResult:
+FOX_MILNOR_DEGREE_BOUND = 16  # the widest span of Delta that fox_milnor factors
+
+
+def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
     """Test whether delta(t) = f(t) * f(1/t) up to units, exactly.
 
-    The quick witness is |delta(-1)|: it equals f(-1)^2, so a non-square
-    determinant fails immediately.  Otherwise the
-    polynomial is factored over Z and the irreducible factors must pair up
-    with their reciprocals (self-reciprocal factors with even
-    multiplicity).  Passing returns one valid f; failing returns the
-    fastest witness found.
+    delta is unit-normalized, so it is palindromic with delta(1) = 1, and
+    the test fails in one of two ways, each with its witness:
+      determinant    |delta(-1)| = f(-1)^2 is not a perfect square;
+      factorization  a self-reciprocal irreducible factor over Z has odd
+                     multiplicity.
+    No other failure can happen: the integer content divides delta(1) = 1,
+    and since delta(0) != 0 after shifting, unique factorization in Z[t]
+    gives each factor g and its reciprocal g* the same multiplicity.
+    Passing returns one f, checked by multiplying out; a factorization
+    that broke either fact would be an internal error, never a verdict.
 
     Raises FactorizationBoundError when the polynomial degree exceeds
-    degree_bound (an "out of configured range" error, distinct from a
-    failed test).
+    FOX_MILNOR_DEGREE_BOUND (an "out of configured range" error, distinct
+    from a failed test).
     """
     norm = delta.normalized()
-    if norm.span > degree_bound:
+    if norm.span > FOX_MILNOR_DEGREE_BOUND:
         raise FactorizationBoundError(
-            f"polynomial degree {norm.span} exceeds bound {degree_bound}"
+            f"polynomial degree {norm.span} exceeds bound {FOX_MILNOR_DEGREE_BOUND}"
         )
     det_val = norm.evaluate(-1)
     det_int = abs(int(det_val))
@@ -423,64 +430,33 @@ def fox_milnor(delta: LaurentPoly, degree_bound: int = 16) -> FoxMilnorResult:
     t = sympy.Symbol("t")
     shifted = norm.shifted(-norm.min_exp)  # ordinary polynomial, nonzero constant term
     poly = sympy.Poly.from_dict({(e,): c for e, c in shifted.coeffs.items()}, t)
-    content, factor_list = poly.factor_list()
-    content = int(content)
-    root = isqrt(abs(content))
-    if root * root != abs(content):
-        return FoxMilnorResult(
-            passed=False,
-            failure=FoxMilnorFailure(
-                kind="factorization",
-                detail=f"integer content {content} is not a square up to sign",
-            ),
-        )
+    # the content is +-1 (it divides Delta(1) = 1), and sympy lists each
+    # irreducible factor once, with its multiplicity
+    _, factor_list = poly.factor_list()
 
-    mults: dict[tuple[int, ...], int] = {}
-    polys: dict[tuple[int, ...], sympy.Poly] = {}
+    f = LaurentPoly.one()
+    seen: set[tuple[int, ...]] = set()
     for g, e in factor_list:
         key = _poly_key(g)
-        mults[key] = mults.get(key, 0) + e
-        polys[key] = g
-
-    f = LaurentPoly.term(root)
-    seen: set[tuple[int, ...]] = set()
-    for key, e in mults.items():
         if key in seen:
             continue
-        g = polys[key]
         rkey = _reciprocal_key(key)
+        if rkey == key and e % 2 != 0:
+            return FoxMilnorResult(
+                passed=False,
+                failure=FoxMilnorFailure(
+                    kind="factorization",
+                    detail=(
+                        f"self-reciprocal factor {sympy.sstr(g.as_expr())} "
+                        f"has odd multiplicity {e}"
+                    ),
+                ),
+            )
+        # g* has the multiplicity of g, so f takes g^e, or g^(e/2) when g = g*
         glaur = _to_laurent(key)
-        if rkey == key:
-            if e % 2 != 0:
-                return FoxMilnorResult(
-                    passed=False,
-                    failure=FoxMilnorFailure(
-                        kind="factorization",
-                        detail=(
-                            f"self-reciprocal factor {sympy.sstr(g.as_expr())} "
-                            f"has odd multiplicity {e}"
-                        ),
-                    ),
-                )
-            for _ in range(e // 2):
-                f = f * glaur
-            seen.add(key)
-        else:
-            if mults.get(rkey, 0) != e:
-                return FoxMilnorResult(
-                    passed=False,
-                    failure=FoxMilnorFailure(
-                        kind="factorization",
-                        detail=(
-                            f"factor {sympy.sstr(g.as_expr())} (multiplicity {e}) has no "
-                            f"matching reciprocal factor"
-                        ),
-                    ),
-                )
-            for _ in range(e):
-                f = f * glaur
-            seen.add(key)
-            seen.add(rkey)
+        for _ in range(e // 2 if rkey == key else e):
+            f = f * glaur
+        seen.update((key, rkey))
 
     product = (f * f.reciprocal()).normalized()
     if product != norm:
@@ -496,12 +472,10 @@ def _poly_key(g: sympy.Poly) -> tuple[int, ...]:
 
 
 def _reciprocal_key(key: tuple[int, ...]) -> tuple[int, ...]:
-    rev = tuple(reversed(key))
-    while rev and rev[0] == 0:
-        rev = rev[1:]
-    if rev and rev[0] < 0:
-        rev = tuple(-c for c in rev)
-    return rev
+    """The key of g*(t) = t^deg g(1/t); no factor of Delta is divisible by
+    t, so g(0) != 0 and g* has the degree of g."""
+    rev = key[::-1]
+    return rev if rev[0] > 0 else tuple(-c for c in rev)
 
 
 def _to_laurent(key: tuple[int, ...]) -> LaurentPoly:
@@ -530,14 +504,14 @@ class SliceVerdict:
     note: str | None = None
 
 
-def algebraic_slice_verdict(v: SeifertMatrix, degree_bound: int = 16) -> SliceVerdict:
+def algebraic_slice_verdict(v: SeifertMatrix) -> SliceVerdict:
     """Signature first, then Fox-Milnor; Unknown when neither obstructs."""
     sig = signature(v)
     if sig != 0:
         return SliceVerdict(tag=SliceTag.OBSTRUCTED_BY_SIGNATURE, signature=sig)
     delta = alexander_polynomial(v)
     try:
-        fm = fox_milnor(delta, degree_bound=degree_bound)
+        fm = fox_milnor(delta)
     except FactorizationBoundError as exc:
         return SliceVerdict(tag=SliceTag.UNKNOWN, signature=0, note=str(exc))
     if not fm.passed:

@@ -73,6 +73,15 @@ def test_kernels_refuse_non_int_entries(m, entry):
         signature_symmetric(m)
 
 
+def test_sparse_rows_leave_float_zeros_to_the_kernels():
+    # a 0.0 dropped as falsy here would never reach the kernels' int check
+    assert sparse_rows(((0, 1), (-1, 0))) == [{0: 0, 1: 1}, {0: -1, 1: 0}]
+    with pytest.raises(TypeError, match=r"\[0\]\[0\] must be an int, got 0\.0"):
+        det(sparse_rows([[0.0, 1], [-1, 0]]))
+    with pytest.raises(TypeError, match=r"\[0\]\[1\] must be an int, got 0\.0"):
+        signature_symmetric(sparse_rows([[1, 0.0], [0.0, 1]]))
+
+
 def test_kernels_drop_stored_zeros():
     assert det([{0: 0, 1: 1}, {0: 1, 1: 0}]) == -1
     assert det([{0: 0}]) == 0

@@ -158,6 +158,11 @@ def test_hoste_singular_matrix_raises():
         hoste_linking(((1, 1), (1, 1)), (1, 1), 0)
 
 
+def test_hoste_refuses_a_float_zero():
+    with pytest.raises(TypeError, match=r"must be an int, got 0\.0"):
+        hoste_linking(((0.0, 1), (1, 2)), (1, 0), 0)
+
+
 def test_hoste_vector_length_mismatch_raises():
     with pytest.raises(ValueError, match="matrix size"):
         hoste_linking(B3, (1,), 0)
@@ -181,10 +186,13 @@ def test_self_linking_form_agrees_with_hoste_grid():
 
 
 def test_zero_classes_paper_family():
-    for n in range(-5, 6):
-        result = zero_classes(SelfLinkingForm(n, -1, 0))
-        expected = {canonical_class(0, 1), canonical_class(1, n)}
-        assert set(result.classes) == expected
+    """The torus scenarios handle exactly beta = (0, 1) and alpha = (1, n)."""
+    for n in range(-200, 201):
+        form = self_linking_form(torus_presentation(n)[1])
+        assert form == SelfLinkingForm(n, -1, 0)
+        result = zero_classes(form)
+        assert len(result.classes) == 2
+        assert set(result.classes) == {(0, 1), canonical_class(1, n)}
         assert not result.all_classes
 
 

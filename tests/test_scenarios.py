@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dehn4 import cli, forms
+from dehn4 import cli, forms, linking
 from dehn4.cli import main
 from dehn4.report import render, render_json, render_text, report_to_json_dict
 from dehn4.scenarios import (
@@ -447,6 +447,26 @@ def test_cli_config_directory_is_one_error_line(tmp_path, capsys):
     ]
 
 
+def test_cli_config_path_with_a_line_break_is_quoted(tmp_path, capsys):
+    missing = str(tmp_path / "no\nsuch.json")
+    assert main(["report", "--config", missing]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"dehn4: error: config file not found: {missing!r}"]
+
+
+def test_cli_config_directory_with_a_line_break_is_quoted(tmp_path, capsys):
+    folder = tmp_path / "a\nfolder"
+    folder.mkdir()
+    assert main(["report", "--config", str(folder)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"dehn4: error: config file {str(folder)!r} cannot be read: "
+        f"{os.strerror(errno.EISDIR)}"
+    ]
+
+
 def test_cli_config_not_utf8_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -743,3 +763,22 @@ def test_readme_layout_lists_every_module():
     modules = {p.stem for p in (ROOT / "src" / "dehn4").glob("*.py")} - {"__init__"}
     assert len(listed) == len(set(listed))
     assert set(listed) == modules
+
+
+@pytest.mark.parametrize("name", ["torus-solid", "torus-top-vs-smooth"])
+@pytest.mark.parametrize(
+    "fake",
+    [
+        lambda zc: linking.ZeroClasses(classes=zc.classes + ((1, 5),)),
+        lambda zc: linking.ZeroClasses(classes=zc.classes[:1]),
+        lambda zc: linking.ZeroClasses(classes=(), all_classes=True),
+    ],
+    ids=["third-class", "one-class", "identically-zero"],
+)
+def test_torus_scenarios_assert_the_two_zero_classes(monkeypatch, name, fake):
+    """n*x^2 - x*y vanishes on exactly (0, 1) and (1, n): any other zero set
+    is an internal error, not a verdict."""
+    real = linking.zero_classes
+    monkeypatch.setattr(linking, "zero_classes", lambda form: fake(real(form)))
+    with pytest.raises(AssertionError, match="internal error: zero classes"):
+        run(name)

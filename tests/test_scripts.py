@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dehn4.scenarios import SCENARIO_NAMES, Verdict
+from dehn4.seifert import signature, torus_knot_seifert
 
 ROOT = Path(__file__).resolve().parent.parent
 SEPARATOR = "=" * 72
@@ -46,6 +47,9 @@ def test_twist_extension_sweep():
     assert header.split()[0] == "p"
     pairs = [(p, q) for p in range(2, 5) for q in range(p + 1, 6) if gcd(p, q) == 1]
     assert [tuple(int(x) for x in row.split()[:2]) for row in rows] == pairs
+    assert [int(row.split()[3]) for row in rows] == [
+        signature(torus_knot_seifert(p, q)) for p, q in pairs
+    ]
     verdicts = {v.value for v in Verdict}
     assert all(row.split()[-1] in verdicts for row in rows)
 

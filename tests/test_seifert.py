@@ -377,11 +377,39 @@ def test_fox_milnor_factorization_witness_with_square_determinant():
     assert result.failure.kind == "factorization"
 
 
-def test_fox_milnor_degree_bound_is_distinct_from_failure():
+def test_fox_milnor_degree_bound_is_distinct_from_failure(monkeypatch):
     wide = alexander_polynomial(TREFOIL).substituted(9)
     with pytest.raises(FactorizationBoundError):
         fox_milnor(wide)
-    assert fox_milnor(wide, degree_bound=20).passed is False
+    monkeypatch.setattr(seifert, "FOX_MILNOR_DEGREE_BOUND", 20)
+    assert fox_milnor(wide).passed is False
+
+
+def test_fox_milnor_unpaired_factor_is_an_internal_error(monkeypatch):
+    # 2t^2 - 5t + 2 = (2t - 1)(t - 2); a factorization that drops t - 2 for a
+    # second 2t - 1 leaves 2t - 1 without its reciprocal
+    t = sympy.Symbol("t")
+    half = sympy.Poly(2 * t - 1, t)
+    monkeypatch.setattr(sympy.Poly, "factor_list", lambda self: (1, [(half, 2)]))
+    with pytest.raises(AssertionError, match="internal error"):
+        fox_milnor(LaurentPoly({1: 2, 0: -5, -1: 2}))
+
+
+@given(seifert_matrices())
+def test_alexander_factors_pair_with_their_reciprocals(v):
+    """The two facts fox_milnor relies on: over Z the content of Delta is
+    +-1, and every irreducible factor g has the multiplicity of its
+    reciprocal t^deg(g) g(1/t)."""
+    delta = alexander_polynomial(v)
+    t = sympy.Symbol("t")
+    shifted = delta.shifted(-delta.min_exp)
+    poly = sympy.Poly.from_dict({(e,): c for e, c in shifted.coeffs.items()}, t)
+    content, factors = poly.factor_list()
+    assert abs(content) == 1
+    for g, e in factors:
+        assert g.eval(0) != 0
+        star = sympy.Poly(list(reversed(g.all_coeffs())), t)
+        assert [m for h, m in factors if h in (star, -star)] == [e]
 
 
 def test_verdict_examples():
