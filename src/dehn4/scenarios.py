@@ -591,11 +591,12 @@ def _run_twist_extension(s: Scenario) -> _Run:
             },
         )
     )
-    all_extend = (
-        subgroup.is_full
-        and _flag_value(s, "meridian-twist-extends")
-        and _flag_value(s, "orbit-twist-extends")
-    )
+    unset = [
+        name
+        for name in ("meridian-twist-extends", "orbit-twist-extends")
+        if not _flag_value(s, name)
+    ]
+    all_extend = subgroup.is_full and not unset
 
     companion = build_scenario(
         "torus-solid",
@@ -614,9 +615,9 @@ def _run_twist_extension(s: Scenario) -> _Run:
             "twists_extend": "yes",
             "smooth_solid_torus": "undetermined",
         }
-    return trace, Verdict.INCONCLUSIVE, {
-        "notes": [f"extension subgroup has index {subgroup.index}"]
-    }
+    notes = [] if subgroup.is_full else [f"extension subgroup has index {subgroup.index}"]
+    notes += [f"hypothesis flag {name} is unset" for name in unset]
+    return trace, Verdict.INCONCLUSIVE, {"notes": notes}
 
 
 def _torus_solid_flags(args: dict) -> tuple[HypothesisFlag, ...]:

@@ -20,10 +20,23 @@ the private `SeifertMatrix._derived`, which checks nothing: their rows
 are int and zero-free by construction, and det(V - V^T) = 1 follows from
 the parent's by an identity that each builder's docstring names.  The
 tests take that determinant again, from an independent dense oracle.
-The builders write sparse rows directly, in O(nonzeros); the signature
-passes the kernel the sparse rows of V + V^T and the Alexander
-polynomial those of V - t*V^T.  Only `SeifertMatrix.entries`, a view for
-reports and tests, is dense.
+The builders write sparse rows directly, in O(nonzeros), and each
+derived matrix records its origin: the operation and its parents.  Only
+`SeifertMatrix.entries`, a view for reports and tests, is dense.
+
+The two invariants are evaluated over that record, by the classical
+identities (Seifert 1950; Lickorish 1997, ch. 6 and 8):
+  * sigma(-V^T) = sigma(-V) = -sigma(V) and sigma(V^T) = sigma(V);
+  * a connected sum adds signatures and multiplies Alexander polynomials;
+  * mirror, reverse and concordance inverse keep Delta;
+  * the n-cable has Delta_V(t^n), and for |n| = 1 it is V or V^T.
+The kernels run only on leaves, the matrices that entered through the
+trust boundary, and for the signature on cables with |n| >= 2, for which
+no identity over Z exists (Litherland 1979).  `signature` passes the
+kernel the sparse rows of V + V^T, and `alexander_polynomial` those of
+V - t*V^T.  Each kernel result is kept on its immutable matrix, so the
+one companion of a report is eliminated once however many class knots
+are built from it.
 
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
@@ -57,13 +70,17 @@ class SeifertMatrix:
     `SeifertMatrix(entries)` takes dense rows and `SeifertMatrix.from_rows`
     sparse ones.  Both check every matrix they are given, in this order:
     every entry is an int (an error names [i][j]), the matrix is square,
-    its size is even, and det(V - V^T) = 1.  Matrices derived from checked
-    ones come from `_derived`, which checks nothing (see the module
-    docstring).  `entries` is a dense view, a new tuple of tuples on each
-    access.
+    its size is even, and det(V - V^T) = 1.  Such a matrix is a leaf.
+    Matrices derived from checked ones come from `_derived`, which checks
+    nothing and records their origin: the operation and its parents (see
+    the module docstring).  A kernel result, the signature or the
+    Alexander polynomial, is kept on the matrix it was computed for.
+    Equality and hashing read `rows` only, so neither the origin nor a
+    kept result changes them.  `entries` is a dense view, a new tuple of
+    tuples on each access.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_origin", "_signature", "_alexander")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
         dense = [dict(enumerate(row)) for row in entries]
@@ -72,7 +89,7 @@ class SeifertMatrix:
             raise ValueError("Seifert matrix must be square")
         rows = _without_zeros(dense)
         _check_unimodular(rows)
-        self._store(rows)
+        self._store(rows, None)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping[int, int]]) -> SeifertMatrix:
@@ -84,18 +101,26 @@ class SeifertMatrix:
         if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= len(sparse)):
             raise ValueError("Seifert matrix must be square")
         _check_unimodular(sparse)
-        return cls._derived(sparse)
+        return cls._derived(sparse, None)
 
     @classmethod
-    def _derived(cls, rows: list[dict[int, int]]) -> SeifertMatrix:
+    def _derived(cls, rows: list[dict[int, int]], origin: tuple | None) -> SeifertMatrix:
         """Store sparse, zero-free int rows of a square, even-size V with
-        det(V - V^T) = 1, unchecked: the caller vouches for all of it."""
+        det(V - V^T) = 1, unchecked: the caller vouches for all of it.
+
+        origin is how V was built from its parents: ("mirror", W),
+        ("reverse", W), ("inverse", W), ("sum", W, X) or ("cable", W, n);
+        None makes V a leaf.
+        """
         v = cls.__new__(cls)
-        v._store(rows)
+        v._store(rows, origin)
         return v
 
-    def _store(self, rows: list[dict[int, int]]) -> None:
+    def _store(self, rows: list[dict[int, int]], origin: tuple | None) -> None:
         object.__setattr__(self, "rows", tuple(MappingProxyType(row) for row in rows))
+        object.__setattr__(self, "_origin", origin)
+        object.__setattr__(self, "_signature", None)
+        object.__setattr__(self, "_alexander", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeifertMatrix is immutable")
@@ -252,7 +277,7 @@ def mirror(v: SeifertMatrix) -> SeifertMatrix:
 
     Unchecked: -V^T - (-V^T)^T = V - V^T, so det(V - V^T) = 1 carries over.
     """
-    return SeifertMatrix._derived(_transpose(v.rows, -1))
+    return SeifertMatrix._derived(_transpose(v.rows, -1), ("mirror", v))
 
 
 def reverse(v: SeifertMatrix) -> SeifertMatrix:
@@ -260,7 +285,7 @@ def reverse(v: SeifertMatrix) -> SeifertMatrix:
 
     Unchecked: V^T - V = -(V - V^T), and det(-A) = det A at even size.
     """
-    return SeifertMatrix._derived(_transpose(v.rows))
+    return SeifertMatrix._derived(_transpose(v.rows), ("reverse", v))
 
 
 def concordance_inverse(v: SeifertMatrix) -> SeifertMatrix:
@@ -268,7 +293,8 @@ def concordance_inverse(v: SeifertMatrix) -> SeifertMatrix:
 
     Unchecked: -V - (-V)^T = -(V - V^T), and det(-A) = det A at even size.
     """
-    return SeifertMatrix._derived([{j: -x for j, x in row.items()} for row in v.rows])
+    rows = [{j: -x for j, x in row.items()} for row in v.rows]
+    return SeifertMatrix._derived(rows, ("inverse", v))
 
 
 def connected_sum(v: SeifertMatrix, w: SeifertMatrix) -> SeifertMatrix:
@@ -280,7 +306,7 @@ def connected_sum(v: SeifertMatrix, w: SeifertMatrix) -> SeifertMatrix:
     """
     n = v.size
     shifted = [{j + n: x for j, x in row.items()} for row in w.rows]
-    return SeifertMatrix._derived([*map(dict, v.rows), *shifted])
+    return SeifertMatrix._derived([*map(dict, v.rows), *shifted], ("sum", v, w))
 
 
 def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
@@ -289,7 +315,9 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
     The copies are stacked in the positive pushoff direction, banded into
     one surface: diagonal blocks V, blocks above the diagonal V, blocks
     below V^T.  The boundary winds n times along the original knot, so the
-    Alexander polynomial is Delta_V(t^n) up to units.
+    Alexander polynomial is Delta_V(t^n) up to units, by Seifert's
+    satellite formula (Seifert 1950; Lickorish 1997, ch. 6):
+    `alexander_polynomial` of a cable reads it from that formula.
 
     Negative n stacks |n| copies of the reversed surface (the curve runs
     backwards along the companion); the n = -1 cable is the reverse of V.
@@ -314,16 +342,55 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
                 for j, x in blk[i].items():
                     row[bj * g2 + j] = x
             out.append(row)
-    return SeifertMatrix._derived(out)
+    return SeifertMatrix._derived(out, ("cable", v, n))
 
 
 def signature(v: SeifertMatrix) -> int:
-    """Signature of V + V^T, by exact congruence diagonalization."""
-    return signature_symmetric(_plus_transpose(v.rows, 1))
+    """Signature of V + V^T.
+
+    A derived V takes it from its parents: sigma(-V^T) = sigma(-V) =
+    -sigma(V), sigma(V^T) = sigma(V), the signature of a block sum is the
+    sum of the blocks', and a cable with |n| = 1 is V or V^T.  No identity
+    over Z gives it for a cable with |n| >= 2 (Litherland 1979 needs the
+    Levine-Tristram signatures at roots of unity), so such a cable, like
+    a leaf, runs exact congruence diagonalization on its own rows, once:
+    the result is kept on the matrix.
+    """
+    match v._origin:
+        case ("mirror" | "inverse", w):
+            return -signature(w)
+        case ("reverse", w) | ("cable", w, 1 | -1):
+            return signature(w)
+        case ("sum", w, x):
+            return signature(w) + signature(x)
+    if v._signature is None:
+        object.__setattr__(v, "_signature", signature_symmetric(_plus_transpose(v.rows, 1)))
+    return v._signature
 
 
 def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     """Normalized Alexander polynomial det(V - t*V^T).
+
+    A derived V takes it from its parents: the mirror, the reverse and the
+    concordance inverse keep Delta, a block sum multiplies, and the n-cable
+    of V has Delta_V(t^n) (Seifert's satellite formula).  Products and
+    substitutions of normalized polynomials are normalized.  A leaf runs
+    `_interpolated_alexander` once: the result is kept on the matrix.
+    """
+    match v._origin:
+        case ("mirror" | "reverse" | "inverse", w):
+            return alexander_polynomial(w)
+        case ("sum", w, x):
+            return alexander_polynomial(w) * alexander_polynomial(x)
+        case ("cable", w, n):
+            return alexander_polynomial(w).substituted(n)
+    if v._alexander is None:
+        object.__setattr__(v, "_alexander", _interpolated_alexander(v))
+    return v._alexander
+
+
+def _interpolated_alexander(v: SeifertMatrix) -> LaurentPoly:
+    """The kernel of `alexander_polynomial`: det(V - t*V^T) from V's rows.
 
     For V of size n = 2m, f(t) = det(V - t*V^T) is palindromic,
     f(t) = t^n f(1/t), since (V - t*V^T)^T = -t(V - V^T/t) and n is even.

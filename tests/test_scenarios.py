@@ -119,6 +119,22 @@ def test_twist_extension_2_3_mixed():
     assert any(t.operation.startswith("companion.") for t in report.trace)
 
 
+@pytest.mark.parametrize(
+    "unset",
+    [
+        ["meridian-twist-extends"],
+        ["orbit-twist-extends"],
+        ["meridian-twist-extends", "orbit-twist-extends"],
+    ],
+)
+def test_twist_extension_notes_name_each_unset_flag(unset):
+    # the subgroup is always full, so an unset flag is the only cause
+    flags = tuple(HypothesisFlag(name, False, "test") for name in unset)
+    report = run("twist-extension", p=2, q=3, flags=flags)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.detail == {"notes": [f"hypothesis flag {name} is unset" for name in unset]}
+
+
 def obstruction_witness_present(report) -> bool:
     """Every Obstructed trace must carry one of the four witness kinds."""
     for step in report.trace:

@@ -18,7 +18,7 @@ from conftest import (
     seifert_matrices,
     skew_det,
 )
-from dehn4.exact import det
+from dehn4.exact import det, signature_symmetric
 from dehn4 import seifert
 from dehn4.laurent import LaurentPoly
 from dehn4.scenarios import build_scenario, run_scenario
@@ -293,6 +293,66 @@ def test_twist_extension_checks_the_companion_once(monkeypatch, p, q):
     assert sizes.count((p - 1) * (q - 1)) == 1
 
 
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 7), (8, 9)])
+def test_twist_extension_diagonalizes_the_companion_once(monkeypatch, p, q):
+    # sigma(-J) = -sigma(J), and the -1 cable of J is J^T, so both class
+    # knots read the one elimination of J; the 0 x 0 unknot K may add an
+    # empty one
+    sizes = []
+    monkeypatch.setattr(
+        seifert,
+        "signature_symmetric",
+        lambda m: sizes.append(len(m)) or signature_symmetric(m),
+    )
+    run_scenario(build_scenario("twist-extension", p=p, q=q))
+    assert sizes.count((p - 1) * (q - 1)) == 1
+    assert set(sizes) <= {0, (p - 1) * (q - 1)}
+
+
+@pytest.mark.parametrize("knot_k", ["left-trefoil", "figure-eight"])
+def test_torus_solid_takes_the_companion_alexander_once(monkeypatch, knot_k):
+    # J = T(3,4) # -T(3,4) enters as one 12 x 12 leaf, so its Delta takes
+    # m + 1 = 7 determinants; -J and K # cable(J; 1) both read that one
+    v = torus_knot_seifert(3, 4)
+    rows = connected_sum(v, concordance_inverse(v)).entries
+    scenario = build_scenario(
+        "torus-solid", n=1, knot_j={"seifert": [list(r) for r in rows]}, knot_k=knot_k
+    )
+    sizes = []
+    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    run_scenario(scenario)
+    assert sizes.count(12) == 7
+    assert max(sizes) == 12
+
+
+def test_torus_top_vs_smooth_cable_takes_no_determinant_beyond_its_companion(monkeypatch):
+    # the 62 x 62 class knot WD+ # cable(T(5,6); 3) gets Delta from its
+    # leaves: WD+ (2 x 2) and T(5,6) (20 x 20, also checked where it enters)
+    sizes = []
+    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    run_scenario(build_scenario("torus-top-vs-smooth", n=3, knot_j={"torus": [5, 6]}))
+    assert max(sizes) == 20
+
+
+def test_derived_matrices_equal_their_leaves_and_keep_their_views():
+    v, w = torus_knot_seifert(3, 4), FIG8
+    derived = [
+        mirror(v),
+        reverse(v),
+        concordance_inverse(v),
+        connected_sum(v, w),
+        parallel_cable(v, 2),
+        parallel_cable(w, -3),
+    ]
+    for d in [v, *derived]:
+        leaf = SeifertMatrix.from_rows(d.rows)
+        assert d == leaf and leaf == d and hash(d) == hash(leaf)
+        rows, views = d.rows, (d.entries, repr(d), str(d))
+        signature(d), alexander_polynomial(d)  # keeps results on d or its leaves
+        assert d.rows is rows and (d.entries, repr(d), str(d)) == views
+        assert d == leaf and hash(d) == hash(leaf)
+
+
 @pytest.mark.parametrize("p,q", [(p, q) for p, q in TORUS_PAIRS if p <= 5 and q <= 7])
 def test_derived_torus_matrices_are_unimodular(p, q):
     # the identities the derived builders rely on, checked by the dense oracle
@@ -308,7 +368,7 @@ def test_mirror_reverse_connected_sum_shapes():
     assert mirror(v).entries == ((1, 0), (-1, 1))
     assert reverse(v).entries == ((-1, 0), (1, -1))
     assert concordance_inverse(v).entries == ((1, -1), (0, 1))
-    s = connected_sum(v, FIG8)
+    s = SeifertMatrix.from_rows(connected_sum(v, FIG8).rows)  # the kernel, not the identity
     assert s.size == 4
     assert alexander_polynomial(s) == (
         alexander_polynomial(v) * alexander_polynomial(FIG8)
@@ -326,7 +386,8 @@ def test_square_knot_passes_fox_milnor():
 def test_parallel_cable_identity_and_reverse():
     assert parallel_cable(TREFOIL, 1).entries == TREFOIL.entries
     assert parallel_cable(TREFOIL, -1).entries == reverse(TREFOIL).entries
-    assert signature(parallel_cable(TREFOIL, -1)) == -2
+    # a fresh leaf, so the kernel computes what the identity would
+    assert signature(SeifertMatrix.from_rows(parallel_cable(TREFOIL, -1).rows)) == -2
     with pytest.raises(ValueError):
         parallel_cable(TREFOIL, 0)
 
@@ -334,7 +395,10 @@ def test_parallel_cable_identity_and_reverse():
 @pytest.mark.parametrize("n", [-3, -2, -1, 1, 2, 3])
 @pytest.mark.parametrize("base", [TREFOIL, FIG8])
 def test_parallel_cable_alexander_substitution(base, n):
-    cable = parallel_cable(base, n)
+    # fresh leaves: the kernel on both sides, not a kept result or the
+    # satellite formula that alexander_polynomial reads for a cable
+    base = SeifertMatrix.from_rows(base.rows)
+    cable = SeifertMatrix.from_rows(parallel_cable(base, n).rows)
     assert skew_det(cable) == 1
     expected = alexander_polynomial(base).substituted(n).normalized()
     assert alexander_polynomial(cable) == expected
@@ -438,7 +502,7 @@ def test_invariant_closure_under_unary_ops(v):
 
 @given(seifert_matrices(max_genus=2), seifert_matrices(max_genus=2))
 def test_signature_additive_and_alexander_multiplicative(v, w):
-    s = connected_sum(v, w)
+    s = SeifertMatrix.from_rows(connected_sum(v, w).rows)  # the kernel, not the identity
     assert skew_det(s) == 1
     assert signature(s) == signature(v) + signature(w)
     assert alexander_polynomial(s) == (
@@ -448,8 +512,60 @@ def test_signature_additive_and_alexander_multiplicative(v, w):
 
 @given(seifert_matrices())
 def test_mirror_antisymmetry_reverse_invariance(v):
-    assert signature(mirror(v)) == -signature(v)
-    assert alexander_polynomial(reverse(v)) == alexander_polynomial(v)
+    def leaf(m):  # the kernel on the built rows, not the identity
+        return SeifertMatrix.from_rows(m.rows)
+
+    assert signature(leaf(mirror(v))) == -signature(v)
+    assert alexander_polynomial(leaf(reverse(v))) == alexander_polynomial(v)
+
+
+# fresh leaves of the builder trees: each call enters the trust boundary
+TREE_LEAVES = (
+    unknot,
+    lambda: torus_knot_seifert(2, 3),
+    lambda: torus_knot_seifert(2, -5),
+    lambda: torus_knot_seifert(3, 4),
+)
+
+
+@st.composite
+def builder_trees(draw, depth=3, budget=24):
+    """A matrix of size <= budget built by a random tree of the derived
+    builders over `seifert_matrices`, torus knots and the unknot (leaves of
+    size <= 6), with cables for 1 <= |n| <= 3.  The second summand of a
+    connected sum may be the first one again, so kept results are shared
+    the way a scenario shares its companion J."""
+    ops = ["leaf"]
+    if depth:
+        ops += ["mirror", "reverse", "inverse", "cable", "cable"] + (["sum"] if budget >= 12 else [])
+    op = draw(st.sampled_from(ops))
+    if op == "leaf":
+        return draw(
+            st.one_of(
+                seifert_matrices(max_genus=2),
+                st.sampled_from(TREE_LEAVES).map(lambda leaf: leaf()),
+            )
+        )
+    if op == "sum":
+        v = draw(builder_trees(depth - 1, budget - 6))
+        if 2 * v.size <= budget and draw(st.booleans()):
+            return connected_sum(v, v)
+        return connected_sum(v, draw(builder_trees(depth - 1, budget - v.size)))
+    if op == "cable":
+        v = draw(builder_trees(depth - 1, budget // 2 if budget >= 12 else budget))
+        k = draw(st.integers(1, min(3, budget // v.size) if v.size else 3))
+        return parallel_cable(v, k * draw(st.sampled_from((1, -1))))
+    unary = {"mirror": mirror, "reverse": reverse, "inverse": concordance_inverse}[op]
+    return unary(draw(builder_trees(depth - 1, budget)))
+
+
+@given(builder_trees())
+def test_builder_tree_invariants_match_the_kernel(v):
+    # the identities over the recorded origin, against the kernels run on
+    # the tree's rows read back as one fresh leaf
+    leaf = SeifertMatrix.from_rows(v.rows)
+    assert signature(v) == signature(leaf)
+    assert alexander_polynomial(v) == alexander_polynomial(leaf)
 
 
 def leibniz_alexander(v: SeifertMatrix) -> LaurentPoly:
@@ -492,6 +608,7 @@ def test_alexander_with_singular_seifert_matrix(v):
     "v", [unknot(), TREFOIL, torus_knot_seifert(3, 4), torus_knot_seifert(5, 6)]
 )
 def test_alexander_takes_half_the_size_plus_one_determinants(monkeypatch, v):
+    v = SeifertMatrix.from_rows(v.rows)  # a fresh leaf keeps no Delta yet
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     alexander_polynomial(v)
@@ -501,9 +618,9 @@ def test_alexander_takes_half_the_size_plus_one_determinants(monkeypatch, v):
 def test_alexander_interpolation_checks_every_division(monkeypatch):
     cases = [
         # f(0) = c_1 = 0 and f(2) = 1 give c_0 = (f(2) - f(0))/2 = 1/2
-        (TREFOIL, [0, 1]),
+        (SeifertMatrix.from_rows(TREFOIL.rows), [0, 1]),
         # f(0), f(2), f(-1) = 0, 9, 0 give c_0 = 2, an integer, and c_1 = 1/2
-        (torus_knot_seifert(2, 5), [0, 9, 0]),
+        (SeifertMatrix.from_rows(torus_knot_seifert(2, 5).rows), [0, 9, 0]),
     ]
     for v, values in cases:
         feed = iter(values)
