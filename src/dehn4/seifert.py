@@ -11,32 +11,43 @@ and a three-valued sliceness verdict.
 `SeifertMatrix` keeps V as immutable sparse rows, the input form of the
 `exact` kernels.  The public constructors, `SeifertMatrix(entries)` and
 `SeifertMatrix.from_rows`, are the one trust boundary: every matrix that
-enters there, from a `{"seifert": ...}` spec, a table knot or a torus
-knot's fence basis, is checked in this order: each entry an int, the
-matrix square, its size even, and det(V - V^T) = 1, taken by `det` from
-sparse rows.  The derived builders (mirror, reverse, concordance inverse,
-connected sum, parallel cable) take checked matrices and build through
-the private `SeifertMatrix._derived`, which checks nothing: their rows
-are int and zero-free by construction, and det(V - V^T) = 1 follows from
-the parent's by an identity that each builder's docstring names.  The
-tests take that determinant again, from an independent dense oracle.
-The builders write sparse rows directly, in O(nonzeros), and each
-derived matrix records its origin: the operation and its parents.  Only
+enters there, from a `{"seifert": ...}` spec or a table knot, is checked
+at once in this order: each entry an int, the matrix square, its size
+even, and det(V - V^T) = 1, taken by `det` from sparse rows.  A torus
+knot and the derived builders (mirror, reverse, concordance inverse,
+connected sum, parallel cable) go through the private
+`SeifertMatrix._from_origin`, which stores only the size of V and its
+origin: the torus parameters, or the operation and its parents.  The
+rows are built from the origin on first read, in O(nonzeros), so a
+report that never reads them builds none.  A torus knot's fence basis is
+checked for det(V - V^T) = 1 then, before the rows are returned.  A
+derived matrix is never checked: its rows are int and zero-free by
+construction, and det(V - V^T) = 1 follows from the parent's by an
+identity that each builder's docstring names.  The tests take that
+determinant again, from an independent dense oracle.  Only
 `SeifertMatrix.entries`, a view for reports and tests, is dense.
 
-The two invariants are evaluated over that record, by the classical
-identities (Seifert 1950; Lickorish 1997, ch. 6 and 8):
+The two invariants are evaluated over that record.  A torus knot T(p, q)
+reads them from closed forms: the signature from the
+Gordon-Litherland-Murasugi lattice count in O(min(p, q)) steps (Gordon,
+Litherland and Murasugi 1981), and Delta = (t^pq - 1)(t - 1) /
+((t^p - 1)(t^q - 1)) by long division in O(pq) (Rolfsen 1976).  A
+derived matrix takes them from its parents, by the classical identities
+(Seifert 1950; Lickorish 1997, ch. 6 and 8):
   * sigma(-V^T) = sigma(-V) = -sigma(V) and sigma(V^T) = sigma(V);
   * a connected sum adds signatures and multiplies Alexander polynomials;
   * mirror, reverse and concordance inverse keep Delta;
   * the n-cable has Delta_V(t^n), and for |n| = 1 it is V or V^T.
-The kernels run only on leaves, the matrices that entered through the
-trust boundary, and for the signature on cables with |n| >= 2, for which
-no identity over Z exists (Litherland 1979).  `signature` passes the
-kernel the sparse rows of V + V^T, and `alexander_polynomial` those of
-V - t*V^T.  Each kernel result is kept on its immutable matrix, so the
-one companion of a report is eliminated once however many class knots
-are built from it.
+Mirror, reverse and concordance inverse form a Klein four-group on V, so
+each of them builds on its argument's parent when the argument is one of
+the three: a chain of them is one level deep.  Connected sums and cables
+still nest, one level each.  The kernels run only on the leaves checked
+at the trust boundary, and for the signature on cables with |n| >= 2,
+for which no identity over Z exists (Litherland 1979).  `signature`
+passes the kernel the sparse rows of V + V^T, and `alexander_polynomial`
+those of V - t*V^T.  Each kernel result is kept on its immutable matrix,
+so the one companion of a report is eliminated once however many class
+knots are built from it.
 
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
@@ -68,19 +79,21 @@ class SeifertMatrix:
     V is kept as immutable sparse rows: `rows[i]` is a read-only mapping
     {j: V[i][j]} of the nonzeros of row i, the form the kernels take.
     `SeifertMatrix(entries)` takes dense rows and `SeifertMatrix.from_rows`
-    sparse ones.  Both check every matrix they are given, in this order:
-    every entry is an int (an error names [i][j]), the matrix is square,
-    its size is even, and det(V - V^T) = 1.  Such a matrix is a leaf.
-    Matrices derived from checked ones come from `_derived`, which checks
-    nothing and records their origin: the operation and its parents (see
-    the module docstring).  A kernel result, the signature or the
-    Alexander polynomial, is kept on the matrix it was computed for.
-    Equality and hashing read `rows` only, so neither the origin nor a
-    kept result changes them.  `entries` is a dense view, a new tuple of
-    tuples on each access.
+    sparse ones.  Both check every matrix they are given at once, in this
+    order: every entry is an int (an error names [i][j]), the matrix is
+    square, its size is even, and det(V - V^T) = 1.  Such a matrix is a
+    leaf.  A torus leaf and the matrices derived from checked ones come
+    from `_from_origin`, which stores only their size and their origin: the
+    torus parameters, or the operation and its parents (see the module
+    docstring).  Their `rows` are built from the origin on first read, and
+    a torus leaf's are checked then, before they are returned.  A kernel
+    result, the signature or the Alexander polynomial, is kept on the
+    matrix it was computed for.  Equality and hashing read `rows` only, so
+    neither the origin nor a kept result changes them.  `entries` is a
+    dense view, a new tuple of tuples on each access.
     """
 
-    __slots__ = ("rows", "_origin", "_signature", "_alexander")
+    __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
         dense = [dict(enumerate(row)) for row in entries]
@@ -89,7 +102,7 @@ class SeifertMatrix:
             raise ValueError("Seifert matrix must be square")
         rows = _without_zeros(dense)
         _check_unimodular(rows)
-        self._store(rows, None)
+        self._store(None, len(rows), rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping[int, int]]) -> SeifertMatrix:
@@ -101,24 +114,30 @@ class SeifertMatrix:
         if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= len(sparse)):
             raise ValueError("Seifert matrix must be square")
         _check_unimodular(sparse)
-        return cls._derived(sparse, None)
-
-    @classmethod
-    def _derived(cls, rows: list[dict[int, int]], origin: tuple | None) -> SeifertMatrix:
-        """Store sparse, zero-free int rows of a square, even-size V with
-        det(V - V^T) = 1, unchecked: the caller vouches for all of it.
-
-        origin is how V was built from its parents: ("mirror", W),
-        ("reverse", W), ("inverse", W), ("sum", W, X) or ("cable", W, n);
-        None makes V a leaf.
-        """
         v = cls.__new__(cls)
-        v._store(rows, origin)
+        v._store(None, len(sparse), sparse)
         return v
 
-    def _store(self, rows: list[dict[int, int]], origin: tuple | None) -> None:
-        object.__setattr__(self, "rows", tuple(MappingProxyType(row) for row in rows))
+    @classmethod
+    def _from_origin(cls, origin: tuple, size: int) -> SeifertMatrix:
+        """V of the given size, unchecked, whose rows `_build_rows` makes
+        from origin on first read.
+
+        origin is ("torus", p, q) for the positive torus knot T(p, q) with
+        2 <= p < q coprime, or how V was built from its parents:
+        ("mirror", W), ("reverse", W), ("inverse", W), ("sum", W, X) or
+        ("cable", W, n).  The caller vouches for the size, and each
+        builder's docstring names the identity that gives a derived V
+        det(V - V^T) = 1; a torus leaf is checked when its rows are built.
+        """
+        v = cls.__new__(cls)
+        v._store(origin, size, None)
+        return v
+
+    def _store(self, origin: tuple | None, size: int, rows: list[dict[int, int]] | None) -> None:
         object.__setattr__(self, "_origin", origin)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_rows", None if rows is None else _frozen(rows))
         object.__setattr__(self, "_signature", None)
         object.__setattr__(self, "_alexander", None)
 
@@ -140,13 +159,15 @@ class SeifertMatrix:
         return f"SeifertMatrix(entries={self.entries!r})"
 
     @property
-    def entries(self) -> IntMatrix:
-        n = len(self.rows)
-        return tuple(tuple(row.get(j, 0) for j in range(n)) for row in self.rows)
+    def rows(self) -> tuple[Mapping[int, int], ...]:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _frozen(_build_rows(self)))
+        return self._rows
 
     @property
-    def size(self) -> int:
-        return len(self.rows)
+    def entries(self) -> IntMatrix:
+        n = self.size
+        return tuple(tuple(row.get(j, 0) for j in range(n)) for row in self.rows)
 
     @property
     def genus(self) -> int:
@@ -154,6 +175,10 @@ class SeifertMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
+
+
+def _frozen(rows: list[dict[int, int]]) -> tuple[Mapping[int, int], ...]:
+    return tuple(MappingProxyType(row) for row in rows)
 
 
 def _check_ints(rows: list[dict[int, int]]) -> None:
@@ -217,6 +242,13 @@ def torus_knot_seifert(p: int, q: int) -> SeifertMatrix:
     The resulting matrix has size (p-1)(q-1) and the right-handed trefoil
     comes out as [[-1, 1], [0, -1]].
 
+    The leaf records (a, b), the sorted |p| and |q|, and `signature` and
+    `alexander_polynomial` read its invariants from closed forms: the
+    Gordon-Litherland-Murasugi lattice count (Gordon, Litherland and
+    Murasugi 1981) and Delta = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1))
+    (Rolfsen 1976).  Its rows are built, and det(V - V^T) = 1 checked on
+    them, only when something reads them.
+
     Negative parameters with p*q < 0 give the mirror image; (-p, -q) gives
     the same knot as (p, q).
     """
@@ -226,11 +258,11 @@ def torus_knot_seifert(p: int, q: int) -> SeifertMatrix:
         raise ValueError(f"torus knot parameters must have absolute value >= 2, got ({p}, {q})")
     mirrored = p * q < 0
     a, b = sorted((abs(p), abs(q)))
-    v = _positive_torus_bricks(a, b)
+    v = SeifertMatrix._from_origin(("torus", a, b), (a - 1) * (b - 1))
     return mirror(v) if mirrored else v
 
 
-def _positive_torus_bricks(p: int, q: int) -> SeifertMatrix:
+def _positive_torus_bricks(p: int, q: int) -> list[dict[int, int]]:
     rows = q - 1
     n = (p - 1) * rows
     v: list[dict[int, int]] = [{} for _ in range(n)]
@@ -248,7 +280,45 @@ def _positive_torus_bricks(p: int, q: int) -> SeifertMatrix:
                 v[idx(i + 1, j)][x] = 1
                 if j - 1 >= 0:
                     v[idx(i + 1, j - 1)][x] = -1
-    return SeifertMatrix.from_rows(v)
+    return v
+
+
+def _torus_signature(p: int, q: int) -> int:
+    """sigma(T(p, q)) for coprime 2 <= p < q, by the Gordon-Litherland-
+    Murasugi count: (p-1)(q-1) minus twice the number of pairs 0 < i < p,
+    0 < j < q with pq < 2(iq + jp) < 3pq.  For each i those j form one
+    open interval lo < 2pj < hi, counted by two floor divisions, so the
+    count takes O(p) steps."""
+    inside = 0
+    for i in range(1, p):
+        lo = max(p * q - 2 * i * q, 0)
+        hi = min(3 * p * q - 2 * i * q, 2 * p * q)
+        inside += (hi - 1) // (2 * p) - lo // (2 * p)
+    return (p - 1) * (q - 1) - 2 * inside
+
+
+def _torus_alexander(p: int, q: int) -> LaurentPoly:
+    """Delta of T(p, q): the exact quotient of (t^pq - 1)(t - 1) by
+    (t^p - 1)(t^q - 1) = 1 - t^p - t^q + t^(p+q), of degree n = (p-1)(q-1).
+
+    Long division from the lowest degree, by a divisor with constant term
+    1, gives c_k = a_k + c_(k-p) + c_(k-q) - c_(k-p-q), with a_k the
+    numerator's coefficients: O(pq) steps, every c_k in {-1, 0, 1}.  The
+    quotient is palindromic with value 1 at t = 1, so centering it
+    normalizes it.
+    """
+    n = (p - 1) * (q - 1)
+    numerator = {0: 1, 1: -1, p * q: -1, p * q + 1: 1}  # (t^pq - 1)(t - 1)
+    c = [0] * (n + 1)
+    for k in range(n + 1):
+        c[k] = numerator.get(k, 0)
+        if k >= p:
+            c[k] += c[k - p]
+        if k >= q:
+            c[k] += c[k - q]
+        if k >= p + q:
+            c[k] -= c[k - p - q]
+    return LaurentPoly((k - n // 2, x) for k, x in enumerate(c))
 
 
 def twist_knot_seifert(m: int) -> SeifertMatrix:
@@ -277,7 +347,7 @@ def mirror(v: SeifertMatrix) -> SeifertMatrix:
 
     Unchecked: -V^T - (-V^T)^T = V - V^T, so det(V - V^T) = 1 carries over.
     """
-    return SeifertMatrix._derived(_transpose(v.rows, -1), ("mirror", v))
+    return _unary("mirror", v)
 
 
 def reverse(v: SeifertMatrix) -> SeifertMatrix:
@@ -285,7 +355,7 @@ def reverse(v: SeifertMatrix) -> SeifertMatrix:
 
     Unchecked: V^T - V = -(V - V^T), and det(-A) = det A at even size.
     """
-    return SeifertMatrix._derived(_transpose(v.rows), ("reverse", v))
+    return _unary("reverse", v)
 
 
 def concordance_inverse(v: SeifertMatrix) -> SeifertMatrix:
@@ -293,8 +363,24 @@ def concordance_inverse(v: SeifertMatrix) -> SeifertMatrix:
 
     Unchecked: -V - (-V)^T = -(V - V^T), and det(-A) = det A at even size.
     """
-    rows = [{j: -x for j, x in row.items()} for row in v.rows]
-    return SeifertMatrix._derived(rows, ("inverse", v))
+    return _unary("inverse", v)
+
+
+def _unary(op: str, v: SeifertMatrix) -> SeifertMatrix:
+    """op applied to V, built on V's parent when V is itself a mirror,
+    reverse or concordance inverse.
+
+    With the identity the three form a Klein four-group acting on V: each
+    undoes itself, and any two compose to the third (the mirror of the
+    reverse is -(V^T)^T = -V, the mirror of -V is V^T, the reverse of -V
+    is -V^T).  So a chain of them has depth at most one.
+    """
+    match v._origin:
+        case (("mirror" | "reverse" | "inverse") as inner, w):
+            if inner == op:
+                return w
+            op, v = ({"mirror", "reverse", "inverse"} - {op, inner}).pop(), w
+    return SeifertMatrix._from_origin((op, v), v.size)
 
 
 def connected_sum(v: SeifertMatrix, w: SeifertMatrix) -> SeifertMatrix:
@@ -304,9 +390,7 @@ def connected_sum(v: SeifertMatrix, w: SeifertMatrix) -> SeifertMatrix:
     W - W^T, and a block-diagonal determinant is the product of its
     blocks, 1 * 1.
     """
-    n = v.size
-    shifted = [{j + n: x for j, x in row.items()} for row in w.rows]
-    return SeifertMatrix._derived([*map(dict, v.rows), *shifted], ("sum", v, w))
+    return SeifertMatrix._from_origin(("sum", v, w), v.size + w.size)
 
 
 def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
@@ -329,34 +413,61 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
     """
     if n == 0:
         raise ValueError("parallel cable requires n != 0")
-    base = v.rows if n > 0 else _transpose(v.rows)
-    base_t = _transpose(base)
-    k = abs(n)
-    g2 = len(base)
-    out = []
-    for bi in range(k):
-        for i in range(g2):
-            row = {}
-            for bj in range(k):
-                blk = base if bi <= bj else base_t
-                for j, x in blk[i].items():
-                    row[bj * g2 + j] = x
-            out.append(row)
-    return SeifertMatrix._derived(out, ("cable", v, n))
+    return SeifertMatrix._from_origin(("cable", v, n), abs(n) * v.size)
+
+
+def _build_rows(v: SeifertMatrix) -> list[dict[int, int]]:
+    """The sparse rows of a V made by `_from_origin`, from its origin, in
+    O(nonzeros).  A torus leaf's bricks are checked here, before anyone
+    sees them; derived rows are built from their parents' `rows`."""
+    match v._origin:
+        case ("torus", p, q):
+            rows = _positive_torus_bricks(p, q)
+            _check_unimodular(rows)
+            return rows
+        case ("mirror", w):
+            return _transpose(w.rows, -1)
+        case ("reverse", w):
+            return _transpose(w.rows)
+        case ("inverse", w):
+            return [{j: -x for j, x in row.items()} for row in w.rows]
+        case ("sum", w, u):
+            n = w.size
+            shifted = [{j + n: x for j, x in row.items()} for row in u.rows]
+            return [*map(dict, w.rows), *shifted]
+        case ("cable", w, n):
+            base = w.rows if n > 0 else _transpose(w.rows)
+            base_t = _transpose(base)
+            k = abs(n)
+            g2 = len(base)
+            out = []
+            for bi in range(k):
+                for i in range(g2):
+                    row = {}
+                    for bj in range(k):
+                        blk = base if bi <= bj else base_t
+                        for j, x in blk[i].items():
+                            row[bj * g2 + j] = x
+                    out.append(row)
+            return out
+    raise AssertionError(f"internal error: no rows for origin {v._origin!r}")
 
 
 def signature(v: SeifertMatrix) -> int:
     """Signature of V + V^T.
 
-    A derived V takes it from its parents: sigma(-V^T) = sigma(-V) =
+    A torus leaf reads it from the Gordon-Litherland-Murasugi count.  A
+    derived V takes it from its parents: sigma(-V^T) = sigma(-V) =
     -sigma(V), sigma(V^T) = sigma(V), the signature of a block sum is the
     sum of the blocks', and a cable with |n| = 1 is V or V^T.  No identity
     over Z gives it for a cable with |n| >= 2 (Litherland 1979 needs the
     Levine-Tristram signatures at roots of unity), so such a cable, like
-    a leaf, runs exact congruence diagonalization on its own rows, once:
-    the result is kept on the matrix.
+    a checked leaf, runs exact congruence diagonalization on its own
+    rows, once: the result is kept on the matrix.
     """
     match v._origin:
+        case ("torus", p, q):
+            return _torus_signature(p, q)
         case ("mirror" | "inverse", w):
             return -signature(w)
         case ("reverse", w) | ("cable", w, 1 | -1):
@@ -371,13 +482,17 @@ def signature(v: SeifertMatrix) -> int:
 def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     """Normalized Alexander polynomial det(V - t*V^T).
 
-    A derived V takes it from its parents: the mirror, the reverse and the
-    concordance inverse keep Delta, a block sum multiplies, and the n-cable
-    of V has Delta_V(t^n) (Seifert's satellite formula).  Products and
-    substitutions of normalized polynomials are normalized.  A leaf runs
-    `_interpolated_alexander` once: the result is kept on the matrix.
+    A torus leaf reads it from the closed form of `_torus_alexander`.  A
+    derived V takes it from its parents: the mirror, the reverse and the
+    concordance inverse keep Delta, a block sum multiplies, and the
+    n-cable of V has Delta_V(t^n) (Seifert's satellite formula).  Products
+    and substitutions of normalized polynomials are normalized.  A checked
+    leaf runs `_interpolated_alexander` once: the result is kept on the
+    matrix.
     """
     match v._origin:
+        case ("torus", p, q):
+            return _torus_alexander(p, q)
         case ("mirror" | "reverse" | "inverse", w):
             return alexander_polynomial(w)
         case ("sum", w, x):

@@ -19,7 +19,7 @@ from conftest import (
     skew_det,
 )
 from dehn4.exact import det, signature_symmetric
-from dehn4 import seifert
+from dehn4 import cli, seifert
 from dehn4.laurent import LaurentPoly
 from dehn4.scenarios import build_scenario, run_scenario
 from dehn4.seifert import (
@@ -78,8 +78,21 @@ def test_torus_knot_det_invariant():
     + [(10, 11)],  # 90 x 90
 )
 def test_torus_knot_alexander_matches_closed_form(p, q):
-    v = torus_knot_seifert(p, q)
-    assert alexander_polynomial(v) == torus_alexander_oracle(p, q)
+    # the closed form on the torus leaf, against the kernel on its rows read
+    # back as a checked leaf, and against the quotient taken by sympy
+    for spec in ((p, q), (-p, q)):
+        v = torus_knot_seifert(*spec)
+        assert alexander_polynomial(v) == alexander_polynomial(SeifertMatrix.from_rows(v.rows))
+        assert alexander_polynomial(v) == torus_alexander_oracle(p, q)
+
+
+def test_torus_knot_alexander_matches_sympy_quotient_beyond_the_kernel():
+    # the closed form alone, where the kernel would take seconds
+    for p in range(2, 16):
+        for q in range(p + 1, 17):
+            if gcd(p, q) == 1:
+                delta = alexander_polynomial(torus_knot_seifert(q, p))
+                assert delta == torus_alexander_oracle(p, q)
 
 
 def test_torus_knot_known_signatures():
@@ -116,7 +129,21 @@ def test_glm_count_reproduces_pinned_signatures():
     + [(20, 21), (13, 29)],  # 380 x 380 and 336 x 336
 )
 def test_torus_knot_signature_matches_glm_count(p, q):
-    assert signature(torus_knot_seifert(p, q)) == glm_torus_signature(p, q)
+    # the row count on the torus leaf, against the kernel on its rows read
+    # back as a checked leaf, and against the O(pq) lattice count
+    for spec, sign in (((p, q), 1), ((-p, q), -1)):
+        v = torus_knot_seifert(*spec)
+        kernel = signature(SeifertMatrix.from_rows(v.rows))
+        assert signature(v) == kernel == sign * glm_torus_signature(p, q)
+
+
+def test_torus_signature_row_count_matches_the_lattice_count():
+    for p in range(2, 31):
+        for q in range(p + 1, 32):
+            if gcd(p, q) == 1:
+                glm = glm_torus_signature(p, q)
+                assert signature(torus_knot_seifert(q, p)) == glm
+                assert signature(torus_knot_seifert(p, -q)) == -glm
 
 
 def test_torus_knot_parameter_validation():
@@ -256,11 +283,10 @@ def test_seifert_matrix_from_rows_checks():
 def test_every_builder_checks_unimodularity(monkeypatch):
     # the public constructors are the trust boundary: once the det(V - V^T)
     # step is patched to fail, every matrix that enters through them fails
-    v = TREFOIL
+    # at once, and a torus leaf fails where its rows are first read
+    v = SeifertMatrix(((-1, 1), (0, -1)))
     monkeypatch.setattr(seifert, "det", lambda m: 0)
     builds = [
-        lambda: torus_knot_seifert(2, 3),
-        lambda: torus_knot_seifert(-2, 3),
         lambda: SeifertMatrix(v.entries),
         lambda: SeifertMatrix.from_rows(v.rows),
         lambda: knot_from_spec({"seifert": [list(row) for row in v.entries]}),
@@ -268,25 +294,43 @@ def test_every_builder_checks_unimodularity(monkeypatch):
     for build in builds:
         with pytest.raises(ValueError, match=r"det\(V - V\^T\) must equal 1"):
             build()
+    for p, q in ((2, 3), (-2, 3)):
+        leaf = torus_knot_seifert(p, q)
+        for read in (lambda: leaf.rows, lambda: leaf.entries):
+            with pytest.raises(ValueError, match=r"det\(V - V\^T\) must equal 1"):
+                read()
 
 
 def test_derived_builders_take_no_determinant(monkeypatch):
-    # each derived builder inherits det(V - V^T) = 1 from its checked parents
+    # each derived builder inherits det(V - V^T) = 1 from its checked
+    # parents: neither building it nor reading its rows takes one
     v, w = torus_knot_seifert(3, 4), FIG8
+    assert v.rows  # the torus leaf is checked here, on first read
     calls = []
     monkeypatch.setattr(seifert, "det", lambda m: calls.append(len(m)) or det(m))
-    for op in (mirror, reverse, concordance_inverse):
-        op(v)
-    connected_sum(v, w)
-    for n in (-2, -1, 1, 2):
-        parallel_cable(v, n)
+    derived = [op(v) for op in (mirror, reverse, concordance_inverse)]
+    derived.append(connected_sum(v, w))
+    derived += [parallel_cable(v, n) for n in (-2, -1, 1, 2)]
+    for d in derived:
+        assert len(d.rows) == d.size
     assert calls == []
 
 
+@pytest.fixture
+def torus_specs_as_rows(monkeypatch):
+    """A {"torus": [p, q]} spec enters as a checked leaf of the dense brick
+    rows, as a {"seifert": ...} spec would, so its invariants come from the
+    kernels rather than the closed forms."""
+    monkeypatch.setattr(
+        seifert, "torus_knot_seifert", lambda p, q: SeifertMatrix(dense_torus_bricks(p, q))
+    )
+
+
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 7), (8, 9)])
-def test_twist_extension_checks_the_companion_once(monkeypatch, p, q):
-    # the companion T(p, q) is checked where it is built; its concordance
-    # inverse, cable and connected sum are derived from it unchecked
+def test_twist_extension_checks_the_companion_once(monkeypatch, torus_specs_as_rows, p, q):
+    # a companion given by its rows is checked where it enters; its
+    # concordance inverse, cable and connected sum are derived from it
+    # unchecked
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     run_scenario(build_scenario("twist-extension", p=p, q=q))
@@ -294,10 +338,10 @@ def test_twist_extension_checks_the_companion_once(monkeypatch, p, q):
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 7), (8, 9)])
-def test_twist_extension_diagonalizes_the_companion_once(monkeypatch, p, q):
-    # sigma(-J) = -sigma(J), and the -1 cable of J is J^T, so both class
-    # knots read the one elimination of J; the 0 x 0 unknot K may add an
-    # empty one
+def test_twist_extension_diagonalizes_the_companion_once(monkeypatch, torus_specs_as_rows, p, q):
+    # for a companion given by its rows, sigma(-J) = -sigma(J), and the -1
+    # cable of J is J^T, so both class knots read the one elimination of
+    # J; the 0 x 0 unknot K may add an empty one
     sizes = []
     monkeypatch.setattr(
         seifert,
@@ -307,6 +351,37 @@ def test_twist_extension_diagonalizes_the_companion_once(monkeypatch, p, q):
     run_scenario(build_scenario("twist-extension", p=p, q=q))
     assert sizes.count((p - 1) * (q - 1)) == 1
     assert set(sizes) <= {0, (p - 1) * (q - 1)}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("p,q", [(2, 3), (8, 9), (40, 41)])
+def test_twist_extension_runs_no_elimination_on_its_torus_companion(monkeypatch, capsys, p, q, fmt):
+    # sigma(J) comes from the lattice count, and no report reads the rows
+    # of J: the only kernel calls left are the 0 x 0 ones of the unknot K
+    # (the 2 x 2 and 3 x 3 determinants of `linking` are not counted here)
+    dets, sigs = [], []
+    monkeypatch.setattr(seifert, "det", lambda m: dets.append(len(m)) or det(m))
+    monkeypatch.setattr(
+        seifert, "signature_symmetric", lambda m: sigs.append(len(m)) or signature_symmetric(m)
+    )
+    argv = ["report", "--scenario", "twist-extension", "--p", str(p), "--q", str(q)]
+    assert cli.main([*argv, "--format", fmt]) == 0
+    assert "Mixed" in capsys.readouterr().out
+    assert set(dets) <= {0} and set(sigs) <= {0}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_torus_top_vs_smooth_checks_its_torus_companion_only_when_written(monkeypatch, capsys, fmt):
+    # Delta and sigma of J = T(8, 9) come from the closed forms; a JSON
+    # report writes the 56 x 56 matrix of J, so it builds and checks it once
+    sizes = []
+    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    argv = ["report", "--scenario", "torus-top-vs-smooth", "--n", "1"]
+    argv += ["--knot-j", '{"torus": [8, 9]}']
+    assert cli.main([*argv, "--format", fmt]) == 0
+    assert "Inconclusive" in capsys.readouterr().out
+    large = [size for size in sizes if size > 2]
+    assert large == ([56] if fmt == "json" else [])
 
 
 @pytest.mark.parametrize("knot_k", ["left-trefoil", "figure-eight"])
@@ -325,13 +400,72 @@ def test_torus_solid_takes_the_companion_alexander_once(monkeypatch, knot_k):
     assert max(sizes) == 12
 
 
-def test_torus_top_vs_smooth_cable_takes_no_determinant_beyond_its_companion(monkeypatch):
+def test_torus_top_vs_smooth_cable_takes_no_determinant_beyond_its_companion(
+    monkeypatch, torus_specs_as_rows
+):
     # the 62 x 62 class knot WD+ # cable(T(5,6); 3) gets Delta from its
-    # leaves: WD+ (2 x 2) and T(5,6) (20 x 20, also checked where it enters)
+    # leaves: WD+ (2 x 2) and T(5,6), given by its rows (20 x 20, also
+    # checked where it enters)
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     run_scenario(build_scenario("torus-top-vs-smooth", n=3, knot_j={"torus": [5, 6]}))
     assert max(sizes) == 20
+
+
+UNARY_ORACLES = {
+    mirror: dense_mirror,
+    reverse: dense_reverse,
+    concordance_inverse: dense_concordance_inverse,
+}
+
+
+@pytest.mark.parametrize("outer", list(UNARY_ORACLES), ids=lambda op: op.__name__)
+@pytest.mark.parametrize("inner", list(UNARY_ORACLES), ids=lambda op: op.__name__)
+def test_unary_builders_compose_on_the_parent(outer, inner):
+    # mirror, reverse and concordance inverse form a Klein four-group, so
+    # outer(inner(V)) is built on V: its rows must still be the composition
+    for v in (torus_knot_seifert(3, 4), FIG8, twist_knot_seifert(2)):
+        composed = outer(inner(v))
+        assert composed.entries == UNARY_ORACLES[outer](UNARY_ORACLES[inner](v.entries))
+        leaf = SeifertMatrix.from_rows(composed.rows)
+        assert signature(composed) == signature(leaf)
+        assert alexander_polynomial(composed) == alexander_polynomial(leaf)
+
+
+def test_deep_unary_chains_have_depth_one():
+    v = torus_knot_seifert(2, 3)
+    m = v
+    for _ in range(1200):
+        m = mirror(m)
+    assert signature(m) == -2
+    assert m.rows == v.rows
+    ops = [mirror, reverse, concordance_inverse, reverse, reverse, mirror, concordance_inverse]
+    m, e = v, v.entries
+    for k in range(1201):
+        op = ops[k % len(ops)]
+        m, e = op(m), UNARY_ORACLES[op](e)
+    assert m.entries == e
+    assert signature(m) == signature(SeifertMatrix(e))
+    assert alexander_polynomial(m) == alexander_polynomial(v)
+
+
+def test_long_connected_sum_of_torus_leaves_builds_no_bricks(monkeypatch):
+    built = []
+    bricks = seifert._positive_torus_bricks
+    monkeypatch.setattr(
+        seifert, "_positive_torus_bricks", lambda p, q: built.append((p, q)) or bricks(p, q)
+    )
+    v = torus_knot_seifert(2, 3)
+    s = v
+    for _ in range(199):
+        s = connected_sum(s, v)
+    assert s.size == 400 and s.genus == 200
+    assert signature(s) == -400
+    delta = alexander_polynomial(s)
+    assert delta.span == 400 and delta.evaluate(-1) == 3**200  # Delta_T(2,3)(-1) = -3
+    assert built == []
+    assert len(s.rows) == 400  # reading the rows builds the one leaf's bricks
+    assert built == [(2, 3)]
 
 
 def test_derived_matrices_equal_their_leaves_and_keep_their_views():
