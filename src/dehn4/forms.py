@@ -139,16 +139,6 @@ def square_check(a: int, ell: int, k: int) -> int:
     return pow(a, (ell - 1) // 2, ell)
 
 
-def is_square_mod(a: int, p: int) -> bool:
-    """Whether a, a unit mod p, is a square mod p: square_check is 1 at
-    every prime power l^k || p."""
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    if gcd(a, p) != 1:
-        raise ValueError("a must be coprime to the modulus")
-    return all(square_check(a, ell, k) == 1 for ell, k in factor(p))
-
-
 @dataclass(frozen=True)
 class LensWitness:
     """The re-checkable answer of lens_qr_bounding for L(p, q).

@@ -32,19 +32,9 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
-
-    def coeff(self, exp: int) -> int:
-        for e, c in self._coeffs:
-            if e == exp:
-                return c
-        return 0
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -104,8 +94,12 @@ class LaurentPoly:
         """True if coefficients read the same from both ends (up to t-shift)."""
         if not self._coeffs:
             return True
+        # the k-th term from the low end pairs with the k-th from the high end
         center = self.min_exp + self.max_exp
-        return all(self.coeff(e) == self.coeff(center - e) for e, _ in self._coeffs)
+        return all(
+            e + f == center and c == d
+            for (e, c), (f, d) in zip(self._coeffs, reversed(self._coeffs))
+        )
 
     def normalized(self) -> "LaurentPoly":
         """Unit-normalize: center the exponents and make the value at 1 positive.

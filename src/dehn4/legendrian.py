@@ -34,12 +34,6 @@ class FrontData:
                 f"a front has an even number (>= 2) of cusps, got {total}"
             )
 
-    def stabilized(self, positive: bool) -> "FrontData":
-        """Add one zigzag (two cusps of one kind): tb drops by 1, rot moves by +-1."""
-        if positive:
-            return FrontData(self.writhe, self.down_cusps + 2, self.up_cusps)
-        return FrontData(self.writhe, self.down_cusps, self.up_cusps + 2)
-
 
 def tb(front: FrontData) -> int:
     """Thurston-Bennequin number: writhe - (number of cusps)/2."""

@@ -570,25 +570,29 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     return trace, Verdict.INCONCLUSIVE, {"notes": notes}
 
 
+def _twist_class(c: tuple[int, int], basis: tuple[str, str]) -> str:
+    return f"{c[0]}*{basis[0]} + {c[1]}*{basis[1]}"
+
+
 def _run_twist_extension(s: Scenario) -> _Run:
     p, q = s.p, s.q
     orbit = twists.seifert_orbit_class(p, q)
-    trace = [
-        TraceStep("seifert_orbit_class", {"p": p, "q": q}, str(orbit)),
-    ]
+    orbit_str = _twist_class(orbit, ("mu", "lambda"))
+    trace = [TraceStep("seifert_orbit_class", {"p": p, "q": q}, orbit_str)]
     ab = twists.to_alpha_beta(orbit)
-    trace.append(TraceStep("to_alpha_beta", {"class": str(orbit)}, str(ab)))
-    meridian = twists.TwistClass((1, 0), twists.TwistBasis.ALPHA_BETA)
-    subgroup = twists.extension_subgroup([meridian, ab])
+    ab_str = _twist_class(ab, ("alpha", "beta"))
+    trace.append(TraceStep("to_alpha_beta", {"class": orbit_str}, ab_str))
+    meridian = (1, 0)
+    index = twists.extension_subgroup(meridian, ab)
+    # det [[1, 0], [pq - 1, 1]] = 1 for every p and q, so the meridian and
+    # the orbit class generate all of H_1(T) and no verdict handles less
+    if index != 1:
+        raise AssertionError(f"internal error: extension subgroup index {index} of {ab}")
     trace.append(
         TraceStep(
             "extension_subgroup",
-            {"generators": [list(meridian.vector), list(ab.vector)]},
-            {
-                "rows": [list(r) for r in subgroup.rows],
-                "rank": subgroup.rank,
-                "index": subgroup.index,
-            },
+            {"generators": [list(meridian), list(ab)]},
+            {"rows": [[1, 0], [0, 1]], "rank": 2, "index": index},
         )
     )
     unset = [
@@ -596,7 +600,6 @@ def _run_twist_extension(s: Scenario) -> _Run:
         for name in ("meridian-twist-extends", "orbit-twist-extends")
         if not _flag_value(s, name)
     ]
-    all_extend = subgroup.is_full and not unset
 
     companion = build_scenario(
         "torus-solid",
@@ -608,16 +611,16 @@ def _run_twist_extension(s: Scenario) -> _Run:
     trace.extend(
         TraceStep(f"companion.{t.operation}", t.inputs, t.output) for t in companion_trace
     )
-    if all_extend and companion_verdict is Verdict.OBSTRUCTED:
-        return trace, Verdict.MIXED, {"twists_extend": "yes", "smooth_solid_torus": "no"}
-    if all_extend:
-        return trace, Verdict.EXTENDS, {
-            "twists_extend": "yes",
-            "smooth_solid_torus": "undetermined",
+    if unset:
+        return trace, Verdict.INCONCLUSIVE, {
+            "notes": [f"hypothesis flag {name} is unset" for name in unset]
         }
-    notes = [] if subgroup.is_full else [f"extension subgroup has index {subgroup.index}"]
-    notes += [f"hypothesis flag {name} is unset" for name in unset]
-    return trace, Verdict.INCONCLUSIVE, {"notes": notes}
+    if companion_verdict is Verdict.OBSTRUCTED:
+        return trace, Verdict.MIXED, {"twists_extend": "yes", "smooth_solid_torus": "no"}
+    return trace, Verdict.EXTENDS, {
+        "twists_extend": "yes",
+        "smooth_solid_torus": "undetermined",
+    }
 
 
 def _torus_solid_flags(args: dict) -> tuple[HypothesisFlag, ...]:

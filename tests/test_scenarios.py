@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dehn4 import cli, forms, linking
+from dehn4 import cli, forms, linking, twists
 from dehn4.cli import main
 from dehn4.report import render, render_json, render_text, report_to_json_dict
 from dehn4.scenarios import (
@@ -133,6 +133,22 @@ def test_twist_extension_notes_name_each_unset_flag(unset):
     report = run("twist-extension", p=2, q=3, flags=flags)
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.detail == {"notes": [f"hypothesis flag {name} is unset" for name in unset]}
+
+
+@pytest.mark.parametrize("p,q", [(-2, 3), (3, 2), (2, -5), (-3, -4)])
+def test_twist_extension_negative_and_swapped_pairs_mixed(p, q):
+    report = run("twist-extension", p=p, q=q)
+    assert report.verdict is Verdict.MIXED
+    sub = next(t for t in report.trace if t.operation == "extension_subgroup")
+    assert sub.output == {"rows": [[1, 0], [0, 1]], "rank": 2, "index": 1}
+
+
+def test_twist_extension_asserts_the_full_subgroup(monkeypatch):
+    """The meridian and the orbit class have determinant 1 for every p and q:
+    any other index is an internal error, not a verdict."""
+    monkeypatch.setattr(twists, "extension_subgroup", lambda a, b: 2)
+    with pytest.raises(AssertionError, match="internal error: extension subgroup index 2"):
+        run("twist-extension", p=2, q=3)
 
 
 def obstruction_witness_present(report) -> bool:

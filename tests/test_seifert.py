@@ -708,7 +708,7 @@ def leibniz_alexander(v: SeifertMatrix) -> LaurentPoly:
     total: dict[int, int] = {}
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = LaurentPoly.term(-1 if inversions % 2 else 1)
+        term = LaurentPoly({0: -1 if inversions % 2 else 1})
         for i, j in enumerate(perm):
             term = term * LaurentPoly({0: v.entries[i][j], 1: -v.entries[j][i]})
         for e, c in term.coeffs.items():
