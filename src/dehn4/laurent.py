@@ -85,10 +85,14 @@ class LaurentPoly:
         return self.substituted(-1)
 
     def evaluate(self, t) -> Fraction:
-        total = Fraction(0)
-        for e, c in self._coeffs:
-            total += c * Fraction(t) ** e
-        return total
+        """The value at t, an int or a Fraction, as a Fraction.
+
+        With lo = min(min_exp, 0), the value is the polynomial
+        sum c * t^(e - lo), taken in t's own type, over t^(-lo): one exact
+        division, not one Fraction power per term.
+        """
+        lo = min(self._coeffs[0][0], 0) if self._coeffs else 0
+        return Fraction(sum(c * t ** (e - lo) for e, c in self._coeffs), t**-lo)
 
     def is_palindromic(self) -> bool:
         """True if coefficients read the same from both ends (up to t-shift)."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from . import forms, legendrian, linking, seifert, twists
@@ -447,6 +447,10 @@ def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], linking.ZeroClasses]:
 def _run_torus_solid(s: Scenario) -> _Run:
     trace, zc = _torus_pipeline(s)
     notes = []
+    # -J and K # cable(J; n) often share Delta (K with Delta = 1 and n = 1),
+    # so the two classes share one Fox-Milnor test; the memo lives for this
+    # report only
+    fox_milnor = cache(seifert.fox_milnor)
     for cls in zc.classes:
         knot = _class_knot(s, cls)
         trace.append(
@@ -456,7 +460,7 @@ def _run_torus_solid(s: Scenario) -> _Run:
                 {"knot": knot.name, "genus": knot.matrix.genus},
             )
         )
-        verdict = seifert.algebraic_slice_verdict(knot.matrix)
+        verdict = seifert.algebraic_slice_verdict(knot.matrix, fox_milnor)
         trace.append(
             TraceStep(
                 "algebraic_slice_verdict",

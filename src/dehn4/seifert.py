@@ -40,14 +40,21 @@ derived matrix takes them from its parents, by the classical identities
   * the n-cable has Delta_V(t^n), and for |n| = 1 it is V or V^T.
 Mirror, reverse and concordance inverse form a Klein four-group on V, so
 each of them builds on its argument's parent when the argument is one of
-the three: a chain of them is one level deep.  Connected sums and cables
-still nest, one level each.  The kernels run only on the leaves checked
-at the trust boundary, and for the signature on cables with |n| >= 2,
-for which no identity over Z exists (Litherland 1979).  `signature`
-passes the kernel the sparse rows of V + V^T, and `alexander_polynomial`
-those of V - t*V^T.  Each kernel result is kept on its immutable matrix,
-so the one companion of a report is eliminated once however many class
-knots are built from it.
+the three: a chain of them is one level deep.  Cables nest, one level
+each.  Connected sums nest too, but the rows, the signature and the
+Alexander polynomial of a sum walk its summands with an explicit stack,
+so a chain of any length needs no recursion, and only the outermost sum
+keeps rows.  The kernels run only on the leaves checked at the trust
+boundary, and for the signature on cables with |n| >= 2, for which no
+identity over Z exists (Litherland 1979).  `signature` passes the kernel
+the sparse rows of V + V^T.  `alexander_polynomial` splits a leaf into
+the principal blocks on the components of its support graph (one block
+for a connected V): a simultaneous permutation makes V - t*V^T
+block-diagonal, so Delta is the product of the blocks' det(B - t*B^T),
+each interpolated on its own.  A sum of two g x g blocks then takes
+2(g/2 + 1) determinants of size g, not g + 1 of size 2g.  Each kernel
+result is kept on its immutable matrix, so the one companion of a
+report is eliminated once however many class knots are built from it.
 
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
@@ -62,7 +69,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -431,10 +438,12 @@ def _build_rows(v: SeifertMatrix) -> list[dict[int, int]]:
             return _transpose(w.rows)
         case ("inverse", w):
             return [{j: -x for j, x in row.items()} for row in w.rows]
-        case ("sum", w, u):
-            n = w.size
-            shifted = [{j + n: x for j, x in row.items()} for row in u.rows]
-            return [*map(dict, w.rows), *shifted]
+        case ("sum", _, _):
+            out, offset = [], 0
+            for w in _summands(v):
+                out += ({j + offset: x for j, x in row.items()} for row in w.rows)
+                offset += w.size
+            return out
         case ("cable", w, n):
             base = w.rows if n > 0 else _transpose(w.rows)
             base_t = _transpose(base)
@@ -458,12 +467,12 @@ def signature(v: SeifertMatrix) -> int:
 
     A torus leaf reads it from the Gordon-Litherland-Murasugi count.  A
     derived V takes it from its parents: sigma(-V^T) = sigma(-V) =
-    -sigma(V), sigma(V^T) = sigma(V), the signature of a block sum is the
-    sum of the blocks', and a cable with |n| = 1 is V or V^T.  No identity
-    over Z gives it for a cable with |n| >= 2 (Litherland 1979 needs the
-    Levine-Tristram signatures at roots of unity), so such a cable, like
-    a checked leaf, runs exact congruence diagonalization on its own
-    rows, once: the result is kept on the matrix.
+    -sigma(V), sigma(V^T) = sigma(V), a connected sum adds over its
+    summands (`_summands`), and a cable with |n| = 1 is V or V^T.  No
+    identity over Z gives it for a cable with |n| >= 2 (Litherland 1979
+    needs the Levine-Tristram signatures at roots of unity), so such a
+    cable, like a checked leaf, runs exact congruence diagonalization on
+    its own rows, once: the result is kept on the matrix.
     """
     match v._origin:
         case ("torus", p, q):
@@ -472,8 +481,8 @@ def signature(v: SeifertMatrix) -> int:
             return -signature(w)
         case ("reverse", w) | ("cable", w, 1 | -1):
             return signature(w)
-        case ("sum", w, x):
-            return signature(w) + signature(x)
+        case ("sum", _, _):
+            return sum(map(signature, _summands(v)))
     if v._signature is None:
         object.__setattr__(v, "_signature", signature_symmetric(_plus_transpose(v.rows, 1)))
     return v._signature
@@ -484,28 +493,85 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
 
     A torus leaf reads it from the closed form of `_torus_alexander`.  A
     derived V takes it from its parents: the mirror, the reverse and the
-    concordance inverse keep Delta, a block sum multiplies, and the
-    n-cable of V has Delta_V(t^n) (Seifert's satellite formula).  Products
-    and substitutions of normalized polynomials are normalized.  A checked
-    leaf runs `_interpolated_alexander` once: the result is kept on the
-    matrix.
+    concordance inverse keep Delta, a connected sum multiplies over its
+    summands (nested sums are flattened by `_summands`), and the n-cable
+    of V has Delta_V(t^n) (Seifert's satellite formula).  Products and
+    substitutions of normalized polynomials are normalized.  A checked
+    leaf is split by `_blocks` into the principal blocks on the components
+    of its support graph, and Delta is the product of the blocks'
+    `_interpolated_alexander`: a block of size k takes k/2 + 1
+    determinants of size k.  It is computed once: the result is kept on
+    the matrix.
     """
     match v._origin:
         case ("torus", p, q):
             return _torus_alexander(p, q)
         case ("mirror" | "reverse" | "inverse", w):
             return alexander_polynomial(w)
-        case ("sum", w, x):
-            return alexander_polynomial(w) * alexander_polynomial(x)
+        case ("sum", _, _):
+            return prod(map(alexander_polynomial, _summands(v)), start=LaurentPoly.one())
         case ("cable", w, n):
             return alexander_polynomial(w).substituted(n)
     if v._alexander is None:
-        object.__setattr__(v, "_alexander", _interpolated_alexander(v))
+        delta = prod(map(_interpolated_alexander, _blocks(v.rows)), start=LaurentPoly.one())
+        object.__setattr__(v, "_alexander", delta)
     return v._alexander
 
 
-def _interpolated_alexander(v: SeifertMatrix) -> LaurentPoly:
-    """The kernel of `alexander_polynomial`: det(V - t*V^T) from V's rows.
+def _summands(v: SeifertMatrix) -> list[SeifertMatrix]:
+    """The matrices that are not sums in the nested connected sum V, left
+    to right.  An explicit stack walks the nesting, so a chain of any
+    length costs no recursion."""
+    out, stack = [], [v]
+    while stack:
+        w = stack.pop()
+        match w._origin:
+            case ("sum", a, b):
+                stack += (b, a)
+            case _:
+                out.append(w)
+    return out
+
+
+def _blocks(rows: SparseRows) -> list[SparseRows]:
+    """The principal blocks of V on the connected components of its support
+    graph (i ~ j when V[i][j] != 0), each relabeled to 0..k-1, in O(nnz).
+
+    One simultaneous permutation makes V, and so V - t*V^T, block-diagonal
+    with these blocks, and det(P M P^T) = det M: Delta is the product of
+    the blocks' determinants.  Each det(B - B^T) is a Pfaffian square, and
+    their product is det(V - V^T) = 1, so every block has even size and
+    det(B - B^T) = 1.  A connected V is one block, its own rows.
+    """
+    adjacent: list[list[int]] = [list(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            adjacent[j].append(i)
+    seen = [False] * len(rows)
+    position = [0] * len(rows)  # an index's label within its block
+    blocks: list[list[int]] = []
+    for root in range(len(rows)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        members, stack = [], [root]
+        while stack:
+            i = stack.pop()
+            position[i] = len(members)
+            members.append(i)
+            for j in adjacent[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        blocks.append(members)
+    if len(blocks) == 1:
+        return [rows]
+    return [[{position[j]: x for j, x in rows[i].items()} for i in members] for members in blocks]
+
+
+def _interpolated_alexander(rows: SparseRows) -> LaurentPoly:
+    """The kernel of `alexander_polynomial`: det(V - t*V^T) from V's sparse
+    rows, for V of even size with det(V - V^T) = 1.
 
     For V of size n = 2m, f(t) = det(V - t*V^T) is palindromic,
     f(t) = t^n f(1/t), since (V - t*V^T)^T = -t(V - V^T/t) and n is even.
@@ -520,10 +586,10 @@ def _interpolated_alexander(v: SeifertMatrix) -> LaurentPoly:
 
     The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
     """
-    m = v.size // 2
+    m = len(rows) // 2
 
     def f(t: int) -> int:
-        return det(_plus_transpose(v.rows, -t))
+        return det(_plus_transpose(rows, -t))
 
     top = f(0)
     nodes = [2 + k // 2 if k % 2 == 0 else -1 - k // 2 for k in range(m)]
@@ -686,12 +752,20 @@ class SliceVerdict:
     note: str | None = None
 
 
-def algebraic_slice_verdict(v: SeifertMatrix) -> SliceVerdict:
-    """Signature first, then Fox-Milnor; Unknown when neither obstructs."""
+def algebraic_slice_verdict(v: SeifertMatrix, fox_milnor=None) -> SliceVerdict:
+    """Signature first, then Fox-Milnor; Unknown when neither obstructs.
+
+    fox_milnor is the Fox-Milnor test to run on Delta: a caller that asks
+    about several knots of one report can pass a memo of it, so a Delta
+    they share is factored once.  Omitted, it is this module's
+    `fox_milnor`, looked up at call time.
+    """
     sig = signature(v)
     if sig != 0:
         return SliceVerdict(tag=SliceTag.OBSTRUCTED_BY_SIGNATURE, signature=sig)
     delta = alexander_polynomial(v)
+    if fox_milnor is None:
+        fox_milnor = globals()["fox_milnor"]
     try:
         fm = fox_milnor(delta)
     except FactorizationBoundError as exc:

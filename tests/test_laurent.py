@@ -45,6 +45,22 @@ def test_evaluate_exact_rationals():
     assert p.evaluate(Fraction(1, 2)) == p.evaluate(2)
 
 
+def per_term_value(p, t):
+    """The value at t as a sum of one Fraction power per term."""
+    return sum((c * Fraction(t) ** e for e, c in p.coeffs.items()), Fraction(0))
+
+
+@given(
+    st.dictionaries(st.integers(-9, 9), st.integers(-5, 5), max_size=6),
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]),
+)
+def test_evaluate_matches_the_per_term_sum(coeffs, t):
+    p = lp(coeffs)
+    value = p.evaluate(t)
+    assert type(value) is Fraction
+    assert value == per_term_value(p, t)
+
+
 def test_substitution_and_reciprocal():
     p = lp({1: 1, 0: -1, -1: 1})
     assert p.substituted(3) == lp({3: 1, 0: -1, -3: 1})

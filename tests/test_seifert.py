@@ -386,8 +386,9 @@ def test_torus_top_vs_smooth_checks_its_torus_companion_only_when_written(monkey
 
 @pytest.mark.parametrize("knot_k", ["left-trefoil", "figure-eight"])
 def test_torus_solid_takes_the_companion_alexander_once(monkeypatch, knot_k):
-    # J = T(3,4) # -T(3,4) enters as one 12 x 12 leaf, so its Delta takes
-    # m + 1 = 7 determinants; -J and K # cable(J; 1) both read that one
+    # J = T(3,4) # -T(3,4) enters as one 12 x 12 leaf of two 6 x 6 blocks,
+    # so its Delta takes 2 * (3 + 1) = 8 determinants of size 6 and none of
+    # size 12; -J and K # cable(J; 1) both read that one
     v = torus_knot_seifert(3, 4)
     rows = connected_sum(v, concordance_inverse(v)).entries
     scenario = build_scenario(
@@ -396,8 +397,26 @@ def test_torus_solid_takes_the_companion_alexander_once(monkeypatch, knot_k):
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     run_scenario(scenario)
-    assert sizes.count(12) == 7
-    assert max(sizes) == 12
+    assert sizes.count(6) == 8
+    assert max(sizes) == 6
+
+
+def test_torus_solid_factors_a_shared_alexander_polynomial_once(monkeypatch):
+    # with K the unknot and n = 1, -J and K # cable(J; 1) both have Delta_J,
+    # 2t - 5 + 2/t for the stevedore, which passes the determinant test
+    scenario = build_scenario("torus-solid", n=1, knot_k="unknot", knot_j="stevedore")
+    calls = []
+    factor_list = sympy.Poly.factor_list
+    monkeypatch.setattr(
+        sympy.Poly, "factor_list", lambda self: calls.append(self) or factor_list(self)
+    )
+    report = run_scenario(scenario)
+    assert len(calls) == 1
+    verdicts = [t.output for t in report.trace if t.operation == "algebraic_slice_verdict"]
+    assert [v["fox_milnor"]["factor"] for v in verdicts] == ["t - 2"] * 2
+    # the memo lives for one report: the next report factors again
+    run_scenario(scenario)
+    assert len(calls) == 2
 
 
 def test_torus_top_vs_smooth_cable_takes_no_determinant_beyond_its_companion(
@@ -739,14 +758,68 @@ def test_alexander_with_singular_seifert_matrix(v):
 
 
 @pytest.mark.parametrize(
-    "v", [unknot(), TREFOIL, torus_knot_seifert(3, 4), torus_knot_seifert(5, 6)]
+    "v, blocks",
+    [
+        (unknot(), []),
+        (TREFOIL, [2]),
+        (torus_knot_seifert(3, 4), [6]),
+        (torus_knot_seifert(5, 6), [20]),
+        (connected_sum(torus_knot_seifert(3, 4), FIG8), [6, 2]),
+    ],
+    ids=[f"v{k}" for k in range(5)],
 )
-def test_alexander_takes_half_the_size_plus_one_determinants(monkeypatch, v):
+def test_alexander_takes_half_the_size_plus_one_determinants(monkeypatch, v, blocks):
+    # per connected block of the leaf: the unknot has none, a block sum two
     v = SeifertMatrix.from_rows(v.rows)  # a fresh leaf keeps no Delta yet
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     alexander_polynomial(v)
-    assert sizes == [v.size] * (v.size // 2 + 1)
+    assert sizes == [k for k in blocks for _ in range(k // 2 + 1)]
+
+
+@st.composite
+def interleaved_block_sums(draw):
+    """Two or three random Seifert matrices, their block sum under a random
+    simultaneous permutation of rows and columns, given as a checked leaf."""
+    parts = draw(st.lists(seifert_matrices(max_genus=2), min_size=2, max_size=3))
+    whole = parts[0].entries
+    for part in parts[1:]:
+        whole = dense_connected_sum(whole, part.entries)
+    perm = draw(st.permutations(range(len(whole))))
+    rows = [{j: whole[perm[i]][perm[j]] for j in range(len(whole))} for i in range(len(whole))]
+    return parts, SeifertMatrix.from_rows(rows)
+
+
+@given(interleaved_block_sums())
+def test_alexander_of_an_interleaved_block_sum(case):
+    parts, v = case
+    delta = alexander_polynomial(v)
+    assert delta == newton_alexander(v)
+    product = LaurentPoly.one()
+    for part in parts:
+        product = product * newton_alexander(part)
+    assert delta == product
+
+
+def test_chain_of_1200_connected_sums_needs_no_recursion():
+    trefoil = torus_knot_seifert(2, 3)
+    chain, sums = trefoil, []
+    for _ in range(1200):
+        chain = connected_sum(chain, trefoil)
+        sums.append(chain)
+    assert signature(chain) == -2402
+    rows = chain.rows
+    assert len(rows) == 2402
+    assert rows[2400] == {2400: -1, 2401: 1} and rows[2401] == {2401: -1}
+    assert all(s._rows is None for s in sums[:-1])  # only the outer sum keeps rows
+
+
+def test_alexander_of_a_chain_of_1200_connected_sums():
+    double = whitehead_double_seifert("+")
+    chain = double
+    for _ in range(1200):
+        chain = connected_sum(chain, double)
+    assert alexander_polynomial(chain).is_one()
 
 
 def test_alexander_interpolation_checks_every_division(monkeypatch):
