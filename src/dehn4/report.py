@@ -2,10 +2,17 @@
 
 The JSON layout is versioned (see SCHEMA_ID) and documented in
 docs/report_schema.json; identical scenarios render byte-identically.
+JSON is written directly by `json_text`, byte-identical to
+`json.dumps(d, indent=2, sort_keys=True) + "\\n"`: keys sorted, a two-space
+indent, `",\\n"` between items and `": "` after each key.  It accepts dicts
+with str keys, lists, str, int, bool and None, and raises TypeError on any
+other type (a float, a tuple, a Fraction, a non-str key) rather than
+coercing it.  json's own indenting encoder runs in pure Python, and a list
+of scalars, such as a dense Seifert row, is here written by one str.join.
 """
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .scenarios import Report
 
@@ -40,7 +47,65 @@ def report_to_json_dict(report: Report) -> dict:
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n"
+    return json_text(report_to_json_dict(report))
+
+
+def json_text(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True) + "\\n"`, byte for byte,
+    for value built of dicts with str keys, lists, str, int, bool and None.
+    Any other type raises TypeError."""
+    out: list[str] = []
+    _write_json(value, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# how each scalar type is written; anything else is a dict, a list or refused
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of value, whose first line is already indented
+    by `indent`, to out."""
+    kind = type(value)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(value))
+        return
+    if kind is not list and kind is not dict:
+        raise TypeError(f"cannot write a value of type {kind.__name__} as JSON")
+    if not value:
+        out.append("[]" if kind is list else "{}")
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        out.append("[\n" + inner)
+        kinds = set(map(type, value))
+        scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if scalar is not None:
+            out.append(sep.join(map(scalar, value)))
+        else:
+            for item in value:
+                _write_json(item, inner, out)
+                out.append(sep)
+            out.pop()
+        out.append("\n" + indent + "]")
+    else:
+        out.append("{\n" + inner)
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"cannot write a key of type {type(key).__name__} as JSON")
+            out.append(encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            out.append(sep)
+        out.pop()
+        out.append("\n" + indent + "}")
 
 
 def _format_value(value, indent: str) -> list[str]:

@@ -52,7 +52,8 @@ the principal blocks on the components of its support graph (one block
 for a connected V): a simultaneous permutation makes V - t*V^T
 block-diagonal, so Delta is the product of the blocks' det(B - t*B^T),
 each interpolated on its own.  A sum of two g x g blocks then takes
-2(g/2 + 1) determinants of size g, not g + 1 of size 2g.  Each kernel
+2(g/2 + 1) determinants of size g, not g + 1 of size 2g.  Blocks equal up
+to sign or transpose share one Delta, so K # -K takes g/2 + 1.  Each kernel
 result is kept on its immutable matrix, so the one companion of a
 report is eliminated once however many class knots are built from it.
 
@@ -500,8 +501,9 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     leaf is split by `_blocks` into the principal blocks on the components
     of its support graph, and Delta is the product of the blocks'
     `_interpolated_alexander`: a block of size k takes k/2 + 1
-    determinants of size k.  It is computed once: the result is kept on
-    the matrix.
+    determinants of size k, and a block equal to an earlier one up to sign
+    or transpose takes none (see `_blockwise_alexander`).  It is computed
+    once: the result is kept on the matrix.
     """
     match v._origin:
         case ("torus", p, q):
@@ -513,9 +515,40 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
         case ("cable", w, n):
             return alexander_polynomial(w).substituted(n)
     if v._alexander is None:
-        delta = prod(map(_interpolated_alexander, _blocks(v.rows)), start=LaurentPoly.one())
-        object.__setattr__(v, "_alexander", delta)
+        object.__setattr__(v, "_alexander", _blockwise_alexander(v.rows))
     return v._alexander
+
+
+def _blockwise_alexander(rows: SparseRows) -> LaurentPoly:
+    """Delta of a checked leaf: the product over its `_blocks` of
+    `_interpolated_alexander`, run once per block up to sign and transpose.
+
+    For B of even size k, det(-B + t*B^T) = (-1)^k det(B - t*B^T) and
+    det(B^T - t*B) = det((B - t*B^T)^T), so -B, B^T and -B^T have B's
+    Delta.  A block is keyed by its relabeled rows, sorted; its Delta is
+    looked up under the keys of all four.  The memo lives for this call.
+    """
+    known: dict[tuple, LaurentPoly] = {}
+    delta = LaurentPoly.one()
+    for block in _blocks(rows):
+        key = tuple(tuple(sorted(row.items())) for row in block)
+        block_delta = next((known[k] for k in _sign_and_transpose(key) if k in known), None)
+        if block_delta is None:
+            block_delta = known[key] = _interpolated_alexander(block)
+        delta = delta * block_delta
+    return delta
+
+
+def _sign_and_transpose(key: tuple) -> Iterable[tuple]:
+    """The keys of B, -B, B^T and -B^T, for B keyed by its sorted rows."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in key]
+    for i, row in enumerate(key):
+        for j, x in row:
+            columns[j].append((i, x))  # i ascends, so each column is sorted
+    transposed = tuple(map(tuple, columns))
+    for k in (key, transposed):
+        yield k
+        yield tuple(tuple((j, -x) for j, x in row) for row in k)
 
 
 def _summands(v: SeifertMatrix) -> list[SeifertMatrix]:
@@ -535,13 +568,16 @@ def _summands(v: SeifertMatrix) -> list[SeifertMatrix]:
 
 def _blocks(rows: SparseRows) -> list[SparseRows]:
     """The principal blocks of V on the connected components of its support
-    graph (i ~ j when V[i][j] != 0), each relabeled to 0..k-1, in O(nnz).
+    graph (i ~ j when V[i][j] != 0), each relabeled to 0..k-1, in
+    O(nnz + n log n).
 
     One simultaneous permutation makes V, and so V - t*V^T, block-diagonal
     with these blocks, and det(P M P^T) = det M: Delta is the product of
     the blocks' determinants.  Each det(B - B^T) is a Pfaffian square, and
     their product is det(V - V^T) = 1, so every block has even size and
-    det(B - B^T) = 1.  A connected V is one block, its own rows.
+    det(B - B^T) = 1.  A connected V is one block, its own rows.  A block
+    keeps the order of its indices in V, so two blocks laid out alike in V
+    get the same labels.
     """
     adjacent: list[list[int]] = [list(row) for row in rows]
     for i, row in enumerate(rows):
@@ -557,12 +593,14 @@ def _blocks(rows: SparseRows) -> list[SparseRows]:
         members, stack = [], [root]
         while stack:
             i = stack.pop()
-            position[i] = len(members)
             members.append(i)
             for j in adjacent[i]:
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
+        members.sort()
+        for label, i in enumerate(members):
+            position[i] = label
         blocks.append(members)
     if len(blocks) == 1:
         return [rows]

@@ -119,6 +119,14 @@ def test_report_matches_golden(name, fmt):
     assert render_case(CASES[name], fmt).encode("utf-8") == expected
 
 
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_golden_json_is_in_the_canonical_layout(path):
+    """Checked apart from dehn4's writer, so a golden file rewritten through
+    a faulty writer still fails here."""
+    text = path.read_bytes().decode("utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_golden_dir_holds_only_known_cases():
     known = {golden_path(name, fmt).name for name in CASES for fmt in FORMATS}
     assert {p.name for p in GOLDEN_DIR.iterdir()} == known

@@ -7,6 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import (
+    block_diagonal,
     dense_concordance_inverse,
     dense_connected_sum,
     dense_det,
@@ -17,6 +18,7 @@ from conftest import (
     newton_alexander,
     seifert_matrices,
     skew_det,
+    transpose,
 )
 from dehn4.exact import det, signature_symmetric
 from dehn4 import cli, seifert
@@ -387,8 +389,8 @@ def test_torus_top_vs_smooth_checks_its_torus_companion_only_when_written(monkey
 @pytest.mark.parametrize("knot_k", ["left-trefoil", "figure-eight"])
 def test_torus_solid_takes_the_companion_alexander_once(monkeypatch, knot_k):
     # J = T(3,4) # -T(3,4) enters as one 12 x 12 leaf of two 6 x 6 blocks,
-    # so its Delta takes 2 * (3 + 1) = 8 determinants of size 6 and none of
-    # size 12; -J and K # cable(J; 1) both read that one
+    # V and -V^T, which share one Delta: 3 + 1 = 4 determinants of size 6
+    # and none of size 12; -J and K # cable(J; 1) both read that one
     v = torus_knot_seifert(3, 4)
     rows = connected_sum(v, concordance_inverse(v)).entries
     scenario = build_scenario(
@@ -397,7 +399,7 @@ def test_torus_solid_takes_the_companion_alexander_once(monkeypatch, knot_k):
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     run_scenario(scenario)
-    assert sizes.count(6) == 8
+    assert sizes.count(6) == 4
     assert max(sizes) == 6
 
 
@@ -799,6 +801,28 @@ def test_alexander_of_an_interleaved_block_sum(case):
     for part in parts:
         product = product * newton_alexander(part)
     assert delta == product
+
+
+def test_alexander_of_a_block_up_to_sign_and_transpose_runs_the_kernel_once(monkeypatch):
+    # the leaf B + (-B) + B^T + (-B^T) for B = T(3,5), 8 x 8, with rows and
+    # columns interleaved (0, 8, 16, 24, 1, 9, ...); the kernel run on each
+    # block on its own is the oracle
+    b = torus_knot_seifert(3, 5).entries
+    minus_b = tuple(tuple(-x for x in row) for row in b)
+    parts = [b, minus_b, transpose(b), transpose(minus_b)]
+    whole = block_diagonal(*parts)
+    k, n = len(b), len(whole)
+    order = [(i % 4) * k + i // 4 for i in range(n)]
+    v = SeifertMatrix.from_rows(
+        [{j: whole[order[i]][order[j]] for j in range(n) if whole[order[i]][order[j]]} for i in range(n)]
+    )
+    oracle = LaurentPoly.one()
+    for part in parts:
+        oracle = oracle * seifert._interpolated_alexander(SeifertMatrix(part).rows)
+    sizes = []
+    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    assert alexander_polynomial(v) == oracle
+    assert sizes == [k] * (k // 2 + 1)
 
 
 def test_chain_of_1200_connected_sums_needs_no_recursion():
