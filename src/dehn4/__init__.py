@@ -5,6 +5,8 @@ Modules by topic:
   exact       sparse fraction-free Bareiss determinant and signature
               on sparse rows, dense-to-sparse conversion, shape tests
   laurent     integer Laurent polynomials (Alexander polynomials)
+  factor      factorization over Z of small-degree polynomials
+              (Yun, Berlekamp, Hensel lifting, Zassenhaus)
   linking     the torus presentation (trace text and linking matrix),
               homology from determinantal divisors, Hoste self-linking,
               self-linking forms and their zero classes

@@ -27,7 +27,7 @@ def report_to_json_dict(report: Report) -> dict:
             "name": s.name,
             "parameters": s.parameters(),
             "knots": {
-                key: {"name": knot.name, "seifert": [list(r) for r in knot.matrix.entries]}
+                key: {"name": knot.name, "seifert": knot.matrix.dense_rows()}
                 for key, knot in (("knot_j", s.knot_j), ("knot_k", s.knot_k))
                 if knot is not None
             },

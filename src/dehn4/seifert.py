@@ -25,7 +25,8 @@ derived matrix is never checked: its rows are int and zero-free by
 construction, and det(V - V^T) = 1 follows from the parent's by an
 identity that each builder's docstring names.  The tests take that
 determinant again, from an independent dense oracle.  Only
-`SeifertMatrix.entries`, a view for reports and tests, is dense.
+`SeifertMatrix.entries` and `SeifertMatrix.dense_rows`, views for reports
+and tests, are dense.
 
 The two invariants are evaluated over that record.  A torus knot T(p, q)
 reads them from closed forms: the signature from the
@@ -72,13 +73,10 @@ from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, isqrt, prod
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .exact import IntMatrix, SparseRows, det, signature_symmetric
 from .laurent import LaurentPoly
-
-if TYPE_CHECKING:
-    import sympy
 
 
 class SeifertMatrix:
@@ -98,7 +96,8 @@ class SeifertMatrix:
     result, the signature or the Alexander polynomial, is kept on the
     matrix it was computed for.  Equality and hashing read `rows` only, so
     neither the origin nor a kept result changes them.  `entries` is a
-    dense view, a new tuple of tuples on each access.
+    dense view, a new tuple of tuples on each access, and `dense_rows` the
+    same as new lists.
     """
 
     __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander")
@@ -174,8 +173,17 @@ class SeifertMatrix:
 
     @property
     def entries(self) -> IntMatrix:
-        n = self.size
-        return tuple(tuple(row.get(j, 0) for j in range(n)) for row in self.rows)
+        return tuple(map(tuple, self.dense_rows()))
+
+    def dense_rows(self) -> list[list[int]]:
+        """V as new dense lists, each filled once from its sparse row."""
+        out = []
+        for row in self.rows:
+            dense = [0] * self.size
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
 
     @property
     def genus(self) -> int:
@@ -688,6 +696,13 @@ def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
     Passing returns one f, checked by multiplying out; a factorization
     that broke either fact would be an internal error, never a verdict.
 
+    The factors over Z come from `factor.factor_list`, in pure Python, so
+    the test needs no dependency; sympy is its oracle in the tests only.
+    They are read in the order (degree, multiplicity, coefficients): f
+    takes the first of each pair {g, g*}, and a failure names the first
+    self-reciprocal factor of odd multiplicity, printed as sympy's `sstr`
+    prints it.
+
     Raises FactorizationBoundError when the polynomial degree exceeds
     FOX_MILNOR_DEGREE_BOUND (an "out of configured range" error, distinct
     from a failed test).
@@ -711,19 +726,18 @@ def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
     if norm.is_one():
         return FoxMilnorResult(passed=True, factor=LaurentPoly.one())
 
-    import sympy  # only the factorization branch needs it; it dominates import time
+    # imported on first use, so that a report that factors nothing skips it
+    from .factor import factor_list
 
-    t = sympy.Symbol("t")
     shifted = norm.shifted(-norm.min_exp)  # ordinary polynomial, nonzero constant term
-    poly = sympy.Poly.from_dict({(e,): c for e, c in shifted.coeffs.items()}, t)
-    # the content is +-1 (it divides Delta(1) = 1), and sympy lists each
-    # irreducible factor once, with its multiplicity
-    _, factor_list = poly.factor_list()
+    coeffs = shifted.coeffs
+    # the content is +-1 (it divides Delta(1) = 1), and factor_list gives
+    # each irreducible factor once, with its multiplicity
+    factors = factor_list([coeffs.get(e, 0) for e in range(norm.span, -1, -1)])
 
     f = LaurentPoly.one()
     seen: set[tuple[int, ...]] = set()
-    for g, e in factor_list:
-        key = _poly_key(g)
+    for key, e in factors:
         if key in seen:
             continue
         rkey = _reciprocal_key(key)
@@ -732,10 +746,7 @@ def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
                 passed=False,
                 failure=FoxMilnorFailure(
                     kind="factorization",
-                    detail=(
-                        f"self-reciprocal factor {sympy.sstr(g.as_expr())} "
-                        f"has odd multiplicity {e}"
-                    ),
+                    detail=f"self-reciprocal factor {_poly_text(key)} has odd multiplicity {e}",
                 ),
             )
         # g* has the multiplicity of g, so f takes g^e, or g^(e/2) when g = g*
@@ -750,23 +761,37 @@ def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
     return FoxMilnorResult(passed=True, factor=f)
 
 
-def _poly_key(g: sympy.Poly) -> tuple[int, ...]:
-    key = tuple(int(c) for c in g.all_coeffs())
-    if key and key[0] < 0:
-        key = tuple(-c for c in key)
-    return key
+def _poly_key(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients, leading first, of the one of +-g whose leading
+    coefficient is positive."""
+    return coeffs if coeffs[0] > 0 else tuple(-c for c in coeffs)
 
 
 def _reciprocal_key(key: tuple[int, ...]) -> tuple[int, ...]:
     """The key of g*(t) = t^deg g(1/t); no factor of Delta is divisible by
     t, so g(0) != 0 and g* has the degree of g."""
-    rev = key[::-1]
-    return rev if rev[0] > 0 else tuple(-c for c in rev)
+    return _poly_key(key[::-1])
 
 
 def _to_laurent(key: tuple[int, ...]) -> LaurentPoly:
     deg = len(key) - 1
     return LaurentPoly({deg - i: c for i, c in enumerate(key)})
+
+
+def _poly_text(key: tuple[int, ...]) -> str:
+    """The polynomial in t with these coefficients, leading first and
+    positive, as sympy's `sstr` prints it: terms by falling degree, `**`
+    for powers, `*` after a coefficient other than 1, and no term for a
+    zero coefficient, e.g. `2*t**2 - 5*t + 2`."""
+    deg = len(key) - 1
+    parts = []
+    for i, c in enumerate(key):
+        if c:
+            e = deg - i
+            power = "" if e == 0 else "t" if e == 1 else f"t**{e}"
+            term = str(abs(c)) if e == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+            parts.append(term if not parts else f"- {term}" if c < 0 else f"+ {term}")
+    return " ".join(parts)
 
 
 class SliceTag(Enum):

@@ -1,0 +1,167 @@
+"""Factorization over Z against independent oracles: sympy's factor_list,
+the irreducibility of cyclotomic polynomials, and sympy's printer."""
+from math import gcd
+
+import hypothesis.strategies as st
+import pytest
+import sympy
+from hypothesis import given, settings
+
+from dehn4 import factor
+from dehn4.factor import factor_list
+from dehn4.seifert import _poly_text
+
+T = sympy.Symbol("t")
+
+
+def multiply(a, b):
+    """The product of two coefficient tuples, leading first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def expand(factors):
+    """The product of the factors, each to its multiplicity."""
+    out = (1,)
+    for g, e in factors:
+        for _ in range(e):
+            out = multiply(out, g)
+    return out
+
+
+def sympy_factor_list(coeffs):
+    _, factors = sympy.Poly(list(coeffs), T).factor_list()
+    return [(tuple(int(c) for c in g.all_coeffs()), e) for g, e in factors]
+
+
+def primitive(coeffs):
+    c = gcd(*coeffs)
+    return tuple(x // c for x in coeffs)
+
+
+@st.composite
+def factor_coefficients(draw):
+    """A polynomial of degree 1 to 8 with nonzero leading and constant
+    terms, palindromic about half the time."""
+    deg = draw(st.integers(1, 8))
+    ends = st.integers(-9, 9).filter(bool)
+    if draw(st.booleans()):
+        half = [draw(ends), *draw(st.lists(st.integers(-9, 9), min_size=deg // 2, max_size=deg // 2))]
+        return (*half, *half[::-1][(deg + 1) % 2 :])
+    inner = draw(st.lists(st.integers(-9, 9), min_size=deg - 1, max_size=deg - 1))
+    return (draw(ends), *inner, draw(ends))
+
+
+@st.composite
+def products(draw):
+    """A primitive product of up to four such polynomials, each to a power
+    of 1 to 3, of total degree at most 16."""
+    out, budget = (1,), 16
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(factor_coefficients())
+        e = draw(st.integers(1, 3))
+        if (len(g) - 1) * e <= budget:
+            budget -= (len(g) - 1) * e
+            out = expand([(out, 1), (g, e)])
+    return primitive(out)
+
+
+@given(products())
+@settings(max_examples=300)
+def test_factor_list_matches_sympy(coeffs):
+    found = factor_list(coeffs)
+    assert found == sympy_factor_list(coeffs)
+    assert expand(found) in (coeffs, tuple(-c for c in coeffs))
+
+
+def _cyclotomic():
+    """Phi_n, leading first, for every n with phi(n) <= 16."""
+    out = {}
+    for n in range(1, 61):
+        g = tuple(int(c) for c in sympy.Poly(sympy.cyclotomic_poly(n, T), T).all_coeffs())
+        if len(g) <= 17:
+            out[n] = g
+    return out
+
+
+CYCLOTOMIC = _cyclotomic()
+
+
+def test_every_product_of_cyclotomic_polynomials_of_degree_at_most_16():
+    """Each Phi_n is irreducible over Z, so a product of them is its own
+    factorization, sorted by (degree, multiplicity, coefficients)."""
+    by_degree = sorted(CYCLOTOMIC.values(), key=len)
+    count = 0
+
+    def extend(start, degree, chosen):
+        nonlocal count
+        if chosen:
+            expected = sorted(
+                ((g, chosen.count(g)) for g in set(chosen)),
+                key=lambda ge: (len(ge[0]), ge[1], ge[0]),
+            )
+            assert factor_list(expand([(g, 1) for g in chosen])) == expected, chosen
+            count += 1
+        for i in range(start, len(by_degree)):
+            g = by_degree[i]
+            if degree + len(g) - 1 <= 16:
+                extend(i, degree + len(g) - 1, chosen + [g])
+
+    extend(0, 0, [])
+    assert count == 20580  # every nonempty multiset of the 32 Phi_n with phi(n) <= 16
+
+
+# sqrt(2) + sqrt(3) + sqrt(5) over Q: irreducible over Z, but the product of
+# at most quadratic factors mod every prime
+SWINNERTON_DYER_8 = (1, 0, -40, 0, 352, 0, -960, 0, 576)
+
+
+def test_swinnerton_dyer_splits_mod_every_good_prime_and_is_irreducible():
+    f = list(SWINNERTON_DYER_8[::-1])
+    good = 0
+    for p in sympy.primerange(2, 100):
+        fp = factor._monic(factor._mod(f, p), p)
+        if len(factor._gcd_mod(fp, factor._mod(factor._derivative(fp), p), p)) == 1:
+            assert len(factor._berlekamp_basis(fp, p)) >= 4, p
+            good += 1
+    assert good == 22  # every prime but 2, 3 and 5
+    assert factor_list(SWINNERTON_DYER_8) == [(SWINNERTON_DYER_8, 1)]
+
+
+def test_two_swinnerton_dyer_factors_recombine():
+    shifted = tuple(int(c) for c in sympy.Poly(SWINNERTON_DYER_8, T).shift(1).all_coeffs())
+    f = multiply(SWINNERTON_DYER_8, shifted)
+    assert factor_list(f) == sympy_factor_list(f) == [(SWINNERTON_DYER_8, 1), (shifted, 1)]
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ((2, -5, 2), [((1, -2), 1), ((2, -1), 1)]),  # the stevedore
+        ((-1, 3, -1), [((1, -3, 1), 1)]),  # the figure-eight, up to sign
+        ((1, -2, 3, -2, 1), [((1, -1, 1), 2)]),  # T(2,3) # T(2,3)
+        ((1,), []),
+        ((-1,), []),
+    ],
+)
+def test_factor_list_examples(coeffs, expected):
+    assert factor_list(coeffs) == expected
+
+
+@pytest.mark.parametrize("coeffs", [(), (0,), (1, 0), (2, 4), (3, 0, 6), (6,)])
+def test_factor_list_takes_only_primitive_polynomials_with_a_constant_term(coeffs):
+    with pytest.raises(ValueError, match="primitive"):
+        factor_list(coeffs)
+
+
+@given(
+    st.lists(st.integers(-(10**12), 10**12), min_size=0, max_size=16),
+    st.integers(1, 10**12),
+)
+@settings(max_examples=300)
+def test_poly_text_matches_sympy_sstr(lower, lead):
+    key = (lead, *lower)
+    assert _poly_text(key) == sympy.sstr(sympy.Poly(list(key), T).as_expr())

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import block_diagonal
 from dehn4.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -33,6 +34,25 @@ _T23_MINUS_T23 = {
         [0, 0, 0, 1],
     ],
     "name": "T(2,3)#-T(2,3)",
+}
+
+
+_T35 = [
+    [-1, 1, 0, 0, 0, 0, 0, 0],
+    [0, -1, 1, 0, 0, 0, 0, 0],
+    [0, 0, -1, 1, 0, 0, 0, 0],
+    [0, 0, 0, -1, 0, 0, 0, 0],
+    [1, -1, 0, 0, -1, 1, 0, 0],
+    [0, 1, -1, 0, 0, -1, 1, 0],
+    [0, 0, 1, -1, 0, 0, -1, 1],
+    [0, 0, 0, 1, 0, 0, 0, -1],
+]
+# sigma = -8 + 4 * 2 = 0 and |Delta(-1)| = 1 * 3^4 = 81, a square, but the
+# 15th cyclotomic polynomial t^8 - t^7 + t^5 - t^4 + t^3 - t + 1 = Delta_T(3,5)
+# has multiplicity 1: Fox-Milnor fails only by factorization
+_T35_PLUS_FOUR_MINUS_T23 = {
+    "seifert": block_diagonal(_T35, *[((1, -1), (0, 1))] * 4),
+    "name": "T(3,5)#4(-T(2,3))",
 }
 
 
@@ -66,6 +86,10 @@ CASES: dict[str, tuple[str, ...]] = {
     "torus-solid-t23-minus-t23": (
         "--scenario", "torus-solid", "--n", "1", "--knot-j", json.dumps(_T23_MINUS_T23),
         "--knot-k", "unknot",
+    ),
+    "torus-solid-fox-milnor-odd-factor": (
+        "--scenario", "torus-solid", "--n", "1", "--knot-k", "unknot",
+        "--knot-j", json.dumps(_T35_PLUS_FOUR_MINUS_T23),
     ),
     **{
         f"torus-top-vs-smooth-torus-{p}-{p + 1}": (

@@ -1,4 +1,4 @@
-"""sympy stays off the import path: only Fox-Milnor factorization loads it.
+"""dehn4 runs without sympy, which is only the test oracle.
 
 Each check runs in a fresh interpreter, because this test process has
 imported sympy already.
@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_golden import CASES, FORMATS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -42,9 +44,28 @@ def test_default_torus_solid_report_leaves_sympy_unloaded():
     assert _run(_REPORT.format(argv=argv)).split() == ["0", "False", "False"]
 
 
-def test_factorization_branch_loads_sympy():
+def test_factorization_branch_leaves_sympy_unloaded():
     argv = [
         "report", "--scenario", "torus-solid", "--n", "1",
         "--knot-j", "stevedore", "--knot-k", "unknot",
     ]
-    assert _run(_REPORT.format(argv=argv)).split() == ["0", "True", "True"]
+    assert _run(_REPORT.format(argv=argv)).split() == ["0", "False", "True"]
+
+
+_GOLDEN_WITHOUT_SYMPY = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+sys.path.insert(0, {tests!r})
+from test_golden import CASES, FORMATS, golden_path, render_case
+differ = [
+    f"{{name}}.{{fmt}}" for name, args in sorted(CASES.items()) for fmt in FORMATS
+    if render_case(args, fmt).encode("utf-8") != golden_path(name, fmt).read_bytes()
+]
+print(len(CASES) * len(FORMATS), "differ:", *differ)
+"""
+
+
+def test_every_golden_report_renders_without_sympy():
+    tests = str(Path(__file__).resolve().parent)
+    out = _run(_GOLDEN_WITHOUT_SYMPY.format(tests=tests)).split()
+    assert out == [str(len(CASES) * len(FORMATS)), "differ:"]

@@ -21,7 +21,7 @@ from conftest import (
     transpose,
 )
 from dehn4.exact import det, signature_symmetric
-from dehn4 import cli, seifert
+from dehn4 import cli, factor, seifert
 from dehn4.laurent import LaurentPoly
 from dehn4.scenarios import build_scenario, run_scenario
 from dehn4.seifert import (
@@ -408,9 +408,9 @@ def test_torus_solid_factors_a_shared_alexander_polynomial_once(monkeypatch):
     # 2t - 5 + 2/t for the stevedore, which passes the determinant test
     scenario = build_scenario("torus-solid", n=1, knot_k="unknot", knot_j="stevedore")
     calls = []
-    factor_list = sympy.Poly.factor_list
+    factor_list = factor.factor_list
     monkeypatch.setattr(
-        sympy.Poly, "factor_list", lambda self: calls.append(self) or factor_list(self)
+        factor, "factor_list", lambda coeffs: calls.append(coeffs) or factor_list(coeffs)
     )
     report = run_scenario(scenario)
     assert len(calls) == 1
@@ -607,9 +607,7 @@ def test_fox_milnor_degree_bound_is_distinct_from_failure(monkeypatch):
 def test_fox_milnor_unpaired_factor_is_an_internal_error(monkeypatch):
     # 2t^2 - 5t + 2 = (2t - 1)(t - 2); a factorization that drops t - 2 for a
     # second 2t - 1 leaves 2t - 1 without its reciprocal
-    t = sympy.Symbol("t")
-    half = sympy.Poly(2 * t - 1, t)
-    monkeypatch.setattr(sympy.Poly, "factor_list", lambda self: (1, [(half, 2)]))
+    monkeypatch.setattr(factor, "factor_list", lambda coeffs: [((2, -1), 2)])
     with pytest.raises(AssertionError, match="internal error"):
         fox_milnor(LaurentPoly({1: 2, 0: -5, -1: 2}))
 
