@@ -3,13 +3,13 @@ solid tori in the boundaries of 4-manifolds.
 
 Modules by topic:
   exact       sparse fraction-free Bareiss determinant and signature
-              on sparse rows, dense-to-sparse conversion, shape tests
+              on sparse rows
   laurent     integer Laurent polynomials (Alexander polynomials)
   factor      factorization over Z of small-degree polynomials
               (Yun, Berlekamp, Hensel lifting, Zassenhaus)
-  linking     the torus presentation (trace text and linking matrix),
-              homology from determinantal divisors, Hoste self-linking,
-              self-linking forms and their zero classes
+  linking     the torus presentation (trace text and linking matrix)
+              and its boundary torus in closed form: the self-linking
+              form n*x^2 - x*y and its two zero classes
   seifert     Seifert matrices as checked sparse rows, Alexander
               polynomials, signatures, Fox-Milnor, sliceness verdicts
   forms       even form classes a*E8 + b*H, splitting enumeration under

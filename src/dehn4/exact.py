@@ -10,13 +10,11 @@ never change the caller's.  A row that is not a mapping (no `items`) is
 a TypeError (`k in row` would test a dense row's values, not its columns),
 as is an entry whose type is not exactly int (a float, a Fraction or a
 bool is refused, not coerced); a column outside range(n) is a
-ValueError.  `sparse_rows` turns a dense square matrix into this form.
-Row scaling is lazy: a row with a zero in the pivot column would only be
-multiplied by pivot/prev, and those factors telescope, so it is left as
-it is and keeps the pivot its values belong to.  The work is O(sum of
-fill^2) over the steps, not O(n^3).  `is_square` and `is_symmetric` are
-the shape tests of dense matrices (tuples of tuples or lists of lists).
-There is no rational solve and no floating point anywhere.
+ValueError.  Row scaling is lazy: a row with a zero in the pivot column
+would only be multiplied by pivot/prev, and those factors telescope, so
+it is left as it is and keeps the pivot its values belong to.  The work
+is O(sum of fill^2) over the steps, not O(n^3).  There is no rational
+solve and no floating point anywhere.
 """
 from __future__ import annotations
 
@@ -26,25 +24,6 @@ from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 SparseRows = Sequence[Mapping[int, int]]
-
-
-def sparse_rows(m: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    """The sparse rows of a dense square matrix; a non-square one is a ValueError.
-
-    Every entry is kept, zeros included: the kernels' copy drops the int
-    zeros and refuses an entry that is not an int, a float 0.0 among them.
-    """
-    if not is_square(m):
-        raise ValueError("non-square matrix")
-    return [dict(enumerate(row)) for row in m]
-
-
-def is_square(m: Sequence[Sequence[int]]) -> bool:
-    return all(len(row) == len(m) for row in m)
-
-
-def is_symmetric(m: Sequence[Sequence[int]]) -> bool:
-    return is_square(m) and all(tuple(row) == col for row, col in zip(m, zip(*m)))
 
 
 def _copy(m: SparseRows) -> list[dict[int, int]]:

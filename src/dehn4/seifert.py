@@ -243,8 +243,15 @@ def _plus_transpose(rows: SparseRows, s: int) -> list[dict[int, int]]:
 
 
 def unknot() -> SeifertMatrix:
-    """The empty (0x0) Seifert matrix of the unknot."""
-    return SeifertMatrix(())
+    """The empty (0x0) Seifert matrix of the unknot, one shared instance.
+
+    A SeifertMatrix is immutable, and the kernel results kept on it are
+    those of every 0x0 matrix, so it is checked and eliminated once.
+    """
+    return _UNKNOT
+
+
+_UNKNOT = SeifertMatrix(())
 
 
 def torus_knot_seifert(p: int, q: int) -> SeifertMatrix:

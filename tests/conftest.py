@@ -1,10 +1,14 @@
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from dehn4.exact import det
 from dehn4.laurent import LaurentPoly
+from dehn4.linking import canonical_class
 from dehn4.seifert import SeifertMatrix
 
 settings.register_profile("exact", deadline=None, max_examples=60)
@@ -38,6 +42,17 @@ def freeze(rows):
             if type(x) is not int:
                 raise ValueError(f"matrix entry [{i}][{j}] must be an integer, got {x!r}")
     return frozen
+
+
+def sparse_rows(m):
+    """The sparse rows of a dense square matrix; a non-square one is a ValueError.
+
+    Every entry is kept, zeros included: the kernels' copy drops the int
+    zeros and refuses an entry that is not an int, a float 0.0 among them.
+    """
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("non-square matrix")
+    return [dict(enumerate(row)) for row in m]
 
 
 def transpose(m):
@@ -301,7 +316,7 @@ def structured_matrices(draw, symmetric=False, max_dim=10, coeff=6):
 
 def invariant_factors(m):
     """Diagonal d1 | d2 | ... of the Smith normal form over Z, the oracle
-    for `linking.first_homology`.
+    for `first_homology`.
 
     min(rows, cols) nonnegative entries, zeros last.  Euclid's algorithm
     on the smallest nonzero entry clears its row and column by unimodular
@@ -377,3 +392,162 @@ def smith_diagonal_well_formed(m, diag):
     for d, divisor in zip(diag, determinantal_divisors(m)):
         product *= d
         assert product == divisor
+
+
+# The general linking layer, the oracle for the closed forms of the torus
+# boundary in `dehn4.linking`: first homology of any symmetric 2x2 linking
+# matrix, Hoste's self-linking through bordered determinants, the
+# self-linking form from three curves, and its zero classes by factoring
+# over Z and by a grid search.
+
+
+@dataclass(frozen=True)
+class HomologyReport:
+    """First homology of the surgered manifold presented by a linking matrix."""
+
+    torsion_coefficients: tuple
+    free_rank: int
+
+    @property
+    def is_homology_sphere(self):
+        return self.free_rank == 0 and not self.torsion_coefficients
+
+    def __str__(self):
+        parts = [f"Z^{self.free_rank}"] if self.free_rank else []
+        parts += [f"Z/{d}" for d in self.torsion_coefficients]
+        return " + ".join(parts) if parts else "0"
+
+
+def first_homology(b):
+    """Torsion and free rank of coker(B) for a symmetric 2x2 matrix B.
+
+    The Smith diagonal is d1 = D1 = gcd of the entries and d2 = D2 / D1
+    with D2 = |det B| (d2 = 0 when D1 = 0, the zero matrix).
+    """
+    if len(b) != 2 or any(len(row) != 2 for row in b) or b[0][1] != b[1][0]:
+        raise ValueError("linking matrix must be a symmetric 2x2 matrix")
+    (p, q), (_, r) = b
+    d1 = gcd(p, q, r)
+    diag = (d1, abs(p * r - q * q) // d1 if d1 else 0)
+    torsion = tuple(x for x in diag if x > 1)
+    return HomologyReport(torsion_coefficients=torsion, free_rank=diag.count(0))
+
+
+class SingularLinkingMatrix(ValueError):
+    """The linking matrix is singular over Q; the curves need not be
+    homologically trivial, so the surgery linking number is undefined."""
+
+
+def hoste_linking(b, a, self_lk):
+    """Self-linking in the surgered manifold of a homologically trivial
+    curve with linking vector a and S^3 pushoff self-linking self_lk, by
+    Hoste's formula lk_Y = lk_S3 - a . B^-1 . a^T.
+
+    The correction is a bordered determinant over det B,
+    a . B^-1 . a^T = -det([[B, a^T], [a, 0]]) / det(B), both taken by
+    `exact.det`; exact rational output.
+    """
+    if len(a) != len(b):
+        raise ValueError("curve linking vector does not match the matrix size")
+    det_b = det(sparse_rows(b))
+    if det_b == 0:
+        raise SingularLinkingMatrix(
+            "linking matrix is singular; surgery linking numbers are undefined"
+        )
+    bordered = [list(row) + [y] for row, y in zip(b, a)]
+    bordered.append(list(a) + [0])
+    return self_lk + Fraction(det(sparse_rows(bordered)), det_b)
+
+
+@dataclass(frozen=True)
+class SelfLinkingForm:
+    """Integer quadratic form Q(x, y) = a*x^2 + b*x*y + c*y^2 on H_1(T)."""
+
+    a: int
+    b: int
+    c: int
+
+    def evaluate(self, x, y):
+        return self.a * x * x + self.b * x * y + self.c * y * y
+
+    @property
+    def discriminant(self):
+        return self.b * self.b - 4 * self.a * self.c
+
+    def __str__(self):
+        terms = []
+        for coeff, mono in ((self.a, "x^2"), (self.b, "x*y"), (self.c, "y^2")):
+            if coeff == 0:
+                continue
+            body = mono if abs(coeff) == 1 else f"{abs(coeff)}*{mono}"
+            if not terms:
+                terms.append(body if coeff > 0 else f"-{body}")
+            else:
+                terms.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        return " ".join(terms) if terms else "0"
+
+
+def self_linking_form(b):
+    """Quadratic form giving the surgery self-linking of x*alpha + y*beta.
+
+    Hoste's formula at alpha, beta and alpha + beta, whose linking vectors
+    are (1, 0), (0, 1), (1, 1) and S^3 self-linkings 0, 0, 1.
+    """
+    q10 = hoste_linking(b, (1, 0), 0)
+    q01 = hoste_linking(b, (0, 1), 0)
+    q11 = hoste_linking(b, (1, 1), 1)
+    coeffs = (q10, q11 - q10 - q01, q01)
+    if any(v.denominator != 1 for v in coeffs):
+        raise ValueError(f"self-linking form is not integral (coefficients {coeffs})")
+    return SelfLinkingForm(*map(int, coeffs))
+
+
+@dataclass(frozen=True)
+class ZeroClasses:
+    """Primitive classes with vanishing self-linking, up to sign.
+
+    Canonical sign: y > 0, or y = 0 and x > 0.  all_classes flags the
+    identically zero form (every class qualifies).
+    """
+
+    classes: tuple
+    all_classes: bool = False
+
+
+def zero_classes(form):
+    """All primitive integer zeros of the form, by factoring over Z.
+
+    A binary quadratic form has rational zero directions exactly when its
+    discriminant is a perfect square; each linear factor contributes one
+    primitive class.
+    """
+    a, b, c = form.a, form.b, form.c
+    if a == 0 and b == 0 and c == 0:
+        return ZeroClasses(classes=(), all_classes=True)
+    found = set()
+    if a == 0:
+        # Q = y*(b*x + c*y): the y = 0 direction, plus the b*x + c*y = 0 line
+        found.add(canonical_class(1, 0))
+        if b != 0:
+            found.add(canonical_class(-c, b))
+    else:
+        disc = form.discriminant
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            return ZeroClasses(classes=())
+        r = isqrt(disc)
+        # roots of a*r^2 + b*r + c with r = x/y
+        for sign in (1, -1):
+            found.add(canonical_class(-b + sign * r, 2 * a))
+    return ZeroClasses(classes=tuple(sorted(found)))
+
+
+def zero_set_bruteforce(form, bound=20):
+    """The primitive zeros of the form with |x|, |y| <= bound, up to sign."""
+    out = set()
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            if (x, y) == (0, 0) or gcd(abs(x), abs(y)) != 1:
+                continue
+            if form.evaluate(x, y) == 0:
+                out.add(canonical_class(x, y))
+    return out

@@ -10,11 +10,16 @@ import time
 from math import gcd
 
 from conftest import (
+    SelfLinkingForm,
     build_seifert,
+    first_homology,
     homology_diagonal,
+    hoste_linking,
     invariant_factors,
+    self_linking_form,
     skew_det,
     smith_diagonal_well_formed,
+    zero_classes,
 )
 from dehn4.forms import (
     EvenFormClass,
@@ -30,15 +35,7 @@ from dehn4.legendrian import (
     stein_condition,
     tb,
 )
-from dehn4.linking import (
-    SelfLinkingForm,
-    canonical_class,
-    first_homology,
-    hoste_linking,
-    self_linking_form,
-    torus_presentation,
-    zero_classes,
-)
+from dehn4.linking import canonical_class, torus_presentation
 from dehn4.report import render_text
 from dehn4.scenarios import Verdict, build_scenario, run_scenario
 from dehn4.seifert import (

@@ -11,10 +11,11 @@ from conftest import (
     dense_det,
     dense_signature_symmetric,
     int_matrices,
+    sparse_rows,
     structured_matrices,
     transpose,
 )
-from dehn4.exact import det, is_symmetric, signature_symmetric, sparse_rows
+from dehn4.exact import det, signature_symmetric
 from dehn4.seifert import torus_knot_seifert
 
 
@@ -222,8 +223,6 @@ def test_signature_matches_descartes_count(m):
 def test_matrix_helpers():
     assert transpose(((1, 2), (3, 4))) == ((1, 3), (2, 4))
     assert transpose(()) == ()
-    assert is_symmetric(((1, 2), (2, 1)))
-    assert not is_symmetric(((1, 2), (3, 1)))
     assert block_diagonal(((1,),), ((2, 0), (0, 3))) == (
         (1, 0, 0),
         (0, 2, 0),

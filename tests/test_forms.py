@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from conftest import block_diagonal
-from dehn4.exact import det, signature_symmetric, sparse_rows
+from conftest import block_diagonal, sparse_rows
+from dehn4.exact import det, signature_symmetric
 from dehn4.forms import (
     EvenFormClass,
     SignatureCongruence,

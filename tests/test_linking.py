@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
 import pytest
 import sympy
@@ -8,24 +7,23 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import (
-    dense_det,
-    homology_diagonal,
-    int_matrices,
-    invariant_factors,
-    smith_diagonal_well_formed,
-)
-from dehn4.linking import (
     HomologyReport,
     SelfLinkingForm,
     SingularLinkingMatrix,
     ZeroClasses,
-    canonical_class,
+    dense_det,
     first_homology,
+    homology_diagonal,
     hoste_linking,
+    int_matrices,
+    invariant_factors,
     self_linking_form,
-    torus_presentation,
+    smith_diagonal_well_formed,
     zero_classes,
+    zero_set_bruteforce,
 )
+from dehn4.linking import canonical_class, torus_presentation
+from dehn4.scenarios import build_scenario, run_scenario
 
 
 def test_smith_of_paper_matrix_is_identity():
@@ -216,17 +214,6 @@ def test_zero_classes_irrational_roots_empty():
     assert zero_classes(SelfLinkingForm(1, -1, -1)).classes == ()
 
 
-def zero_set_bruteforce(form, bound=20):
-    out = set()
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            if (x, y) == (0, 0) or gcd(abs(x), abs(y)) != 1:
-                continue
-            if form.evaluate(x, y) == 0:
-                out.add(canonical_class(x, y))
-    return out
-
-
 @given(
     a=st.integers(-6, 6), b=st.integers(-6, 6), c=st.integers(-6, 6)
 )
@@ -246,3 +233,30 @@ def test_canonical_class_sign_rules():
     assert canonical_class(-3, -6) == (1, 2)
     with pytest.raises(ValueError):
         canonical_class(0, 0)
+
+
+@pytest.mark.parametrize("name", ["torus-solid", "torus-top-vs-smooth"])
+def test_torus_trace_steps_match_the_general_oracle(name):
+    """The closed forms in n that the torus scenarios print are what the
+    general layer derives from B: homology from its Smith diagonal, the form
+    by Hoste's formula through bordered determinants, and the zero classes
+    by a grid search wide enough to reach (1, n)."""
+    for n in range(-50, 51):
+        steps = {t.operation: t for t in run_scenario(build_scenario(name, n=n)).trace}
+        b = torus_presentation(n)[1]
+        hom = first_homology(b)
+        assert steps["first_homology"].output == {
+            "group": str(hom),
+            "is_homology_sphere": hom.is_homology_sphere,
+        }
+        form = self_linking_form(b)
+        assert steps["self_linking_form"].output == {
+            "coefficients": [form.a, form.b, form.c],
+            "form": str(form),
+        }
+        classes = sorted(zero_set_bruteforce(form, bound=abs(n) + 1))
+        assert steps["zero_classes"].inputs == {"form": str(form)}
+        assert steps["zero_classes"].output == {
+            "classes": [list(c) for c in classes],
+            "all_classes": False,
+        }

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dehn4 import cli, forms, linking, twists
+from dehn4 import cli, forms, twists
 from dehn4.cli import main
 from dehn4.report import render, render_json, render_text, report_to_json_dict
 from dehn4.scenarios import (
@@ -795,22 +795,3 @@ def test_readme_layout_lists_every_module():
     modules = {p.stem for p in (ROOT / "src" / "dehn4").glob("*.py")} - {"__init__"}
     assert len(listed) == len(set(listed))
     assert set(listed) == modules
-
-
-@pytest.mark.parametrize("name", ["torus-solid", "torus-top-vs-smooth"])
-@pytest.mark.parametrize(
-    "fake",
-    [
-        lambda zc: linking.ZeroClasses(classes=zc.classes + ((1, 5),)),
-        lambda zc: linking.ZeroClasses(classes=zc.classes[:1]),
-        lambda zc: linking.ZeroClasses(classes=(), all_classes=True),
-    ],
-    ids=["third-class", "one-class", "identically-zero"],
-)
-def test_torus_scenarios_assert_the_two_zero_classes(monkeypatch, name, fake):
-    """n*x^2 - x*y vanishes on exactly (0, 1) and (1, n): any other zero set
-    is an internal error, not a verdict."""
-    real = linking.zero_classes
-    monkeypatch.setattr(linking, "zero_classes", lambda form: fake(real(form)))
-    with pytest.raises(AssertionError, match="internal error: zero classes"):
-        run(name)

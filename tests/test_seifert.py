@@ -194,6 +194,20 @@ def test_unknot_alexander_is_one():
     assert signature(unknot()) == 0
 
 
+def test_unknot_is_one_instance_checked_and_eliminated_once(monkeypatch):
+    assert unknot() is unknot()
+    assert unknot() == SeifertMatrix(()) and unknot().size == 0
+    signature(unknot())
+    calls = []
+    monkeypatch.setattr(seifert, "det", lambda m: calls.append(len(m)) or det(m))
+    monkeypatch.setattr(
+        seifert, "signature_symmetric", lambda m: calls.append(len(m)) or signature_symmetric(m)
+    )
+    assert signature(unknot()) == 0 and alexander_polynomial(unknot()).is_one()
+    assert seifert.knot_from_spec("unknot").matrix is unknot()
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "entries,position",
     [
@@ -359,8 +373,8 @@ def test_twist_extension_diagonalizes_the_companion_once(monkeypatch, torus_spec
 @pytest.mark.parametrize("p,q", [(2, 3), (8, 9), (40, 41)])
 def test_twist_extension_runs_no_elimination_on_its_torus_companion(monkeypatch, capsys, p, q, fmt):
     # sigma(J) comes from the lattice count, and no report reads the rows
-    # of J: the only kernel calls left are the 0 x 0 ones of the unknot K
-    # (the 2 x 2 and 3 x 3 determinants of `linking` are not counted here)
+    # of J: the only kernel call left is the 0 x 0 signature of the shared
+    # unknot K, on its first use in the process
     dets, sigs = [], []
     monkeypatch.setattr(seifert, "det", lambda m: dets.append(len(m)) or det(m))
     monkeypatch.setattr(
@@ -369,7 +383,7 @@ def test_twist_extension_runs_no_elimination_on_its_torus_companion(monkeypatch,
     argv = ["report", "--scenario", "twist-extension", "--p", str(p), "--q", str(q)]
     assert cli.main([*argv, "--format", fmt]) == 0
     assert "Mixed" in capsys.readouterr().out
-    assert set(dets) <= {0} and set(sigs) <= {0}
+    assert dets == [] and sigs in ([], [0])
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

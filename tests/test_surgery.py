@@ -2,8 +2,8 @@
 a dotted circle L1 and an n-framed circle L2 linking it once."""
 import pytest
 
-from conftest import dense_det
-from dehn4.linking import first_homology, torus_presentation
+from conftest import dense_det, first_homology
+from dehn4.linking import torus_presentation
 
 
 def test_two_component_presentation_data():
