@@ -2,13 +2,20 @@
 
 The JSON layout is versioned (see SCHEMA_ID) and documented in
 docs/report_schema.json; identical scenarios render byte-identically.
+Each input knot's Seifert matrix V is written as its sparse rows, read
+straight from `SeifertMatrix.rows`: a list with one object per row, whose
+keys are the decimal column indices of the row's nonzero entries, e.g.
+`[{"0": -1, "1": 1}, {"1": -1}]`.  The size of V is the length of the
+list, and an empty row is `{}`.  A fence-basis row has at most four
+nonzeros, so this is O(size) where a dense matrix is O(size^2).
 JSON is written directly by `json_text`, byte-identical to
 `json.dumps(d, indent=2, sort_keys=True) + "\\n"`: keys sorted, a two-space
 indent, `",\\n"` between items and `": "` after each key.  It accepts dicts
 with str keys, lists, str, int, bool and None, and raises TypeError on any
 other type (a float, a tuple, a Fraction, a non-str key) rather than
 coercing it.  json's own indenting encoder runs in pure Python, and a list
-of scalars, such as a dense Seifert row, is here written by one str.join.
+of scalars, such as a homology class in the trace or the citations, is here
+written by one str.join.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 from .scenarios import Report
 
-SCHEMA_ID = "dehn4.report/2"
+SCHEMA_ID = "dehn4.report/3"
 
 
 def report_to_json_dict(report: Report) -> dict:
@@ -27,7 +34,10 @@ def report_to_json_dict(report: Report) -> dict:
             "name": s.name,
             "parameters": s.parameters(),
             "knots": {
-                key: {"name": knot.name, "seifert": knot.matrix.dense_rows()}
+                key: {
+                    "name": knot.name,
+                    "seifert": [{str(j): x for j, x in row.items()} for row in knot.matrix.rows],
+                }
                 for key, knot in (("knot_j", s.knot_j), ("knot_k", s.knot_k))
                 if knot is not None
             },

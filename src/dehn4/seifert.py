@@ -25,8 +25,8 @@ derived matrix is never checked: its rows are int and zero-free by
 construction, and det(V - V^T) = 1 follows from the parent's by an
 identity that each builder's docstring names.  The tests take that
 determinant again, from an independent dense oracle.  Only
-`SeifertMatrix.entries` and `SeifertMatrix.dense_rows`, views for reports
-and tests, are dense.
+`SeifertMatrix.entries`, a view for text and tests, is dense: JSON reports
+write the sparse rows themselves.
 
 The two invariants are evaluated over that record.  A torus knot T(p, q)
 reads them from closed forms: the signature from the
@@ -52,9 +52,10 @@ the sparse rows of V + V^T.  `alexander_polynomial` splits a leaf into
 the principal blocks on the components of its support graph (one block
 for a connected V): a simultaneous permutation makes V - t*V^T
 block-diagonal, so Delta is the product of the blocks' det(B - t*B^T),
-each interpolated on its own.  A sum of two g x g blocks then takes
-2(g/2 + 1) determinants of size g, not g + 1 of size 2g.  Blocks equal up
-to sign or transpose share one Delta, so K # -K takes g/2 + 1.  Each kernel
+each interpolated on its own from k/2 determinants for a block of size
+k.  A sum of two g x g blocks then takes g determinants of size g, where
+the whole leaf would take g of size 2g.  Blocks equal up to sign or
+transpose share one Delta, so K # -K takes g/2.  Each kernel
 result is kept on its immutable matrix, so the one companion of a
 report is eliminated once however many class knots are built from it.
 
@@ -96,18 +97,18 @@ class SeifertMatrix:
     result, the signature or the Alexander polynomial, is kept on the
     matrix it was computed for.  Equality and hashing read `rows` only, so
     neither the origin nor a kept result changes them.  `entries` is a
-    dense view, a new tuple of tuples on each access, and `dense_rows` the
-    same as new lists.
+    dense view, a new tuple of tuples on each access.
     """
 
     __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        dense = [dict(enumerate(row)) for row in entries]
-        _check_ints(dense)
+        dense = [list(row) for row in entries]
+        if not set(map(type, chain.from_iterable(dense))) <= {int}:
+            _check_ints([dict(enumerate(row)) for row in dense])
         if any(len(row) != len(dense) for row in dense):
             raise ValueError("Seifert matrix must be square")
-        rows = _without_zeros(dense)
+        rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
         _check_unimodular(rows)
         self._store(None, len(rows), rows)
 
@@ -173,17 +174,14 @@ class SeifertMatrix:
 
     @property
     def entries(self) -> IntMatrix:
-        return tuple(map(tuple, self.dense_rows()))
-
-    def dense_rows(self) -> list[list[int]]:
-        """V as new dense lists, each filled once from its sparse row."""
+        """V as new dense tuples, each filled once from its sparse row."""
         out = []
         for row in self.rows:
             dense = [0] * self.size
             for j, x in row.items():
                 dense[j] = x
-            out.append(dense)
-        return out
+            out.append(tuple(dense))
+        return tuple(out)
 
     @property
     def genus(self) -> int:
@@ -515,8 +513,8 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     substitutions of normalized polynomials are normalized.  A checked
     leaf is split by `_blocks` into the principal blocks on the components
     of its support graph, and Delta is the product of the blocks'
-    `_interpolated_alexander`: a block of size k takes k/2 + 1
-    determinants of size k, and a block equal to an earlier one up to sign
+    `_interpolated_alexander`: a block of size k takes k/2 determinants
+    of size k, and a block equal to an earlier one up to sign
     or transpose takes none (see `_blockwise_alexander`).  It is computed
     once: the result is kept on the matrix.
     """
@@ -630,12 +628,14 @@ def _interpolated_alexander(rows: SparseRows) -> LaurentPoly:
     f(t) = t^n f(1/t), since (V - t*V^T)^T = -t(V - V^T/t) and n is even.
     So f(t)/t^m is an integer polynomial of degree <= m in Conway's
     variable u = (t - 1)^2/t: f(t) = sum_j c_j t^(m-j) (t - 1)^(2j).  The
-    top coefficient is c_m = f(0) = det V.  The rest come from `det` at
-    the m integer nodes t = 2, -1, 3, -2, 4, ..., whose u are distinct and
-    whose |t| stays small (the entries of V - t*V^T grow with |t|), by
-    exact Newton interpolation over Fractions of f(t)/t^m - c_m u^m, which
-    has degree <= m - 1.  That is m + 1 determinants.  A c_j that is not
-    an integer raises ArithmeticError.
+    top coefficient is c_m = f(0) = det V, and the bottom one is free:
+    t = 1 is u = 0, where f(1) = det(V - V^T) = 1, so c_0 = 1.  The rest
+    come from `det` at the m - 1 integer nodes t = 2, -1, 3, -2, 4, ...,
+    whose u are distinct and nonzero and whose |t| stays small (the
+    entries of V - t*V^T grow with |t|), by exact Newton interpolation over
+    Fractions of f(t)/t^m - c_m u^m, which has degree <= m - 1, on u = 0
+    and those nodes.  That is m determinants.  A c_j that is not an
+    integer raises ArithmeticError.
 
     The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
     """
@@ -645,9 +645,9 @@ def _interpolated_alexander(rows: SparseRows) -> LaurentPoly:
         return det(_plus_transpose(rows, -t))
 
     top = f(0)
-    nodes = [2 + k // 2 if k % 2 == 0 else -1 - k // 2 for k in range(m)]
-    us = [Fraction((t - 1) ** 2, t) for t in nodes]
-    dd = [Fraction(f(t), t**m) - top * u**m for t, u in zip(nodes, us)]
+    nodes = [2 + k // 2 if k % 2 == 0 else -1 - k // 2 for k in range(m - 1)]
+    us = [Fraction(0)] + [Fraction((t - 1) ** 2, t) for t in nodes]
+    dd = [Fraction(1)] + [Fraction(f(t), t**m) - top * u**m for t, u in zip(nodes, us[1:])]
     # in place: after step k, dd[i] is the divided difference on nodes i-k .. i
     for k in range(1, m):
         for i in range(m - 1, k - 1, -1):
@@ -965,9 +965,9 @@ def knot_from_spec(spec) -> Knot:
         rows = spec["seifert"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise _spec_error("seifert", "an array of arrays of integers", rows)
-        entries = tuple(
-            tuple(_spec_int(x, f"seifert[{i}][{j}]") for j, x in enumerate(row))
-            for i, row in enumerate(rows)
-        )
-        return Knot(spec.get("name", "custom"), SeifertMatrix(entries))
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            for i, row in enumerate(rows):
+                for j, x in enumerate(row):
+                    _spec_int(x, f"seifert[{i}][{j}]")
+        return Knot(spec.get("name", "custom"), SeifertMatrix(rows))
     raise ValueError(f"unrecognized knot spec fields: {sorted(keys)}")

@@ -1,7 +1,9 @@
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -13,6 +15,14 @@ from dehn4.seifert import SeifertMatrix
 
 settings.register_profile("exact", deadline=None, max_examples=60)
 settings.load_profile("exact")
+
+# the JSON schema of dehn4 reports
+SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text())
+
+
+def read_rows(seifert) -> SeifertMatrix:
+    """The matrix of a JSON report's "seifert" field, one {column: entry} object per row."""
+    return SeifertMatrix.from_rows({int(j): x for j, x in row.items()} for row in seifert)
 
 
 def build_seifert(g, lower, skew=None):

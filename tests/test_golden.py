@@ -17,10 +17,12 @@ import json
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from conftest import block_diagonal
+from conftest import SCHEMA, block_diagonal, read_rows
 from dehn4.cli import main
+from dehn4.scenarios import build_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FORMATS = {"text": "txt", "json": "json"}
@@ -149,6 +151,28 @@ def test_golden_json_is_in_the_canonical_layout(path):
     a faulty writer still fails here."""
     text = path.read_bytes().decode("utf-8")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_golden_json_validates_against_the_schema(path):
+    jsonschema.validate(json.loads(path.read_bytes()), SCHEMA)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_json_seifert_rows_read_back_to_the_knots(name):
+    """Each knot's sparse rows in the JSON golden are the matrix that the
+    case's knot spec, or the scenario's default knot, builds."""
+    opts = dict(zip(CASES[name][::2], CASES[name][1::2]))
+    scenario = build_scenario(
+        opts["--scenario"], knot_j=opts.get("--knot-j"), knot_k=opts.get("--knot-k")
+    )
+    knots = {key: getattr(scenario, key) for key in ("knot_j", "knot_k")}
+    knots = {key: knot for key, knot in knots.items() if knot is not None}
+    written = json.loads(golden_path(name, "json").read_bytes())["scenario"]["knots"]
+    assert written.keys() == knots.keys()
+    for key, knot in knots.items():
+        assert written[key]["name"] == knot.name
+        assert read_rows(written[key]["seifert"]) == knot.matrix
 
 
 def test_golden_dir_holds_only_known_cases():

@@ -4,10 +4,14 @@ import json
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from dehn4.report import json_text
+from conftest import SCHEMA, read_rows, seifert_matrices
+from dehn4.report import json_text, render_json
+from dehn4.scenarios import Report, Verdict, build_scenario
+from dehn4.seifert import Knot, mirror, torus_knot_seifert
 
 
 def oracle(value) -> str:
@@ -68,3 +72,15 @@ def test_json_text_matches_json_dumps_on_edge_cases(value):
 def test_json_text_refuses_other_types(value, kind):
     with pytest.raises(TypeError, match=rf"\b{kind}\b"):
         json_text(value)
+
+
+@given(seifert_matrices(max_genus=4) | st.builds(torus_knot_seifert, st.integers(2, 6), st.just(7)))
+def test_json_seifert_rows_read_back_to_the_matrix(v):
+    # J is a checked leaf or a torus knot, K its mirror, a derived matrix
+    knots = {"knot_j": v, "knot_k": mirror(v)}
+    scenario = build_scenario("torus-solid", **{key: Knot(key, m) for key, m in knots.items()})
+    payload = json.loads(render_json(Report(scenario, (), Verdict.INCONCLUSIVE)))
+    jsonschema.validate(payload, SCHEMA)
+    written = payload["scenario"]["knots"]
+    for key, m in knots.items():
+        assert read_rows(written[key]["seifert"]) == m

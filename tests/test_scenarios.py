@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import SCHEMA
 from dehn4 import cli, forms, twists
 from dehn4.cli import main
 from dehn4.report import render, render_json, render_text, report_to_json_dict
@@ -23,7 +24,6 @@ from dehn4.scenarios import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
 
 
 def run(name, **kwargs):
@@ -279,7 +279,7 @@ def test_scenario_parameters_echoed():
     report = run("torus-solid", knot_j="trefoil", knot_k="figure-eight", n=2)
     data = report_to_json_dict(report)
     assert data["scenario"]["parameters"]["knot_j"] == "trefoil"
-    assert data["scenario"]["knots"]["knot_k"]["seifert"] == [[-1, 1], [0, 1]]
+    assert data["scenario"]["knots"]["knot_k"]["seifert"] == [{"0": -1, "1": 1}, {"1": 1}]
 
 
 # ---- CLI ----

@@ -403,8 +403,8 @@ def test_torus_top_vs_smooth_checks_its_torus_companion_only_when_written(monkey
 @pytest.mark.parametrize("knot_k", ["left-trefoil", "figure-eight"])
 def test_torus_solid_takes_the_companion_alexander_once(monkeypatch, knot_k):
     # J = T(3,4) # -T(3,4) enters as one 12 x 12 leaf of two 6 x 6 blocks,
-    # V and -V^T, which share one Delta: 3 + 1 = 4 determinants of size 6
-    # and none of size 12; -J and K # cable(J; 1) both read that one
+    # V and -V^T, which share one Delta: 3 determinants of size 6 and none
+    # of size 12; -J and K # cable(J; 1) both read that one
     v = torus_knot_seifert(3, 4)
     rows = connected_sum(v, concordance_inverse(v)).entries
     scenario = build_scenario(
@@ -413,7 +413,7 @@ def test_torus_solid_takes_the_companion_alexander_once(monkeypatch, knot_k):
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     run_scenario(scenario)
-    assert sizes.count(6) == 4
+    assert sizes.count(6) == 3
     assert max(sizes) == 6
 
 
@@ -783,12 +783,14 @@ def test_alexander_with_singular_seifert_matrix(v):
     ids=[f"v{k}" for k in range(5)],
 )
 def test_alexander_takes_half_the_size_plus_one_determinants(monkeypatch, v, blocks):
-    # per connected block of the leaf: the unknot has none, a block sum two
+    # per connected block B of size k of the leaf, k/2 + 1 values of
+    # det(B - t*B^T), of which the one at t = 1, det(B - B^T) = 1, is free:
+    # k/2 determinants; the unknot has no block, a block sum two
     v = SeifertMatrix.from_rows(v.rows)  # a fresh leaf keeps no Delta yet
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     alexander_polynomial(v)
-    assert sizes == [k for k in blocks for _ in range(k // 2 + 1)]
+    assert sizes == [k for k in blocks for _ in range(k // 2)]
 
 
 @st.composite
@@ -817,8 +819,8 @@ def test_alexander_of_an_interleaved_block_sum(case):
 
 def test_alexander_of_a_block_up_to_sign_and_transpose_runs_the_kernel_once(monkeypatch):
     # the leaf B + (-B) + B^T + (-B^T) for B = T(3,5), 8 x 8, with rows and
-    # columns interleaved (0, 8, 16, 24, 1, 9, ...); the kernel run on each
-    # block on its own is the oracle
+    # columns interleaved (0, 8, 16, 24, 1, 9, ...); the dense oracle on each
+    # block on its own gives the product
     b = torus_knot_seifert(3, 5).entries
     minus_b = tuple(tuple(-x for x in row) for row in b)
     parts = [b, minus_b, transpose(b), transpose(minus_b)]
@@ -830,11 +832,11 @@ def test_alexander_of_a_block_up_to_sign_and_transpose_runs_the_kernel_once(monk
     )
     oracle = LaurentPoly.one()
     for part in parts:
-        oracle = oracle * seifert._interpolated_alexander(SeifertMatrix(part).rows)
+        oracle = oracle * newton_alexander(SeifertMatrix(part))
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     assert alexander_polynomial(v) == oracle
-    assert sizes == [k] * (k // 2 + 1)
+    assert sizes == [k] * (k // 2)
 
 
 def test_chain_of_1200_connected_sums_needs_no_recursion():
@@ -859,11 +861,13 @@ def test_alexander_of_a_chain_of_1200_connected_sums():
 
 
 def test_alexander_interpolation_checks_every_division(monkeypatch):
+    # c_0 = 1 is given, and f(t)/t^m = 1 + c_1 u + ... + c_m u^m at u = (t - 1)^2/t
     cases = [
-        # f(0) = c_1 = 0 and f(2) = 1 give c_0 = (f(2) - f(0))/2 = 1/2
-        (SeifertMatrix.from_rows(TREFOIL.rows), [0, 1]),
-        # f(0), f(2), f(-1) = 0, 9, 0 give c_0 = 2, an integer, and c_1 = 1/2
-        (SeifertMatrix.from_rows(torus_knot_seifert(2, 5).rows), [0, 9, 0]),
+        # m = 2: f(0) = c_2 = 0 and f(2) = 1 give 1 + c_1/2 = 1/4, c_1 = -3/2
+        (SeifertMatrix.from_rows(torus_knot_seifert(2, 5).rows), [0, 1]),
+        # m = 3: f(0) = c_3 = 0, f(2) = 9 and f(-1) = -9 give 1 + c_1/2 + c_2/4
+        # = 9/8 and 1 - 4 c_1 + 16 c_2 = 9, so c_1 = 0, an integer, and c_2 = 1/2
+        (SeifertMatrix.from_rows(torus_knot_seifert(2, 7).rows), [0, 9, -9]),
     ]
     for v, values in cases:
         feed = iter(values)
@@ -902,6 +906,25 @@ def test_knot_from_spec_errors():
         knot_from_spec("{broken")
     with pytest.raises(ValueError, match="invalid knot JSON: nested too deeply"):
         knot_from_spec('{"torus": ' + "[" * 50_000 + "]" * 50_000 + "}")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # an entry's type is checked before the matrix's shape
+        ([[1, 2, 3], [0, True]], "knot spec field 'seifert[1][1]' must be an integer, got true"),
+        ([[1, 2, 3], [0, 1]], "Seifert matrix must be square"),
+        ([[-1, 1], [0]], "Seifert matrix must be square"),
+        ([[-1, [1]], [0, -1]], "knot spec field 'seifert[0][1]' must be an integer, got [1]"),
+        ([[-1.5, 1], [0, -1]], "knot spec field 'seifert[0][0]' must be an integer, got -1.5"),
+        (3, "knot spec field 'seifert' must be an array of arrays of integers, got 3"),
+        ([1, 2], "knot spec field 'seifert' must be an array of arrays of integers, got [1, 2]"),
+    ],
+)
+def test_seifert_spec_errors(rows, message):
+    with pytest.raises(ValueError) as exc:
+        knot_from_spec({"seifert": rows})
+    assert str(exc.value) == message
 
 
 def test_knot_from_spec_nesting_near_the_recursion_limit():
