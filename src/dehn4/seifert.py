@@ -38,26 +38,29 @@ derived matrix takes them from its parents, by the classical identities
   * sigma(-V^T) = sigma(-V) = -sigma(V) and sigma(V^T) = sigma(V);
   * a connected sum adds signatures and multiplies Alexander polynomials;
   * mirror, reverse and concordance inverse keep Delta;
-  * the n-cable has Delta_V(t^n), and for |n| = 1 it is V or V^T.
+  * the n-cable has Delta_V(t^n), and sigma(V) for odd n and 0 for even
+    n, by Litherland's satellite formula (Litherland 1979).
 Mirror, reverse and concordance inverse form a Klein four-group on V, so
 each of them builds on its argument's parent when the argument is one of
-the three: a chain of them is one level deep.  Cables nest, one level
-each.  Connected sums nest too, but the rows, the signature and the
-Alexander polynomial of a sum walk its summands with an explicit stack,
-so a chain of any length needs no recursion, and only the outermost sum
-keeps rows.  The kernels run only on the leaves checked at the trust
-boundary, and for the signature on cables with |n| >= 2, for which no
-identity over Z exists (Litherland 1979).  `signature` passes the kernel
-the sparse rows of V + V^T.  `alexander_polynomial` splits a leaf into
-the principal blocks on the components of its support graph (one block
-for a connected V): a simultaneous permutation makes V - t*V^T
-block-diagonal, so Delta is the product of the blocks' det(B - t*B^T),
-each interpolated on its own from k/2 determinants for a block of size
-k.  A sum of two g x g blocks then takes g determinants of size g, where
-the whole leaf would take g of size 2g.  Blocks equal up to sign or
-transpose share one Delta, so K # -K takes g/2.  Each kernel
-result is kept on its immutable matrix, so the one companion of a
-report is eliminated once however many class knots are built from it.
+the three: a chain of them is one level deep.  The -n-cable of V is the
+n-cable of V^T, and the 1-cable is V itself, so `parallel_cable` returns
+V or its reverse for n = +-1, and a chain of +-1 cables collapses too.
+A cable with |n| >= 2 nests one level and is |n| times its parent's
+size, so a chain of depth d has size at least 2^d.  Connected sums nest
+too, but the rows, the signature and the Alexander polynomial of a sum
+walk its summands with an explicit stack, so a chain of any length
+needs no recursion, and only the outermost sum keeps rows.  The kernels
+run only on the leaves checked at the trust boundary.  `signature`
+passes the kernel the sparse rows of V + V^T.  `alexander_polynomial`
+splits a leaf into the principal blocks on the components of its
+support graph (one block for a connected V): a simultaneous permutation
+makes V - t*V^T block-diagonal, so Delta is the product of the blocks'
+det(B - t*B^T), each interpolated on its own from k/2 determinants for a
+block of size k.  A sum of two g x g blocks then takes g determinants of
+size g, where the whole leaf would take g of size 2g.  Blocks equal up
+to sign or transpose share one Delta, so K # -K takes g/2.  Each kernel
+result is kept on its immutable leaf, so the one companion of a report
+is eliminated once however many class knots are built from it.
 
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
@@ -93,11 +96,12 @@ class SeifertMatrix:
     from `_from_origin`, which stores only their size and their origin: the
     torus parameters, or the operation and its parents (see the module
     docstring).  Their `rows` are built from the origin on first read, and
-    a torus leaf's are checked then, before they are returned.  A kernel
-    result, the signature or the Alexander polynomial, is kept on the
-    matrix it was computed for.  Equality and hashing read `rows` only, so
-    neither the origin nor a kept result changes them.  `entries` is a
-    dense view, a new tuple of tuples on each access.
+    a torus leaf's are checked then, before they are returned.  Only a
+    checked leaf runs the kernels, and a kernel result, the signature or
+    the Alexander polynomial, is kept on that leaf; every other matrix
+    reads its invariants from its origin.  Equality and hashing read
+    `rows` only, so neither the origin nor a kept result changes them.
+    `entries` is a dense view, a new tuple of tuples on each access.
     """
 
     __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander")
@@ -134,8 +138,8 @@ class SeifertMatrix:
         origin is ("torus", p, q) for the positive torus knot T(p, q) with
         2 <= p < q coprime, or how V was built from its parents:
         ("mirror", W), ("reverse", W), ("inverse", W), ("sum", W, X) or
-        ("cable", W, n).  The caller vouches for the size, and each
-        builder's docstring names the identity that gives a derived V
+        ("cable", W, n) with n >= 2.  The caller vouches for the size, and
+        each builder's docstring names the identity that gives a derived V
         det(V - V^T) = 1; a torus leaf is checked when its rows are built.
         """
         v = cls.__new__(cls)
@@ -186,9 +190,6 @@ class SeifertMatrix:
     @property
     def genus(self) -> int:
         return self.size // 2
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
 def _frozen(rows: list[dict[int, int]]) -> tuple[Mapping[int, int], ...]:
@@ -425,7 +426,11 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
     `alexander_polynomial` of a cable reads it from that formula.
 
     Negative n stacks |n| copies of the reversed surface (the curve runs
-    backwards along the companion); the n = -1 cable is the reverse of V.
+    backwards along the companion), so it is the |n|-cable of
+    `reverse(V)`.  The rows of the 1-cable are V itself, so n = 1 returns
+    V and n = -1 returns `reverse(V)`, and a chain of +-1 cables collapses
+    in the Klein four-group of `_unary`.  Only an n >= 2 cable records
+    its own origin.
 
     Unchecked: with B = V (n > 0) or V^T (n < 0), the skew form has
     diagonal blocks B - B^T and off-diagonal blocks B - (B^T)^T = 0, so it
@@ -434,7 +439,9 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
     """
     if n == 0:
         raise ValueError("parallel cable requires n != 0")
-    return SeifertMatrix._from_origin(("cable", v, n), abs(n) * v.size)
+    if n < 0:
+        v, n = reverse(v), -n
+    return v if n == 1 else SeifertMatrix._from_origin(("cable", v, n), n * v.size)
 
 
 def _build_rows(v: SeifertMatrix) -> list[dict[int, int]]:
@@ -459,15 +466,13 @@ def _build_rows(v: SeifertMatrix) -> list[dict[int, int]]:
                 offset += w.size
             return out
         case ("cable", w, n):
-            base = w.rows if n > 0 else _transpose(w.rows)
-            base_t = _transpose(base)
-            k = abs(n)
+            base, base_t = w.rows, _transpose(w.rows)
             g2 = len(base)
             out = []
-            for bi in range(k):
+            for bi in range(n):
                 for i in range(g2):
                     row = {}
-                    for bj in range(k):
+                    for bj in range(n):
                         blk = base if bi <= bj else base_t
                         for j, x in blk[i].items():
                             row[bj * g2 + j] = x
@@ -482,19 +487,23 @@ def signature(v: SeifertMatrix) -> int:
     A torus leaf reads it from the Gordon-Litherland-Murasugi count.  A
     derived V takes it from its parents: sigma(-V^T) = sigma(-V) =
     -sigma(V), sigma(V^T) = sigma(V), a connected sum adds over its
-    summands (`_summands`), and a cable with |n| = 1 is V or V^T.  No
-    identity over Z gives it for a cable with |n| >= 2 (Litherland 1979
-    needs the Levine-Tristram signatures at roots of unity), so such a
-    cable, like a checked leaf, runs exact congruence diagonalization on
-    its own rows, once: the result is kept on the matrix.
+    summands (`_summands`), and the n-cable has sigma(V) for odd n and 0
+    for even n.  The last is Litherland's satellite formula
+    sigma_w(P(K)) = sigma_w(P) + sigma_(w^m)(K) at w = -1 (Litherland
+    1979): the pattern P of `parallel_cable` is unknotted, with winding
+    number m = n, and the Levine-Tristram signature sigma_1 is 0.  Only a
+    checked leaf runs exact congruence diagonalization on its own rows,
+    once: the result is kept on the leaf.
     """
     match v._origin:
         case ("torus", p, q):
             return _torus_signature(p, q)
         case ("mirror" | "inverse", w):
             return -signature(w)
-        case ("reverse", w) | ("cable", w, 1 | -1):
+        case ("reverse", w):
             return signature(w)
+        case ("cable", w, n):
+            return signature(w) if n % 2 else 0
         case ("sum", _, _):
             return sum(map(signature, _summands(v)))
     if v._signature is None:

@@ -447,6 +447,21 @@ def test_torus_top_vs_smooth_cable_takes_no_determinant_beyond_its_companion(
     assert max(sizes) == 20
 
 
+@pytest.mark.parametrize("p,q", [(3, 4), (5, 6)])
+def test_torus_solid_cable_takes_no_signature_elimination_beyond_its_companion(
+    monkeypatch, torus_specs_as_rows, p, q
+):
+    # sigma of K # cable(J; 3) is sigma(K) + sigma(J) by Litherland's
+    # formula, so the 3-cable of J, given by its rows, adds no elimination:
+    # the largest is the one of the leaf J itself
+    sizes = []
+    monkeypatch.setattr(
+        seifert, "signature_symmetric", lambda m: sizes.append(len(m)) or signature_symmetric(m)
+    )
+    run_scenario(build_scenario("torus-solid", n=3, knot_j={"torus": [p, q]}))
+    assert max(sizes) == (p - 1) * (q - 1)
+
+
 UNARY_ORACLES = {
     mirror: dense_mirror,
     reverse: dense_reverse,
@@ -468,17 +483,31 @@ def test_unary_builders_compose_on_the_parent(outer, inner):
 
 
 def test_deep_unary_chains_have_depth_one():
+    # the +-1 cables are V and V^T, so they join the Klein four-group
+    def plus(m):
+        return parallel_cable(m, 1)
+
+    def minus(m):
+        return parallel_cable(m, -1)
+
+    oracles = {
+        **UNARY_ORACLES,
+        plus: lambda e: dense_parallel_cable(e, 1),
+        minus: lambda e: dense_parallel_cable(e, -1),
+    }
     v = torus_knot_seifert(2, 3)
-    m = v
-    for _ in range(1200):
-        m = mirror(m)
-    assert signature(m) == -2
-    assert m.rows == v.rows
-    ops = [mirror, reverse, concordance_inverse, reverse, reverse, mirror, concordance_inverse]
+    for op in oracles:
+        m = v
+        for _ in range(1200):
+            m = op(m)
+        assert signature(m) == -2
+        assert m.rows == v.rows
+    ops = [mirror, minus, reverse, concordance_inverse, plus, reverse, reverse, mirror, minus]
     m, e = v, v.entries
     for k in range(1201):
         op = ops[k % len(ops)]
-        m, e = op(m), UNARY_ORACLES[op](e)
+        m, e = op(m), oracles[op](e)
+    assert m is v or m._origin[1] is v
     assert m.entries == e
     assert signature(m) == signature(SeifertMatrix(e))
     assert alexander_polynomial(m) == alexander_polynomial(v)
@@ -516,9 +545,9 @@ def test_derived_matrices_equal_their_leaves_and_keep_their_views():
     for d in [v, *derived]:
         leaf = SeifertMatrix.from_rows(d.rows)
         assert d == leaf and leaf == d and hash(d) == hash(leaf)
-        rows, views = d.rows, (d.entries, repr(d), str(d))
+        rows, views = d.rows, (d.entries, repr(d))
         signature(d), alexander_polynomial(d)  # keeps results on d or its leaves
-        assert d.rows is rows and (d.entries, repr(d), str(d)) == views
+        assert d.rows is rows and (d.entries, repr(d)) == views
         assert d == leaf and hash(d) == hash(leaf)
 
 
@@ -553,7 +582,7 @@ def test_square_knot_passes_fox_milnor():
 
 
 def test_parallel_cable_identity_and_reverse():
-    assert parallel_cable(TREFOIL, 1).entries == TREFOIL.entries
+    assert parallel_cable(TREFOIL, 1) is TREFOIL
     assert parallel_cable(TREFOIL, -1).entries == reverse(TREFOIL).entries
     # a fresh leaf, so the kernel computes what the identity would
     assert signature(SeifertMatrix.from_rows(parallel_cable(TREFOIL, -1).rows)) == -2
@@ -571,6 +600,27 @@ def test_parallel_cable_alexander_substitution(base, n):
     assert skew_det(cable) == 1
     expected = alexander_polynomial(base).substituted(n).normalized()
     assert alexander_polynomial(cable) == expected
+
+
+CABLE_TORUS_PAIRS = [(2, 3), (2, -5), (3, 4), (3, 5)]
+
+
+@given(
+    st.one_of(
+        seifert_matrices(max_genus=6),
+        st.sampled_from(CABLE_TORUS_PAIRS).map(lambda pq: torus_knot_seifert(*pq)),
+    ),
+    st.integers(1, 5),
+    st.sampled_from((1, -1)),
+)
+def test_cable_signature_follows_litherland(v, k, sign):
+    # Litherland's formula, sigma(V) for odd n and 0 for even n, against
+    # the kernel on the cable's rows read back as a leaf (size <= 60)
+    cable = parallel_cable(v, sign * k)
+    assert cable.size <= 60
+    e = SeifertMatrix.from_rows(cable.rows).entries
+    symmetric = [{j: e[i][j] + e[j][i] for j in range(len(e))} for i in range(len(e))]
+    assert signature(cable) == signature_symmetric(symmetric)
 
 
 def test_parallel_cable_two_of_trefoil_explicit():
