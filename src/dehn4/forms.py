@@ -16,24 +16,34 @@ counts copies of -E8, its orientation reversal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class EvenFormClass:
+# the fields; the public subclass checks them in __new__, which a NamedTuple
+# may not define in its own body
+class _EvenFormClass(NamedTuple):
+    e8_count: int
+    h_count: int
+
+
+class EvenFormClass(_EvenFormClass):
     """Isomorphism class a*E8 + b*H of an indefinite (or zero) even form.
 
     e8_count is signed: its sign is the sign of the signature.  h_count is
     the number of hyperbolic summands.
     """
 
-    e8_count: int
-    h_count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h_count < 0:
+    def __new__(cls, e8_count: int, h_count: int):
+        if h_count < 0:
             raise ValueError("h_count must be nonnegative")
+        return super().__new__(cls, e8_count, h_count)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -55,8 +65,7 @@ class EvenFormClass:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SignatureCongruence:
+class SignatureCongruence(NamedTuple):
     """A constraint sigma == residue (mod modulus) on a side's signature."""
 
     residue: int
@@ -139,8 +148,7 @@ def square_check(a: int, ell: int, k: int) -> int:
     return pow(a, (ell - 1) // 2, ell)
 
 
-@dataclass(frozen=True)
-class LensWitness:
+class LensWitness(NamedTuple):
     """The re-checkable answer of lens_qr_bounding for L(p, q).
 
     factors holds the prime powers l^k || p; q_checks and minus_q_checks

@@ -7,8 +7,10 @@ value +1 at t = 1.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LaurentPoly:
@@ -91,6 +93,9 @@ class LaurentPoly:
         sum c * t^(e - lo), taken in t's own type, over t^(-lo): one exact
         division, not one Fraction power per term.
         """
+        # imported on first use: no report evaluates a polynomial
+        from fractions import Fraction
+
         lo = min(self._coeffs[0][0], 0) if self._coeffs else 0
         return Fraction(sum(c * t ** (e - lo) for e, c in self._coeffs), t**-lo)
 
@@ -119,7 +124,7 @@ class LaurentPoly:
         if total % 2 != 0:
             raise ValueError("polynomial has odd span; cannot center")
         centered = self.shifted(-total // 2)
-        at_one = centered.evaluate(1)
+        at_one = sum(c for _, c in self._coeffs)
         if abs(at_one) != 1:
             raise ValueError(f"value at t=1 is {at_one}, expected +-1")
         return -centered if at_one < 0 else centered

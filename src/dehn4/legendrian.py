@@ -9,30 +9,39 @@ bound for the slice genus of a curve in the boundary of a Stein domain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FrontData:
-    """Signed crossing count and cusp counts of a Legendrian front."""
-
+# the fields; the public subclass checks them in __new__, which a NamedTuple
+# may not define in its own body
+class _FrontData(NamedTuple):
     writhe: int
     down_cusps: int
     up_cusps: int
 
-    def __post_init__(self):
-        for name in ("writhe", "down_cusps", "up_cusps"):
-            value = getattr(self, name)
+
+class FrontData(_FrontData):
+    """Signed crossing count and cusp counts of a Legendrian front."""
+
+    __slots__ = ()
+
+    def __new__(cls, writhe: int, down_cusps: int, up_cusps: int):
+        for name, value in zip(cls._fields, (writhe, down_cusps, up_cusps)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.down_cusps < 0 or self.up_cusps < 0:
+        if down_cusps < 0 or up_cusps < 0:
             raise ValueError("cusp counts must be nonnegative")
-        total = self.down_cusps + self.up_cusps
+        total = down_cusps + up_cusps
         if total < 2 or total % 2 != 0:
             raise ValueError(
                 f"a front has an even number (>= 2) of cusps, got {total}"
             )
+        return super().__new__(cls, writhe, down_cusps, up_cusps)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 def tb(front: FrontData) -> int:
@@ -48,8 +57,7 @@ def rot(front: FrontData) -> int:
     return (front.down_cusps - front.up_cusps) // 2
 
 
-@dataclass(frozen=True)
-class HandleCheck:
+class HandleCheck(NamedTuple):
     name: str
     framing: int
     tb: int

@@ -24,12 +24,13 @@ Scenarios:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
-from . import forms, legendrian, linking, seifert, twists
+# forms, legendrian and twists serve one or two scenarios each, so the run
+# functions that use them import them on first use
+from . import linking, seifert
 from .linking import canonical_class
 from .seifert import Knot, SliceTag, is_single_line
 
@@ -42,33 +43,41 @@ class Verdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class HypothesisFlag:
-    """An imported (not computed) fact, always carrying its provenance."""
-
+# the fields; the public subclass checks them in __new__, which a NamedTuple
+# may not define in its own body
+class _HypothesisFlag(NamedTuple):
     name: str
     value: bool
     provenance: str
 
-    def __post_init__(self):
-        if not self.provenance:
-            raise ValueError(f"hypothesis flag {self.name!r} is missing its provenance")
-        if not is_single_line(self.provenance):
+
+class HypothesisFlag(_HypothesisFlag):
+    """An imported (not computed) fact, always carrying its provenance."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, value: bool, provenance: str):
+        if not provenance:
+            raise ValueError(f"hypothesis flag {name!r} is missing its provenance")
+        if not is_single_line(provenance):
             raise ValueError(
-                f"hypothesis flag {self.name!r}: provenance must not contain "
-                f"line breaks or control characters, got {self.provenance!r}"
+                f"hypothesis flag {name!r}: provenance must not contain "
+                f"line breaks or control characters, got {provenance!r}"
             )
+        return super().__new__(cls, name, value, provenance)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     operation: str
     inputs: dict
     output: object
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     scenario: "Scenario"
     trace: tuple[TraceStep, ...]
     verdict: Verdict
@@ -84,8 +93,7 @@ PARAMS = ("p", "q", "n", "knot_j", "knot_k")
 _INT_PARAMS = ("p", "q", "n")  # the others are knots
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     p: int | None = None
     q: int | None = None
@@ -297,6 +305,8 @@ def _verdict_dict(v: seifert.SliceVerdict) -> dict:
 
 
 def _run_sphere_lens(s: Scenario) -> _Run:
+    from . import forms
+
     p, q = s.p, s.q
     trace = [
         TraceStep(
@@ -335,7 +345,11 @@ def _run_sphere_lens(s: Scenario) -> _Run:
     }
 
 
-def _run_sphere_smooth(s: Scenario, total: forms.EvenFormClass, exclusions: bool) -> _Run:
+def _run_sphere_smooth(s: Scenario, total: tuple[int, int], exclusions: bool) -> _Run:
+    """total is the (e8_count, h_count) pair of the even form class to split."""
+    from . import forms
+
+    total = forms.EvenFormClass(*total)
     rho1 = 1 if _flag_value(s, "rho-y1") else 0
     rho2 = 1 if _flag_value(s, "rho-y2") else 0
     c1 = forms.rohlin_constraint(rho1)
@@ -509,6 +523,8 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     )
 
     # --- smooth side: Stein structure plus slice-Bennequin kills alpha ---
+    from . import legendrian
+
     fronts, framings = legendrian.load_named_fronts()
     handles = [
         (name, framings[name], fronts[name]) for name in sorted(framings)
@@ -574,6 +590,8 @@ def _twist_class(c: tuple[int, int], basis: tuple[str, str]) -> str:
 
 
 def _run_twist_extension(s: Scenario) -> _Run:
+    from . import twists
+
     p, q = s.p, s.q
     orbit = twists.seifert_orbit_class(p, q)
     orbit_str = _twist_class(orbit, ("mu", "lambda"))
@@ -637,7 +655,7 @@ class _Kind(NamedTuple):
 _SCENARIOS = {
     "sphere-lens": _Kind(_run_sphere_lens, {"p": 5, "q": 2}, lambda args: (), (_LENS_QR_CITE,)),
     "sphere-smooth-h": _Kind(
-        partial(_run_sphere_smooth, total=forms.EvenFormClass(0, 1), exclusions=False),
+        partial(_run_sphere_smooth, total=(0, 1), exclusions=False),
         {},
         lambda args: (
             HypothesisFlag("rho-y1", True, _ROKHLIN_P),
@@ -646,7 +664,7 @@ _SCENARIOS = {
         (_ROKHLIN_CONGRUENCE, _EVEN_FORM_CLASSIFICATION),
     ),
     "sphere-smooth-e8h": _Kind(
-        partial(_run_sphere_smooth, total=forms.EvenFormClass(1, 1), exclusions=True),
+        partial(_run_sphere_smooth, total=(1, 1), exclusions=True),
         {},
         lambda args: (
             HypothesisFlag("rho-y1", True, _ROKHLIN_P),

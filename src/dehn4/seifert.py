@@ -71,13 +71,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, isqrt, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .exact import IntMatrix, SparseRows, det, signature_symmetric
 from .laurent import LaurentPoly
@@ -648,6 +646,9 @@ def _interpolated_alexander(rows: SparseRows) -> LaurentPoly:
 
     The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
     """
+    # imported on first use, so that a report that interpolates nothing skips it
+    from fractions import Fraction
+
     m = len(rows) // 2
 
     def f(t: int) -> int:
@@ -681,15 +682,13 @@ class FactorizationBoundError(ValueError):
     """Polynomial degree exceeds the configured Fox-Milnor search bound."""
 
 
-@dataclass(frozen=True)
-class FoxMilnorFailure:
+class FoxMilnorFailure(NamedTuple):
     kind: str  # "determinant" or "factorization"
     detail: str
     determinant: int | None = None
 
 
-@dataclass(frozen=True)
-class FoxMilnorResult:
+class FoxMilnorResult(NamedTuple):
     passed: bool
     factor: LaurentPoly | None = None
     failure: FoxMilnorFailure | None = None
@@ -728,8 +727,8 @@ def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
         raise FactorizationBoundError(
             f"polynomial degree {norm.span} exceeds bound {FOX_MILNOR_DEGREE_BOUND}"
         )
-    det_val = norm.evaluate(-1)
-    det_int = abs(int(det_val))
+    # Delta(-1), an integer: each term is +-c by the parity of its exponent
+    det_int = abs(sum(-c if e % 2 else c for e, c in norm.coeffs.items()))
     if isqrt(det_int) ** 2 != det_int:
         return FoxMilnorResult(
             passed=False,
@@ -816,8 +815,7 @@ class SliceTag(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class SliceVerdict:
+class SliceVerdict(NamedTuple):
     """Outcome of the algebraic sliceness obstruction chain.
 
     Obstructed verdicts always carry a reproducible witness: the nonzero
@@ -854,8 +852,7 @@ def algebraic_slice_verdict(v: SeifertMatrix, fox_milnor=None) -> SliceVerdict:
     return SliceVerdict(tag=SliceTag.UNKNOWN, signature=0, fox_milnor=fm)
 
 
-@dataclass(frozen=True)
-class Knot:
+class Knot(NamedTuple):
     """A named knot given by a Seifert matrix."""
 
     name: str

@@ -1,7 +1,8 @@
-"""dehn4 runs without sympy, which is only the test oracle.
+"""dehn4 runs without sympy, which is only the test oracle, and a report
+loads only the modules it runs.
 
 Each check runs in a fresh interpreter, because this test process has
-imported sympy already.
+imported sympy and every dehn4 module already.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from test_golden import CASES, FORMATS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -69,3 +71,52 @@ def test_every_golden_report_renders_without_sympy():
     tests = str(Path(__file__).resolve().parent)
     out = _run(_GOLDEN_WITHOUT_SYMPY.format(tests=tests)).split()
     assert out == [str(len(CASES) * len(FORMATS)), "differ:"]
+
+
+# the modules a report may leave unloaded: the record machinery dehn4 does
+# not use, and the modules that serve only some scenarios or branches
+_OPTIONAL = (
+    "dataclasses",
+    "fractions",
+    "dehn4.forms",
+    "dehn4.legendrian",
+    "dehn4.twists",
+    "dehn4.factor",
+)
+
+_LOADED = """
+import sys
+bare = set(sys.modules)  # what the interpreter loads before any code runs
+import contextlib, io
+import dehn4.cli
+argv = {argv!r}
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dehn4.cli.main(argv) == 0
+print(*sorted(set(sys.modules) - bare))
+"""
+
+_BUDGET = {
+    "import dehn4.cli": ([], []),
+    "torus-solid": (["--scenario", "torus-solid"], []),
+    "torus-solid json": (["--scenario", "torus-solid", "--format", "json"], []),
+    "sphere-lens": (["--scenario", "sphere-lens"], ["dehn4.forms"]),
+    "sphere-smooth-e8h": (["--scenario", "sphere-smooth-e8h"], ["dehn4.forms"]),
+    "torus-top-vs-smooth": (["--scenario", "torus-top-vs-smooth"], ["dehn4.legendrian", "fractions"]),
+    "twist-extension": (["--scenario", "twist-extension"], ["dehn4.twists"]),
+    "torus-solid stevedore": (
+        ["--scenario", "torus-solid", "--knot-j", "stevedore", "--knot-k", "unknot"],
+        ["dehn4.factor", "fractions"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _BUDGET)
+def test_a_report_loads_only_the_optional_modules_it_runs(case):
+    """Counted in a fresh interpreter, beyond what a bare one loads; no
+    timing, only which modules are in sys.modules at the end."""
+    args, loaded = _BUDGET[case]
+    argv = ["report", *args] if args else []
+    new = set(_run(_LOADED.format(argv=argv)).split())
+    assert "dehn4.cli" in new
+    assert sorted(new.intersection(_OPTIONAL)) == loaded

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from dehn4.laurent import LaurentPoly
@@ -77,6 +77,27 @@ def test_normalized_centers_and_fixes_sign():
     assert norm.evaluate(1) == 1
     flipped = lp({1: 2, 0: -5, -1: 2})  # value -1 at t = 1
     assert flipped.normalized() == lp({1: -2, 0: 5, -1: -2})
+
+
+@given(
+    st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), min_size=1, max_size=5),
+    st.integers(-3, 3),
+    st.sampled_from([1, -1]),
+)
+def test_normalized_reads_the_value_at_one_like_evaluate(coeffs, shift, unit):
+    """normalized takes the value at t = 1 as the integer sum of the
+    coefficients; evaluate, over Fractions, is the oracle."""
+    f = lp(coeffs)
+    assume(not f.is_zero())
+    p = (f * f.reciprocal()).shifted(2 * shift) * lp({0: unit})  # palindromic, even span
+    at_one = p.evaluate(1)
+    if abs(at_one) != 1:
+        with pytest.raises(ValueError, match=f"value at t=1 is {at_one}, expected"):
+            p.normalized()
+        return
+    norm = p.normalized()
+    assert norm.evaluate(1) == 1
+    assert norm == (p * lp({0: int(at_one)})).shifted(-2 * shift)
 
 
 def test_normalized_rejects_bad_input():

@@ -1,0 +1,156 @@
+"""The immutable records of dehn4 are NamedTuples: frozen, compared and
+hashed by value, shown as `Name(field=value, ...)`, and the three that
+check their fields check them however they are built."""
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from dehn4.forms import EvenFormClass, LensWitness, SignatureCongruence
+from dehn4.legendrian import FrontData, HandleCheck
+from dehn4.scenarios import HypothesisFlag, Report, Scenario, TraceStep, Verdict
+from dehn4.seifert import (
+    FoxMilnorFailure,
+    FoxMilnorResult,
+    Knot,
+    SliceTag,
+    SliceVerdict,
+    torus_knot_seifert,
+)
+
+
+def _records():
+    """One record of each of the 13 kinds; each call builds new objects."""
+    trefoil = Knot("trefoil", torus_knot_seifert(2, 3))
+    flag = HypothesisFlag("rho-y1", True, "classical")
+    scenario = Scenario("torus-solid", n=1, knot_j=trefoil, knot_k=trefoil, flags=(flag,))
+    failure = FoxMilnorFailure("determinant", "|Delta(-1)| = 3 is not a perfect square", 3)
+    fox_milnor = FoxMilnorResult(False, failure=failure)
+    return [
+        EvenFormClass(1, 2),
+        SignatureCongruence(8),
+        LensWitness(((5, 1),), (4,), (4,)),
+        FrontData(writhe=1, down_cusps=1, up_cusps=1),
+        HandleCheck("handle-1", -1, 0),
+        flag,
+        TraceStep("zero_classes", {"form": "x^2 - x*y"}, {"classes": [[0, 1]]}),
+        Report(scenario, (), Verdict.OBSTRUCTED, citations=("Fox-Milnor",)),
+        scenario,
+        failure,
+        fox_milnor,
+        SliceVerdict(SliceTag.OBSTRUCTED_BY_FOX_MILNOR, signature=0, fox_milnor=fox_milnor),
+        trefoil,
+    ]
+
+
+RECORDS = _records()
+IDS = [type(r).__name__ for r in RECORDS]
+
+
+def test_there_are_thirteen_records_of_distinct_kinds():
+    assert len(set(IDS)) == len(IDS) == 13
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_no_field_can_be_assigned_or_added(record):
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_repr_names_the_record_and_each_field(record):
+    fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
+    assert repr(record) == f"{type(record).__name__}({fields})"
+
+
+@pytest.mark.parametrize("index", range(len(RECORDS)), ids=IDS)
+def test_records_built_alike_are_equal_and_hash_equal(index):
+    a, b = _records()[index], _records()[index]
+    assert a is not b and a == b and not a != b
+    if isinstance(a, TraceStep):  # its inputs are a dict, so it has no hash, as before
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+# a SeifertMatrix can be neither copied nor pickled (its slots refuse the
+# state copy sets, and its rows are mapping proxies), so the records that
+# hold a knot are left out
+@pytest.mark.parametrize(
+    "record", [r for r in RECORDS if not isinstance(r, (Knot, Scenario, Report))]
+)
+def test_copies_and_pickles_are_equal_records_of_the_same_kind(record):
+    for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(other) is type(record) and other == record
+
+
+def test_records_that_differ_in_one_field_differ():
+    assert EvenFormClass(1, 2) != EvenFormClass(1, 3)
+    assert HypothesisFlag("f", True, "cited") != HypothesisFlag("f", False, "cited")
+    assert Knot("trefoil", torus_knot_seifert(2, 3)) != Knot("trefoil", torus_knot_seifert(2, 5))
+
+
+def test_defaults_and_str_are_kept():
+    assert SignatureCongruence(8).modulus == 16
+    assert str(SignatureCongruence(8)) == "sigma == 8 (mod 16)"
+    assert str(EvenFormClass(-1, 2)) == "-E8 + 2*H"
+    assert (EvenFormClass(-1, 2).rank, EvenFormClass(-1, 2).signature) == (12, -8)
+    assert Scenario("sphere-lens").flags == () and Scenario("sphere-lens").p is None
+    assert FoxMilnorResult(True) == FoxMilnorResult(True, None, None)
+    assert SliceVerdict(SliceTag.UNKNOWN).note is None
+    assert HandleCheck("h", -1, 0).satisfied and not HandleCheck("h", 0, 0).satisfied
+
+
+def test_records_compare_equal_to_plain_tuples_and_unpack():
+    assert EvenFormClass(1, 0) == (1, 0)
+    e8, h = EvenFormClass(1, 2)
+    assert (e8, h) == (1, 2)
+
+
+CHECKS = [
+    (lambda: HypothesisFlag("rho-y1", True, ""), "hypothesis flag 'rho-y1' is missing its provenance"),
+    (
+        lambda: HypothesisFlag("rho-y1", True, "line\nbreak"),
+        "hypothesis flag 'rho-y1': provenance must not contain line breaks or control "
+        "characters, got 'line\\nbreak'",
+    ),
+    (lambda: EvenFormClass(1, -1), "h_count must be nonnegative"),
+    (lambda: FrontData(1.5, 1, 1), "writhe must be an integer, got 1.5"),
+    (lambda: FrontData(0, True, 1), "down_cusps must be an integer, got True"),
+    (lambda: FrontData(0, 1, "1"), "up_cusps must be an integer, got '1'"),
+    (lambda: FrontData(0, -1, 3), "cusp counts must be nonnegative"),
+    (lambda: FrontData(0, 1, 2), "a front has an even number (>= 2) of cusps, got 3"),
+    (lambda: FrontData(0, 0, 0), "a front has an even number (>= 2) of cusps, got 0"),
+]
+
+
+@pytest.mark.parametrize("build, message", CHECKS)
+def test_checked_records_refuse_bad_fields_with_their_message(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "record, change, message",
+    [
+        (HypothesisFlag("f", True, "cited"), {"provenance": ""}, "missing its provenance"),
+        (EvenFormClass(1, 2), {"h_count": -2}, "h_count must be nonnegative"),
+        (FrontData(1, 1, 1), {"up_cusps": 2}, "even number"),
+        (FrontData(1, 1, 1), {"writhe": 1.0}, "writhe must be an integer"),
+    ],
+)
+def test_replace_and_make_check_like_the_constructor(record, change, message):
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+    with pytest.raises(ValueError, match=message):
+        type(record)._make({**record._asdict(), **change}.values())
+    assert record._replace() == record and type(record._replace()) is type(record)

@@ -1,5 +1,5 @@
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -934,6 +934,22 @@ def test_alexander_normalization_properties(v):
     sig = signature(v)
     assert sig % 2 == 0
     assert abs(sig) <= v.size
+
+
+@given(seifert_matrices())
+def test_fox_milnor_reads_the_determinant_like_evaluate(v):
+    """fox_milnor takes |Delta(-1)| as an integer sum of +-c; evaluate, over
+    Fractions, is the oracle."""
+    delta = alexander_polynomial(v)
+    at_minus_one = delta.evaluate(-1)
+    assert at_minus_one.denominator == 1
+    value = abs(at_minus_one.numerator)
+    failure = fox_milnor(delta).failure
+    if isqrt(value) ** 2 != value:
+        assert failure.kind == "determinant" and failure.determinant == value
+        assert failure.detail == f"|Delta(-1)| = {value} is not a perfect square"
+    else:
+        assert failure is None or failure.kind == "factorization"
 
 
 def test_knot_from_spec_forms():
