@@ -1,8 +1,22 @@
 """Factorization over Z of integer polynomials of small degree.
 
 `factor_list` splits a primitive polynomial into its irreducible factors
-with their multiplicities, by the classical route (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 14-15):
+with their multiplicities.  It first divides out the cyclotomic
+polynomials Phi_n of degree at most 16, the 32 of `CYCLOTOMIC`, each as
+often as it divides, by exact division over Z.  Those are the factors
+dehn4 meets most: the Alexander polynomial of T(p, q) is the product of
+the Phi_d with d | pq, d not dividing p or q (Rolfsen, *Knots and Links*,
+1976), and Delta(t^n) of a cyclotomic Delta is again a product of them.
+Each Phi_n is irreducible over Z, so what divides out is part of the
+factorization.  The general route below is slow on such products: small
+primes divide their discriminants, so Berlekamp runs at p = 11-17 and
+many modular factors are lifted and recombined.  Bradford and Davenport
+("Effective tests for cyclotomic polynomials", ISSAC 1988, LNCS 358) find
+the cyclotomic factors of a polynomial of any degree; the degree bound of
+the Fox-Milnor test lets a fixed table do it here.
+
+What is left, if it has degree >= 1, goes the classical route (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-15):
 
   * square-free decomposition by Yun's algorithm (Yun 1976), with gcds
     taken by the primitive remainder sequence;
@@ -35,6 +49,43 @@ from typing import Iterator, Sequence
 
 PRIMES_TRIED = 3  # good primes tried before the one with the fewest factors is kept
 
+# Phi_n for the 32 n with phi(n) <= 16, as tuples, lowest degree first;
+# written out, so that importing the module computes nothing
+CYCLOTOMIC = {
+    1: (-1, 1),
+    2: (1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    6: (1, -1, 1),
+    7: (1, 1, 1, 1, 1, 1, 1),
+    8: (1, 0, 0, 0, 1),
+    9: (1, 0, 0, 1, 0, 0, 1),
+    10: (1, -1, 1, -1, 1),
+    11: (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    12: (1, 0, -1, 0, 1),
+    13: (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    14: (1, -1, 1, -1, 1, -1, 1),
+    15: (1, -1, 0, 1, -1, 1, 0, -1, 1),
+    16: (1, 0, 0, 0, 0, 0, 0, 0, 1),
+    17: (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    18: (1, 0, 0, -1, 0, 0, 1),
+    20: (1, 0, -1, 0, 1, 0, -1, 0, 1),
+    21: (1, -1, 0, 1, -1, 0, 1, 0, -1, 1, 0, -1, 1),
+    22: (1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1),
+    24: (1, 0, 0, 0, -1, 0, 0, 0, 1),
+    26: (1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1),
+    28: (1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1),
+    30: (1, 1, 0, -1, -1, -1, 0, 1, 1),
+    32: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    34: (1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1),
+    36: (1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1),
+    40: (1, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 1),
+    42: (1, 1, 0, -1, -1, 0, 1, 0, -1, -1, 0, 1, 1),
+    48: (1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 1),
+    60: (1, 0, 1, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, 0, 1, 0, 1),
+}
+
 
 def factor_list(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     """The irreducible factors over Z of a primitive integer polynomial.
@@ -49,11 +100,26 @@ def factor_list(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     f = _trim(list(coeffs)[::-1])
     if not f or not f[0] or gcd(*f) != 1:
         raise ValueError("factor_list takes a primitive polynomial with a nonzero constant term")
-    factors = [
-        (tuple(reversed(g)), k) for part, k in _square_free_parts(_primitive(f))
-        for g in _zassenhaus(part)
-    ]
-    return sorted(factors, key=lambda gk: (len(gk[0]), gk[1], gk[0]))
+    f = _primitive(f)
+    factors = []
+    for phi in CYCLOTOMIC.values():
+        k = 0
+        while len(f) >= len(phi) and (q := _divide(f, phi)) is not None:
+            f, k = q, k + 1
+        if k:
+            factors.append((phi, k))
+    if len(f) > 1:
+        factors += _factor_general(f)
+    return sorted(
+        ((tuple(reversed(g)), k) for g, k in factors), key=lambda gk: (len(gk[0]), gk[1], gk[0])
+    )
+
+
+def _factor_general(f: list[int]) -> list[tuple[list[int], int]]:
+    """[(g, k)]: the irreducible factors g of f, each with its multiplicity
+    k, by Yun, Berlekamp, Hensel lifting and Zassenhaus, for f primitive
+    of degree >= 1 with positive leading coefficient."""
+    return [(g, k) for part, k in _square_free_parts(f) for g in _zassenhaus(part)]
 
 
 def _square_free_parts(f: list[int]) -> list[tuple[list[int], int]]:

@@ -7,10 +7,7 @@ value +1 at t = 1.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Iterable, Mapping
 
 
 class LaurentPoly:
@@ -85,19 +82,6 @@ class LaurentPoly:
     def reciprocal(self) -> "LaurentPoly":
         """The polynomial with t replaced by 1/t."""
         return self.substituted(-1)
-
-    def evaluate(self, t) -> Fraction:
-        """The value at t, an int or a Fraction, as a Fraction.
-
-        With lo = min(min_exp, 0), the value is the polynomial
-        sum c * t^(e - lo), taken in t's own type, over t^(-lo): one exact
-        division, not one Fraction power per term.
-        """
-        # imported on first use: no report evaluates a polynomial
-        from fractions import Fraction
-
-        lo = min(self._coeffs[0][0], 0) if self._coeffs else 0
-        return Fraction(sum(c * t ** (e - lo) for e, c in self._coeffs), t**-lo)
 
     def is_palindromic(self) -> bool:
         """True if coefficients read the same from both ends (up to t-shift)."""

@@ -19,12 +19,15 @@ connected sum, parallel cable) go through the private
 `SeifertMatrix._from_origin`, which stores only the size of V and its
 origin: the torus parameters, or the operation and its parents.  The
 rows are built from the origin on first read, in O(nonzeros), so a
-report that never reads them builds none.  A torus knot's fence basis is
-checked for det(V - V^T) = 1 then, before the rows are returned.  A
-derived matrix is never checked: its rows are int and zero-free by
-construction, and det(V - V^T) = 1 follows from the parent's by an
-identity that each builder's docstring names.  The tests take that
-determinant again, from an independent dense oracle.  Only
+report that never reads them builds none.  None of these is checked.  A
+torus knot's fence basis is code, not input: nothing a user writes
+reaches it but (p, q), so the tests, not the reports, take its
+det(V - V^T) = 1, for every coprime 2 <= p < q <= 30.  A derived
+matrix's rows are int and zero-free by construction, and
+det(V - V^T) = 1 follows from the parent's by an identity that each
+builder's docstring names.  The tests take that determinant again, from
+an independent dense oracle.  An unpickled matrix re-enters through
+`from_rows`, and is checked like any other.  Only
 `SeifertMatrix.entries`, a view for text and tests, is dense: JSON reports
 write the sparse rows themselves.
 
@@ -93,13 +96,18 @@ class SeifertMatrix:
     leaf.  A torus leaf and the matrices derived from checked ones come
     from `_from_origin`, which stores only their size and their origin: the
     torus parameters, or the operation and its parents (see the module
-    docstring).  Their `rows` are built from the origin on first read, and
-    a torus leaf's are checked then, before they are returned.  Only a
-    checked leaf runs the kernels, and a kernel result, the signature or
-    the Alexander polynomial, is kept on that leaf; every other matrix
-    reads its invariants from its origin.  Equality and hashing read
-    `rows` only, so neither the origin nor a kept result changes them.
-    `entries` is a dense view, a new tuple of tuples on each access.
+    docstring).  Their `rows` are built from the origin on first read and
+    are never checked: a torus leaf's fence basis is checked by the tests,
+    and a derived matrix's by its parents.  Only a checked leaf runs the
+    kernels, and a kernel result, the signature or the Alexander
+    polynomial, is kept on that leaf; every other matrix reads its
+    invariants from its origin.  Equality and hashing read `rows` only, so
+    neither the origin nor a kept result changes them.  `entries` is a
+    dense view, a new tuple of tuples on each access.
+
+    The matrix is immutable, so a copy or a deep copy is the matrix
+    itself, and a pickle holds its sparse rows and unpickles through
+    `from_rows`, the trust boundary.
     """
 
     __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander")
@@ -138,7 +146,8 @@ class SeifertMatrix:
         ("mirror", W), ("reverse", W), ("inverse", W), ("sum", W, X) or
         ("cable", W, n) with n >= 2.  The caller vouches for the size, and
         each builder's docstring names the identity that gives a derived V
-        det(V - V^T) = 1; a torus leaf is checked when its rows are built.
+        det(V - V^T) = 1.  A torus leaf's rows are never checked here: the
+        tests take det(V - V^T) of its fence basis.
         """
         v = cls.__new__(cls)
         v._store(origin, size, None)
@@ -167,6 +176,15 @@ class SeifertMatrix:
 
     def __repr__(self) -> str:
         return f"SeifertMatrix(entries={self.entries!r})"
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return SeifertMatrix.from_rows, ([dict(row) for row in self.rows],)
 
     @property
     def rows(self) -> tuple[Mapping[int, int], ...]:
@@ -266,8 +284,9 @@ def torus_knot_seifert(p: int, q: int) -> SeifertMatrix:
     `alexander_polynomial` read its invariants from closed forms: the
     Gordon-Litherland-Murasugi lattice count (Gordon, Litherland and
     Murasugi 1981) and Delta = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1))
-    (Rolfsen 1976).  Its rows are built, and det(V - V^T) = 1 checked on
-    them, only when something reads them.
+    (Rolfsen 1976).  Its rows are built only when something reads them,
+    and are not checked then: the fence basis is code, and the tests take
+    its det(V - V^T) = 1 for every coprime 2 <= p < q <= 30.
 
     Negative parameters with p*q < 0 give the mirror image; (-p, -q) gives
     the same knot as (p, q).
@@ -444,13 +463,12 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
 
 def _build_rows(v: SeifertMatrix) -> list[dict[int, int]]:
     """The sparse rows of a V made by `_from_origin`, from its origin, in
-    O(nonzeros).  A torus leaf's bricks are checked here, before anyone
-    sees them; derived rows are built from their parents' `rows`."""
+    O(nonzeros).  A torus leaf's rows are its fence basis, unchecked: the
+    tests take det(V - V^T) of `_positive_torus_bricks`, so no report
+    takes it again.  Derived rows are built from their parents' `rows`."""
     match v._origin:
         case ("torus", p, q):
-            rows = _positive_torus_bricks(p, q)
-            _check_unimodular(rows)
-            return rows
+            return _positive_torus_bricks(p, q)
         case ("mirror", w):
             return _transpose(w.rows, -1)
         case ("reverse", w):

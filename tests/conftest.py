@@ -2,7 +2,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -23,6 +23,18 @@ SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "report_s
 def read_rows(seifert) -> SeifertMatrix:
     """The matrix of a JSON report's "seifert" field, one {column: entry} object per row."""
     return SeifertMatrix.from_rows({int(j): x for j, x in row.items()} for row in seifert)
+
+
+def evaluate(p: LaurentPoly, t) -> Fraction:
+    """The value of p at t, an int or a Fraction, as a Fraction.
+
+    With lo = min(min_exp, 0), the value is the polynomial
+    sum c * t^(e - lo), taken in t's own type, over t^(-lo): one exact
+    division, not one Fraction power per term.
+    """
+    coeffs = p.coeffs
+    lo = min(min(coeffs, default=0), 0)
+    return Fraction(sum(c * t ** (e - lo) for e, c in coeffs.items()), t**-lo)
 
 
 def build_seifert(g, lower, skew=None):
@@ -202,6 +214,43 @@ def dense_det(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def euclid_det(m):
+    """det over Z by unimodular row operations: the oracle for a banded
+    matrix too large for `dense_det`.
+
+    Column by column, Euclid's algorithm on the entries at and below the
+    diagonal leaves one nonzero, which is swapped onto the diagonal; det
+    is the product of the diagonal.  No step divides, so every entry stays
+    an integer.  A row operation runs only up to the last nonzero column
+    of the row it adds, so a matrix of band b costs O(n^2 + n b^2).
+    """
+    n = len(m)
+    a = [list(row) for row in m]
+    last = [n - 1 - [*map(bool, reversed(row)), True].index(True) for row in a]
+    sign = 1
+    for k in range(n):
+        live = [i for i, row in enumerate(a[k:], k) if row[k]]
+        if not live:
+            return 0
+        while len(live) > 1:
+            piv = min(live, key=lambda i: abs(a[i][k]))
+            hi = last[piv] + 1
+            rest = []
+            for i in live:
+                if i != piv:
+                    c = a[i][k] // a[piv][k]
+                    a[i][k:hi] = [x - c * y for x, y in zip(a[i][k:hi], a[piv][k:hi])]
+                    last[i] = max(last[i], last[piv])
+                    if a[i][k]:
+                        rest.append(i)
+            live = [piv, *rest]
+        if live[0] != k:
+            i = live[0]
+            a[k], a[i], last[k], last[i] = a[i], a[k], last[i], last[k]
+            sign = -sign
+    return sign * prod(a[k][k] for k in range(n))
 
 
 def newton_alexander(v):

@@ -10,6 +10,7 @@ from conftest import (
     block_diagonal,
     dense_det,
     dense_signature_symmetric,
+    euclid_det,
     int_matrices,
     sparse_rows,
     structured_matrices,
@@ -131,6 +132,11 @@ def test_det_matches_fraction_elimination(m):
 @given(structured_matrices())
 def test_det_matches_dense_oracle(m):
     assert sdet(m) == dense_det(m)
+
+
+@given(structured_matrices())
+def test_euclid_oracle_matches_dense_bareiss(m):
+    assert euclid_det(m) == dense_det(m)
 
 
 @settings(max_examples=400)

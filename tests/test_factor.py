@@ -1,5 +1,6 @@
 """Factorization over Z against independent oracles: sympy's factor_list,
 the irreducibility of cyclotomic polynomials, and sympy's printer."""
+import random
 from math import gcd
 
 import hypothesis.strategies as st
@@ -112,6 +113,41 @@ def test_every_product_of_cyclotomic_polynomials_of_degree_at_most_16():
 
     extend(0, 0, [])
     assert count == 20580  # every nonempty multiset of the 32 Phi_n with phi(n) <= 16
+
+
+def test_the_general_route_factors_a_seeded_sample_of_cyclotomic_products():
+    """factor_list divides the Phi_n out before Yun, so the cyclotomic test
+    above no longer reaches Berlekamp and Hensel lifting; here Yun and
+    Zassenhaus take the products themselves, against the same oracle."""
+    rng = random.Random(2026)
+    by_degree = sorted(CYCLOTOMIC.values(), key=len)
+    for _ in range(300):
+        chosen, degree = [], 0
+        while True:
+            g = rng.choice([g for g in by_degree if degree + len(g) - 1 <= 16] or [None])
+            if g is None or (chosen and rng.random() < 0.25):
+                break
+            chosen.append(g)
+            degree += len(g) - 1
+        expected = sorted((g, chosen.count(g)) for g in set(chosen))
+        f = list(expand([(g, 1) for g in chosen])[::-1])
+        found = sorted((tuple(reversed(g)), k) for g, k in factor._factor_general(f))
+        assert found == expected, chosen
+
+
+def test_the_cyclotomic_table_is_rebuilt_from_x_to_the_n_minus_1():
+    """Phi_n is x^n - 1 over the Phi_d with d | n, d < n; the table holds
+    every Phi_n of degree <= 16, lowest degree first.  phi(n) >= sqrt(n/2),
+    so no n above 512 has phi(n) <= 16."""
+    phi = {}
+    for n in range(1, 513):
+        q = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                q = factor._divide(q, list(phi[d]))
+        phi[n] = tuple(q)
+    assert factor.CYCLOTOMIC == {n: g for n, g in phi.items() if len(g) <= 17}
+    assert len(factor.CYCLOTOMIC) == 32
 
 
 # sqrt(2) + sqrt(3) + sqrt(5) over Q: irreducible over Z, but the product of

@@ -11,12 +11,15 @@ import pytest
 from dehn4.forms import EvenFormClass, LensWitness, SignatureCongruence
 from dehn4.legendrian import FrontData, HandleCheck
 from dehn4.scenarios import HypothesisFlag, Report, Scenario, TraceStep, Verdict
+from dehn4 import seifert
 from dehn4.seifert import (
     FoxMilnorFailure,
     FoxMilnorResult,
     Knot,
     SliceTag,
     SliceVerdict,
+    mirror,
+    signature,
     torus_knot_seifert,
 )
 
@@ -81,15 +84,23 @@ def test_records_built_alike_are_equal_and_hash_equal(index):
         assert hash(a) == hash(b)
 
 
-# a SeifertMatrix can be neither copied nor pickled (its slots refuse the
-# state copy sets, and its rows are mapping proxies), so the records that
-# hold a knot are left out
-@pytest.mark.parametrize(
-    "record", [r for r in RECORDS if not isinstance(r, (Knot, Scenario, Report))]
-)
+@pytest.mark.parametrize("record", RECORDS)
 def test_copies_and_pickles_are_equal_records_of_the_same_kind(record):
     for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(other) is type(record) and other == record
+
+
+def test_a_seifert_matrix_copies_as_itself_and_unpickles_through_from_rows(monkeypatch):
+    v = mirror(torus_knot_seifert(3, 4))
+    assert copy.copy(v) is v and copy.deepcopy(v) is v
+    assert copy.deepcopy(Knot("k", v)).matrix is v
+    data = pickle.dumps(v)
+    w = pickle.loads(data)
+    assert w == v and w is not v and signature(w) == signature(v) == 6
+    # the pickle holds rows, not an origin: it re-enters at the trust boundary
+    monkeypatch.setattr(seifert, "det", lambda m: 0)
+    with pytest.raises(ValueError, match=r"det\(V - V\^T\) must equal 1"):
+        pickle.loads(data)
 
 
 def test_records_that_differ_in_one_field_differ():

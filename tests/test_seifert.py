@@ -15,6 +15,8 @@ from conftest import (
     dense_parallel_cable,
     dense_reverse,
     dense_torus_bricks,
+    euclid_det,
+    evaluate,
     newton_alexander,
     seifert_matrices,
     skew_det,
@@ -146,6 +148,50 @@ def test_torus_signature_row_count_matches_the_lattice_count():
                 glm = glm_torus_signature(p, q)
                 assert signature(torus_knot_seifert(q, p)) == glm
                 assert signature(torus_knot_seifert(p, -q)) == -glm
+
+
+BRICK_PAIRS = [(p, q) for q in range(3, 31) for p in range(2, q) if gcd(p, q) == 1]
+
+
+def test_torus_bricks_are_unimodular_for_every_coprime_pair_up_to_30():
+    # the fence basis is code, so the tests, not the reports, take its
+    # det(V - V^T), by the dense Euclid oracle, independent of exact.det
+    assert len(BRICK_PAIRS) == 248
+    for p, q in BRICK_PAIRS:
+        rows = seifert._positive_torus_bricks(p, q)
+        n = len(rows)
+        assert n == (p - 1) * (q - 1)
+        skew = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                skew[i][j] += x
+                skew[j][i] -= x
+        assert euclid_det(skew) == 1, (p, q)
+
+
+@pytest.mark.parametrize(
+    "p,q", [(p, q) for p in range(2, 9) for q in range(p + 1, 10) if gcd(p, q) == 1]
+)
+def test_torus_bricks_read_back_give_the_closed_form_invariants(p, q):
+    # the bricks enter through from_rows as a checked leaf, so the kernels
+    # take its invariants; they are the closed forms' and the oracles'
+    v = SeifertMatrix.from_rows(seifert._positive_torus_bricks(p, q))
+    assert signature(v) == seifert._torus_signature(p, q) == glm_torus_signature(p, q)
+    delta = alexander_polynomial(v)
+    assert delta == seifert._torus_alexander(p, q) == torus_alexander_oracle(p, q)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_json_report_on_torus_specs_takes_no_determinant(monkeypatch, capsys, n):
+    # J, K and every class knot are torus leaves or built from them: the
+    # report writes their rows, and no kernel takes a determinant
+    calls = []
+    monkeypatch.setattr(seifert, "det", lambda m: calls.append(len(m)) or det(m))
+    argv = ["report", "--scenario", "torus-solid", "--n", str(n), "--format", "json"]
+    argv += ["--knot-j", '{"torus": [8, 9]}', "--knot-k", '{"torus": [-2, 5]}']
+    assert cli.main(argv) == 0
+    assert '"seifert"' in capsys.readouterr().out
+    assert calls == []
 
 
 def test_torus_knot_parameter_validation():
@@ -299,7 +345,8 @@ def test_seifert_matrix_from_rows_checks():
 def test_every_builder_checks_unimodularity(monkeypatch):
     # the public constructors are the trust boundary: once the det(V - V^T)
     # step is patched to fail, every matrix that enters through them fails
-    # at once, and a torus leaf fails where its rows are first read
+    # at once; a torus leaf is not one of them, and its rows, the fence
+    # basis that the tests check, are read unchecked
     v = SeifertMatrix(((-1, 1), (0, -1)))
     monkeypatch.setattr(seifert, "det", lambda m: 0)
     builds = [
@@ -310,18 +357,15 @@ def test_every_builder_checks_unimodularity(monkeypatch):
     for build in builds:
         with pytest.raises(ValueError, match=r"det\(V - V\^T\) must equal 1"):
             build()
-    for p, q in ((2, 3), (-2, 3)):
-        leaf = torus_knot_seifert(p, q)
-        for read in (lambda: leaf.rows, lambda: leaf.entries):
-            with pytest.raises(ValueError, match=r"det\(V - V\^T\) must equal 1"):
-                read()
+    assert torus_knot_seifert(2, 3).entries == ((-1, 1), (0, -1))
+    assert torus_knot_seifert(-2, 3).entries == ((1, 0), (-1, 1))
 
 
 def test_derived_builders_take_no_determinant(monkeypatch):
     # each derived builder inherits det(V - V^T) = 1 from its checked
     # parents: neither building it nor reading its rows takes one
     v, w = torus_knot_seifert(3, 4), FIG8
-    assert v.rows  # the torus leaf is checked here, on first read
+    assert v.rows  # the torus leaf's bricks, built unchecked on first read
     calls = []
     monkeypatch.setattr(seifert, "det", lambda m: calls.append(len(m)) or det(m))
     derived = [op(v) for op in (mirror, reverse, concordance_inverse)]
@@ -387,9 +431,10 @@ def test_twist_extension_runs_no_elimination_on_its_torus_companion(monkeypatch,
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_torus_top_vs_smooth_checks_its_torus_companion_only_when_written(monkeypatch, capsys, fmt):
+def test_torus_top_vs_smooth_takes_no_determinant_of_its_torus_companion(monkeypatch, capsys, fmt):
     # Delta and sigma of J = T(8, 9) come from the closed forms; a JSON
-    # report writes the 56 x 56 matrix of J, so it builds and checks it once
+    # report writes the 56 x 56 matrix of J, whose bricks the tests check,
+    # so neither format takes its determinant
     sizes = []
     monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
     argv = ["report", "--scenario", "torus-top-vs-smooth", "--n", "1"]
@@ -397,7 +442,7 @@ def test_torus_top_vs_smooth_checks_its_torus_companion_only_when_written(monkey
     assert cli.main([*argv, "--format", fmt]) == 0
     assert "Inconclusive" in capsys.readouterr().out
     large = [size for size in sizes if size > 2]
-    assert large == ([56] if fmt == "json" else [])
+    assert large == []
 
 
 @pytest.mark.parametrize("knot_k", ["left-trefoil", "figure-eight"])
@@ -526,7 +571,7 @@ def test_long_connected_sum_of_torus_leaves_builds_no_bricks(monkeypatch):
     assert s.size == 400 and s.genus == 200
     assert signature(s) == -400
     delta = alexander_polynomial(s)
-    assert delta.span == 400 and delta.evaluate(-1) == 3**200  # Delta_T(2,3)(-1) = -3
+    assert delta.span == 400 and evaluate(delta, -1) == 3**200  # Delta_T(2,3)(-1) = -3
     assert built == []
     assert len(s.rows) == 400  # reading the rows builds the one leaf's bricks
     assert built == [(2, 3)]
@@ -654,7 +699,7 @@ def test_fox_milnor_stevedore_passes_with_degree_one_factor():
 def test_fox_milnor_factorization_witness_with_square_determinant():
     # det = 1 but the self-reciprocal irreducible factor has multiplicity 1
     delta = alexander_polynomial(torus_knot_seifert(3, 5))
-    assert abs(delta.evaluate(-1)) == 1
+    assert abs(evaluate(delta, -1)) == 1
     result = fox_milnor(delta)
     assert not result.passed
     assert result.failure.kind == "factorization"
@@ -929,7 +974,7 @@ def test_alexander_interpolation_checks_every_division(monkeypatch):
 @given(seifert_matrices())
 def test_alexander_normalization_properties(v):
     delta = alexander_polynomial(v)
-    assert delta.evaluate(1) == 1
+    assert evaluate(delta, 1) == 1
     assert delta == delta.reciprocal()
     sig = signature(v)
     assert sig % 2 == 0
@@ -941,7 +986,7 @@ def test_fox_milnor_reads_the_determinant_like_evaluate(v):
     """fox_milnor takes |Delta(-1)| as an integer sum of +-c; evaluate, over
     Fractions, is the oracle."""
     delta = alexander_polynomial(v)
-    at_minus_one = delta.evaluate(-1)
+    at_minus_one = evaluate(delta, -1)
     assert at_minus_one.denominator == 1
     value = abs(at_minus_one.numerator)
     failure = fox_milnor(delta).failure
