@@ -45,9 +45,9 @@ from .scenarios import (
     HypothesisFlag,
     ScenarioError,
     build_scenario,
+    is_single_line,
     run_scenario,
 )
-from .seifert import is_single_line, parse_json
 
 # each config field with the JSON types it may have (bool is not an int here)
 _CONFIG_FIELDS = {
@@ -94,6 +94,8 @@ def _load_config(path: str) -> dict:
         raise ScenarioError(f"config file {shown} cannot be read: {exc.strerror}")
     except UnicodeDecodeError:
         raise ScenarioError(f"config file {shown} is not UTF-8 text")
+    from .seifert import parse_json
+
     try:
         data = parse_json(text)
     except ValueError as exc:

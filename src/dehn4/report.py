@@ -19,8 +19,6 @@ written by one str.join.
 """
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
-
 from .scenarios import Report
 
 SCHEMA_ID = "dehn4.report/3"
@@ -64,15 +62,19 @@ def json_text(value) -> str:
     """`json.dumps(value, indent=2, sort_keys=True) + "\\n"`, byte for byte,
     for value built of dicts with str keys, lists, str, int, bool and None.
     Any other type raises TypeError."""
+    if str not in _JSON_SCALARS:  # the first JSON report; a text one loads no json
+        from json.encoder import encode_basestring_ascii
+
+        _JSON_SCALARS[str] = encode_basestring_ascii
     out: list[str] = []
     _write_json(value, "", out)
     out.append("\n")
     return "".join(out)
 
 
-# how each scalar type is written; anything else is a dict, a list or refused
+# how each scalar type is written, str from the first json_text on; anything
+# else is a dict, a list or refused
 _JSON_SCALARS = {
-    str: encode_basestring_ascii,
     int: int.__repr__,
     bool: ("false", "true").__getitem__,
     type(None): lambda _: "null",
@@ -108,10 +110,11 @@ def _write_json(value, indent: str, out: list[str]) -> None:
         out.append("\n" + indent + "]")
     else:
         out.append("{\n" + inner)
+        quote = _JSON_SCALARS[str]
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"cannot write a key of type {type(key).__name__} as JSON")
-            out.append(encode_basestring_ascii(key) + ": ")
+            out.append(quote(key) + ": ")
             _write_json(value[key], inner, out)
             out.append(sep)
         out.pop()

@@ -24,15 +24,20 @@ Scenarios:
 """
 from __future__ import annotations
 
+import re
 from enum import Enum
 from functools import cache, partial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-# forms, legendrian and twists serve one or two scenarios each, so the run
-# functions that use them import them on first use
-from . import linking, seifert
-from .linking import canonical_class
-from .seifert import Knot, SliceTag, is_single_line
+# Each library module serves only some scenarios, so the run functions and
+# the knot branches import it on first use: forms the three sphere
+# scenarios, seifert and linking (with exact and laurent) the three torus
+# scenarios, legendrian torus-top-vs-smooth and twists twist-extension.
+# `import dehn4` and a sphere report load no torus code.  The imports are
+# absolute, since a relative `from . import x` also runs two importlib
+# functions in Python each time: about 1 us in a report against 0.5 us.
+if TYPE_CHECKING:
+    from .seifert import Knot, SliceVerdict
 
 
 class Verdict(Enum):
@@ -41,6 +46,11 @@ class Verdict(Enum):
     EXTENDS = "Extends"
     MIXED = "Mixed"
     INCONCLUSIVE = "Inconclusive"
+
+
+def is_single_line(text: str) -> bool:
+    """No line break and no control character, so text renders as part of one report line."""
+    return re.search("[\x00-\x1f\x7f-\x9f\u2028\u2029]", text) is None  # Cc, Zl, Zp
 
 
 # the fields; the public subclass checks them in __new__, which a NamedTuple
@@ -107,7 +117,7 @@ class Scenario(NamedTuple):
         for param in PARAMS:
             value = getattr(self, param)
             if value is not None:
-                out[param] = value.name if isinstance(value, Knot) else value
+                out[param] = value if param in _INT_PARAMS else value.name
         return out
 
 
@@ -224,6 +234,8 @@ def build_scenario(
         args[param] = value
     for param in ("knot_j", "knot_k"):
         if param in args:
+            import dehn4.seifert as seifert
+
             try:
                 args[param] = seifert.knot_from_spec(args[param])
             except ValueError as exc:
@@ -260,7 +272,10 @@ def run_scenario(scenario: Scenario) -> Report:
             )
         if param in _INT_PARAMS:
             _check_int(param, value)
-        elif not isinstance(value, Knot):
+            continue
+        import dehn4.seifert as seifert
+
+        if not isinstance(value, seifert.Knot):
             raise ScenarioError(
                 f"parameter {param!r} must be a Knot, got {type(value).__name__}"
             )
@@ -284,7 +299,7 @@ def _kind(name: str) -> _Kind:
     return kind
 
 
-def _verdict_dict(v: seifert.SliceVerdict) -> dict:
+def _verdict_dict(v: SliceVerdict) -> dict:
     out: dict = {"tag": v.tag.value}
     if v.signature is not None:
         out["signature"] = v.signature
@@ -305,7 +320,7 @@ def _verdict_dict(v: seifert.SliceVerdict) -> dict:
 
 
 def _run_sphere_lens(s: Scenario) -> _Run:
-    from . import forms
+    import dehn4.forms as forms
 
     p, q = s.p, s.q
     trace = [
@@ -347,7 +362,7 @@ def _run_sphere_lens(s: Scenario) -> _Run:
 
 def _run_sphere_smooth(s: Scenario, total: tuple[int, int], exclusions: bool) -> _Run:
     """total is the (e8_count, h_count) pair of the even form class to split."""
-    from . import forms
+    import dehn4.forms as forms
 
     total = forms.EvenFormClass(*total)
     rho1 = 1 if _flag_value(s, "rho-y1") else 0
@@ -402,24 +417,31 @@ def _flag_value(s: Scenario, name: str) -> bool:
     raise ScenarioError(f"scenario {s.name!r} is missing flag {name!r}")
 
 
-def _class_knot(s: Scenario, cls: tuple[int, int]) -> Knot:
-    """Knot carrying the algebraic concordance class of a zero class.
+def _class_knots(s: Scenario, classes: tuple[tuple[int, int], ...]) -> list[Knot]:
+    """Knots carrying the algebraic concordance classes of zero classes.
 
     The zero classes of n*x^2 - x*y are beta = (0, 1) and alpha = (1, n),
     up to sign (`linking.torus_zero_classes`), so any class but beta is
     alpha; a sign flip reverses the curve, which does not move the
     algebraic obstructions.
     """
+    import dehn4.seifert as seifert
+
     j, k, n = s.knot_j, s.knot_k, s.n
-    if cls == (0, 1):
-        return Knot(f"-({j.name})", seifert.concordance_inverse(j.matrix))
-    if n == 0:
-        return Knot(k.name, k.matrix)
-    cable = seifert.parallel_cable(j.matrix, n)
-    return Knot(
-        f"{k.name} # cable({j.name}; {n})",
-        seifert.connected_sum(k.matrix, cable),
-    )
+    knots = []
+    for cls in classes:
+        if cls == (0, 1):
+            knot = seifert.Knot(f"-({j.name})", seifert.concordance_inverse(j.matrix))
+        elif n == 0:
+            knot = seifert.Knot(k.name, k.matrix)
+        else:
+            cable = seifert.parallel_cable(j.matrix, n)
+            knot = seifert.Knot(
+                f"{k.name} # cable({j.name}; {n})",
+                seifert.connected_sum(k.matrix, cable),
+            )
+        knots.append(knot)
+    return knots
 
 
 def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], tuple[tuple[int, int], ...]]:
@@ -428,6 +450,8 @@ def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], tuple[tuple[int, int]
     det B = -1, so H_1 = 0; Hoste's formula gives n*x^2 - x*y, whose zero
     classes are beta = (0, 1) and alpha = (1, n) (see `linking`).
     """
+    import dehn4.linking as linking
+
     text, b = linking.torus_presentation(s.n)
     matrix = [list(r) for r in b]
     form = linking.torus_form(s.n)
@@ -454,14 +478,15 @@ def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], tuple[tuple[int, int]
 
 
 def _run_torus_solid(s: Scenario) -> _Run:
+    import dehn4.seifert as seifert
+
     trace, classes = _torus_pipeline(s)
     notes = []
     # -J and K # cable(J; n) often share Delta (K with Delta = 1 and n = 1),
     # so the two classes share one Fox-Milnor test; the memo lives for this
     # report only
     fox_milnor = cache(seifert.fox_milnor)
-    for cls in classes:
-        knot = _class_knot(s, cls)
+    for cls, knot in zip(classes, _class_knots(s, classes)):
         trace.append(
             TraceStep(
                 "curve_class_knot",
@@ -477,7 +502,7 @@ def _run_torus_solid(s: Scenario) -> _Run:
                 _verdict_dict(verdict),
             )
         )
-        if verdict.tag is SliceTag.UNKNOWN:
+        if verdict.tag is seifert.SliceTag.UNKNOWN:
             notes.append(f"class {list(cls)} carries no algebraic obstruction")
     if notes:
         return trace, Verdict.INCONCLUSIVE, {"notes": notes}
@@ -488,12 +513,15 @@ def _run_torus_solid(s: Scenario) -> _Run:
 
 
 def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
+    import dehn4.linking as linking
+    import dehn4.seifert as seifert
+
     trace, classes = _torus_pipeline(s)
     notes = []
 
     # --- topological side: the (1, n) class bounds a topological disk ---
-    alpha_class = canonical_class(1, s.n)
-    alpha_knot = _class_knot(s, alpha_class)
+    alpha_class = linking.canonical_class(1, s.n)
+    alpha_knot, beta_knot = _class_knots(s, (alpha_class, (0, 1)))
     delta = seifert.alexander_polynomial(alpha_knot.matrix)
     trace.append(
         TraceStep(
@@ -523,7 +551,7 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     )
 
     # --- smooth side: Stein structure plus slice-Bennequin kills alpha ---
-    from . import legendrian
+    import dehn4.legendrian as legendrian
 
     fronts, framings = legendrian.load_named_fronts()
     handles = [
@@ -560,7 +588,6 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     if not alpha_smooth_dead:
         notes.append("slice-Bennequin does not obstruct the surgery curve")
 
-    beta_knot = _class_knot(s, (0, 1))
     beta_verdict = seifert.algebraic_slice_verdict(beta_knot.matrix)
     trace.append(
         TraceStep(
@@ -569,7 +596,7 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
             _verdict_dict(beta_verdict),
         )
     )
-    beta_dead = beta_verdict.tag is not SliceTag.UNKNOWN
+    beta_dead = beta_verdict.tag is not seifert.SliceTag.UNKNOWN
     if not beta_dead:
         notes.append("the longitudinal class carries no algebraic obstruction")
 
@@ -590,7 +617,7 @@ def _twist_class(c: tuple[int, int], basis: tuple[str, str]) -> str:
 
 
 def _run_twist_extension(s: Scenario) -> _Run:
-    from . import twists
+    import dehn4.twists as twists
 
     p, q = s.p, s.q
     orbit = twists.seifert_orbit_class(p, q)

@@ -71,8 +71,6 @@ Sign conventions (documented, tests pin them down):
 """
 from __future__ import annotations
 
-import json
-import re
 import sys
 from enum import Enum
 from itertools import chain
@@ -82,6 +80,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .exact import IntMatrix, SparseRows, det, signature_symmetric
 from .laurent import LaurentPoly
+from .scenarios import is_single_line  # there, so that the sphere reports load no seifert
 
 
 class SeifertMatrix:
@@ -893,15 +892,12 @@ def knot_names() -> tuple[str, ...]:
     return tuple(sorted(_NAMED_KNOTS))
 
 
-def is_single_line(text: str) -> bool:
-    """No line break and no control character, so text renders as part of one report line."""
-    return re.search("[\x00-\x1f\x7f-\x9f\u2028\u2029]", text) is None  # Cc, Zl, Zp
-
-
 def parse_json(text: str):
     """json.loads, with each way it refuses a text as one ValueError whose
     message says why: the decoder's own, "nested too deeply", or the
     integer digit limit of int(str) (sys.set_int_max_str_digits)."""
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -915,6 +911,8 @@ def parse_json(text: str):
 
 
 def _spec_error(field: str, expected: str, value) -> ValueError:
+    import json
+
     return ValueError(
         f"knot spec field {field!r} must be {expected}, got {json.dumps(value, default=repr)}"
     )

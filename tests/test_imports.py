@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_golden import CASES, FORMATS
+from test_golden import CASES, FORMATS, golden_path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -74,21 +74,29 @@ def test_every_golden_report_renders_without_sympy():
 
 
 # the modules a report may leave unloaded: the record machinery dehn4 does
-# not use, and the modules that serve only some scenarios or branches
+# not use, the modules that serve only some scenarios or branches, and json,
+# which only a JSON report or a JSON knot spec or config reads
 _OPTIONAL = (
     "dataclasses",
     "fractions",
+    "json",
     "dehn4.forms",
     "dehn4.legendrian",
     "dehn4.twists",
     "dehn4.factor",
+    "dehn4.seifert",
+    "dehn4.linking",
+    "dehn4.exact",
+    "dehn4.laurent",
 )
+# what every torus report loads
+_TORUS = ["dehn4.exact", "dehn4.laurent", "dehn4.linking", "dehn4.seifert"]
 
 _LOADED = """
 import sys
 bare = set(sys.modules)  # what the interpreter loads before any code runs
 import contextlib, io
-import dehn4.cli
+import {module}
 argv = {argv!r}
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -96,17 +104,36 @@ if argv:
 print(*sorted(set(sys.modules) - bare))
 """
 
+
+def _loaded(module: str, argv: list[str]) -> set[str]:
+    return set(_run(_LOADED.format(module=module, argv=argv)).split())
+
+
+# each case's `dehn4 report` arguments, None for a bare `import dehn4`, with
+# the optional modules it loads
 _BUDGET = {
+    "import dehn4": (None, []),
     "import dehn4.cli": ([], []),
-    "torus-solid": (["--scenario", "torus-solid"], []),
-    "torus-solid json": (["--scenario", "torus-solid", "--format", "json"], []),
+    "torus-solid": (["--scenario", "torus-solid"], _TORUS),
+    "torus-solid json": (["--scenario", "torus-solid", "--format", "json"], [*_TORUS, "json"]),
+    "torus-solid seifert spec": (
+        [
+            "--scenario", "torus-solid",
+            "--knot-j", '{"seifert": [[-1, 1], [0, -1]]}', "--knot-k", "unknot",
+        ],
+        [*_TORUS, "json"],
+    ),
     "sphere-lens": (["--scenario", "sphere-lens"], ["dehn4.forms"]),
+    "sphere-smooth-h": (["--scenario", "sphere-smooth-h"], ["dehn4.forms"]),
     "sphere-smooth-e8h": (["--scenario", "sphere-smooth-e8h"], ["dehn4.forms"]),
-    "torus-top-vs-smooth": (["--scenario", "torus-top-vs-smooth"], ["dehn4.legendrian", "fractions"]),
-    "twist-extension": (["--scenario", "twist-extension"], ["dehn4.twists"]),
+    "torus-top-vs-smooth": (
+        ["--scenario", "torus-top-vs-smooth"],
+        sorted([*_TORUS, "dehn4.legendrian", "fractions", "json"]),
+    ),
+    "twist-extension": (["--scenario", "twist-extension"], [*_TORUS, "dehn4.twists"]),
     "torus-solid stevedore": (
         ["--scenario", "torus-solid", "--knot-j", "stevedore", "--knot-k", "unknot"],
-        ["dehn4.factor", "fractions"],
+        sorted([*_TORUS, "dehn4.factor", "fractions"]),
     ),
 }
 
@@ -116,7 +143,45 @@ def test_a_report_loads_only_the_optional_modules_it_runs(case):
     """Counted in a fresh interpreter, beyond what a bare one loads; no
     timing, only which modules are in sys.modules at the end."""
     args, loaded = _BUDGET[case]
-    argv = ["report", *args] if args else []
-    new = set(_run(_LOADED.format(argv=argv)).split())
-    assert "dehn4.cli" in new
+    module = "dehn4" if args is None else "dehn4.cli"
+    new = _loaded(module, ["report", *args] if args else [])
+    assert module in new
     assert sorted(new.intersection(_OPTIONAL)) == loaded
+
+
+def test_import_dehn4_loads_only_scenarios_and_report():
+    new = _loaded("dehn4", [])
+    assert sorted(m for m in new if m == "json" or m.startswith(("dehn4.", "json."))) == [
+        "dehn4.report",
+        "dehn4.scenarios",
+    ]
+
+
+_SPHERE_CASES = sorted(name for name, args in CASES.items() if args[1].startswith("sphere-"))
+
+_GOLDEN_WITHOUT_TORUS_CODE = """
+import contextlib, io, sys
+sys.modules["dehn4.seifert"] = None  # an import of either now raises ImportError
+sys.modules["dehn4.linking"] = None
+from dehn4.cli import main
+cases = {cases!r}
+differ = []
+for args, fmt, path in cases:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["report", *args, "--format", fmt])
+    with open(path, "rb") as f:
+        if code != 0 or out.getvalue().encode("utf-8") != f.read():
+            differ.append(path)
+print(len(cases), "differ:", *differ)
+"""
+
+
+def test_every_sphere_golden_renders_without_the_torus_modules():
+    assert {CASES[name][:2] for name in _SPHERE_CASES} == {
+        ("--scenario", name) for name in ("sphere-lens", "sphere-smooth-h", "sphere-smooth-e8h")
+    }
+    cases = [
+        (CASES[name], fmt, str(golden_path(name, fmt))) for name in _SPHERE_CASES for fmt in FORMATS
+    ]
+    out = _run(_GOLDEN_WITHOUT_TORUS_CODE.format(cases=cases)).split()
+    assert out == [str(len(cases)), "differ:"]
