@@ -14,9 +14,6 @@ Modules by topic:
               polynomials, signatures, Fox-Milnor, sliceness verdicts
   forms       even form classes a*E8 + b*H, splitting enumeration under
               Rokhlin constraints, lens-space QR test
-  legendrian  tb/rot from front counts, Stein condition, slice-Bennequin
-  twists      Dehn-twist classes on a torus, orbit classes, the index
-              of the subgroup two classes generate
   scenarios   the named end-to-end obstruction reports
   report      deterministic text and JSON rendering
   cli         the `dehn4 report` command line

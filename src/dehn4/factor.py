@@ -3,10 +3,11 @@
 `factor_list` splits a primitive polynomial into its irreducible factors
 with their multiplicities.  It first divides out the cyclotomic
 polynomials Phi_n of degree at most 16, the 32 of `CYCLOTOMIC`, each as
-often as it divides, by exact division over Z.  Those are the factors
-dehn4 meets most: the Alexander polynomial of T(p, q) is the product of
-the Phi_d with d | pq, d not dividing p or q (Rolfsen, *Knots and Links*,
-1976), and Delta(t^n) of a cyclotomic Delta is again a product of them.
+often as it divides, by exact division over Z.  A division is tried only
+when Phi_n(2) divides f(2).  Those are the factors dehn4 meets most: the
+Alexander polynomial of T(p, q) is the product of the Phi_d with d | pq,
+d not dividing p or q (Rolfsen, *Knots and Links*, 1976), and Delta(t^n)
+of a cyclotomic Delta is again a product of them.
 Each Phi_n is irreducible over Z, so what divides out is part of the
 factorization.  The general route below is slow on such products: small
 primes divide their discriminants, so Berlekamp runs at p = 11-17 and
@@ -85,6 +86,14 @@ CYCLOTOMIC = {
     48: (1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 1),
     60: (1, 0, 1, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, 0, 1, 0, 1),
 }
+# Phi_n(2) for the same n: Phi_n | f over Z gives Phi_n(2) | f(2), so an
+# n whose value does not divide f(2) needs no trial division
+CYCLOTOMIC_AT_2 = {
+    1: 1, 2: 3, 3: 7, 4: 5, 5: 31, 6: 3, 7: 127, 8: 17, 9: 73, 10: 11, 11: 2047,
+    12: 13, 13: 8191, 14: 43, 15: 151, 16: 257, 17: 131071, 18: 57, 20: 205,
+    21: 2359, 22: 683, 24: 241, 26: 2731, 28: 3277, 30: 331, 32: 65537,
+    34: 43691, 36: 4033, 40: 61681, 42: 5419, 48: 65281, 60: 80581,
+}
 
 
 def factor_list(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -101,11 +110,12 @@ def factor_list(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     if not f or not f[0] or gcd(*f) != 1:
         raise ValueError("factor_list takes a primitive polynomial with a nonzero constant term")
     f = _primitive(f)
+    at_2 = sum(c << i for i, c in enumerate(f))  # f(2); at f(2) = 0 no Phi_n is skipped
     factors = []
-    for phi in CYCLOTOMIC.values():
-        k = 0
-        while len(f) >= len(phi) and (q := _divide(f, phi)) is not None:
-            f, k = q, k + 1
+    for n, phi in CYCLOTOMIC.items():
+        k, phi_2 = 0, CYCLOTOMIC_AT_2[n]
+        while len(f) >= len(phi) and at_2 % phi_2 == 0 and (q := _divide(f, phi)) is not None:
+            f, at_2, k = q, at_2 // phi_2, k + 1
         if k:
             factors.append((phi, k))
     if len(f) > 1:

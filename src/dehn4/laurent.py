@@ -7,6 +7,7 @@ value +1 at t = 1.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping
 
 
@@ -16,16 +17,23 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for exp, c in items:
-            if type(exp) is not int or type(c) is not int:
-                raise ValueError(
-                    f"exponent {exp!r} and its coefficient {c!r} must be integers"
-                )
-            if c:
-                acc[exp] = acc.get(exp, 0) + c
-        self._coeffs = tuple(sorted((e, c) for e, c in acc.items() if c))
+        # the types are checked in one pass; the loop only names a term that is not an int
+        if isinstance(coeffs, Mapping):
+            pairs, terms = coeffs.items(), coeffs
+            types = {*map(type, coeffs), *map(type, coeffs.values())}
+        else:
+            pairs, terms = list(coeffs), {}
+            types = set(map(type, chain.from_iterable(pairs)))
+        if not types <= {int}:
+            for exp, c in pairs:
+                if type(exp) is not int or type(c) is not int:  # bool is an int subclass
+                    raise ValueError(
+                        f"exponent {exp!r} and its coefficient {c!r} must be integers"
+                    )
+        if terms is not coeffs:  # pairs may repeat an exponent
+            for exp, c in pairs:
+                terms[exp] = terms.get(exp, 0) + c
+        self._coeffs = tuple(sorted([term for term in terms.items() if term[1]]))
 
     @classmethod
     def one(cls) -> "LaurentPoly":

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, prod
 from pathlib import Path
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -610,3 +611,166 @@ def zero_set_bruteforce(form, bound=20):
             if form.evaluate(x, y) == 0:
                 out.add(canonical_class(x, y))
     return out
+
+
+# The Legendrian layer, the oracle for the literal smooth side of
+# torus-top-vs-smooth: tb and rot from the counts of a front, the Stein
+# condition framing = tb - 1 on each 2-handle, and the slice-Bennequin
+# bound tb + |rot| <= 2g - 1 on the slice genus of a curve in the boundary
+# of a Stein domain.  A front is modeled by the counts tb and rot need
+# (writhe, down and up cusps), not by a front word.
+
+
+# the fields; the public subclass checks them in __new__, which a NamedTuple
+# may not define in its own body
+class _FrontData(NamedTuple):
+    writhe: int
+    down_cusps: int
+    up_cusps: int
+
+
+class FrontData(_FrontData):
+    """Signed crossing count and cusp counts of a Legendrian front."""
+
+    __slots__ = ()
+
+    def __new__(cls, writhe: int, down_cusps: int, up_cusps: int):
+        for name, value in zip(cls._fields, (writhe, down_cusps, up_cusps)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if down_cusps < 0 or up_cusps < 0:
+            raise ValueError("cusp counts must be nonnegative")
+        total = down_cusps + up_cusps
+        if total < 2 or total % 2 != 0:
+            raise ValueError(f"a front has an even number (>= 2) of cusps, got {total}")
+        return super().__new__(cls, writhe, down_cusps, up_cusps)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
+
+
+def tb(front):
+    """Thurston-Bennequin number: writhe - (number of cusps)/2."""
+    return front.writhe - (front.down_cusps + front.up_cusps) // 2
+
+
+def rot(front):
+    """Rotation number: (down cusps - up cusps)/2, an integer since a
+    FrontData has an even number of cusps."""
+    return (front.down_cusps - front.up_cusps) // 2
+
+
+class HandleCheck(NamedTuple):
+    name: str
+    framing: int
+    tb: int
+
+    @property
+    def satisfied(self):
+        return self.framing == self.tb - 1
+
+
+def stein_condition(handles):
+    """framing = tb - 1 on every (name, framing, front) 2-handle: the
+    conjunction and a check per handle; vacuously true on no handles."""
+    checks = tuple(HandleCheck(name, framing, tb(front)) for name, framing, front in handles)
+    return all(c.satisfied for c in checks), checks
+
+
+def slice_bennequin_genus_bound(tb_value, rot_value):
+    """Smallest g >= 0 allowed by tb + |rot| <= 2g - 1.  A positive result
+    bounds the slice genus in any Stein filling from below; 0 concludes
+    nothing (never "slice")."""
+    bound = tb_value + abs(rot_value) + 1
+    return 0 if bound <= 0 else (bound + 1) // 2
+
+
+# The fronts of the paper's Stein handle picture.  The counts realize the
+# target invariants (tb, rot) of the named curves; they are not a literal
+# front drawing.
+NAMED_FRONTS = {
+    "unknot-max-tb": (0, 1, 1),
+    "alpha": (1, 1, 1),
+    "handle-1": (1, 1, 1),
+    "handle-2": (2, 1, 1),
+}
+STEIN_FRAMINGS = {"handle-1": -1, "handle-2": 0}
+
+
+def load_named_fronts():
+    """The named fronts as FrontData, and the Stein framings of the handles."""
+    return {name: FrontData(*counts) for name, counts in NAMED_FRONTS.items()}, dict(STEIN_FRAMINGS)
+
+
+def smooth_side_steps():
+    """The smooth-side trace steps of torus-top-vs-smooth, as
+    (operation, inputs, output), derived from the named fronts."""
+    fronts, framings = load_named_fronts()
+    ok, checks = stein_condition(
+        [(name, framings[name], fronts[name]) for name in sorted(framings)]
+    )
+    tb_a, rot_a = tb(fronts["alpha"]), rot(fronts["alpha"])
+    return [
+        (
+            "stein_condition",
+            {"handles": [[c.name, c.framing] for c in checks]},
+            {
+                "stein": ok,
+                "checks": [
+                    {"name": c.name, "framing": c.framing, "tb": c.tb, "ok": c.satisfied}
+                    for c in checks
+                ],
+            },
+        ),
+        ("tb_rot", {"front": "alpha"}, {"tb": tb_a, "rot": rot_a}),
+        (
+            "slice_bennequin_genus_bound",
+            {"tb": tb_a, "rot": rot_a},
+            {"genus_lower_bound": slice_bennequin_genus_bound(tb_a, rot_a)},
+        ),
+    ]
+
+
+# Dehn twists along the boundary torus, the oracle for the literal steps of
+# twist-extension.  The twists that extend over a fixed 4-manifold form a
+# subgroup of H_1(T) = Z^2, and a class is an (x, y) pair of ints.
+
+
+def seifert_orbit_class(p, q):
+    """Orbit class of the circle action on a torus-knot exterior:
+    lambda + pq*mu, written as (pq, 1) in the (mu, lambda) basis."""
+    if gcd(abs(p), abs(q)) != 1 or abs(p) < 2 or abs(q) < 2:
+        raise ValueError(f"({p}, {q}) are not parameters of a nontrivial torus knot")
+    return (p * q, 1)
+
+
+def to_alpha_beta(c):
+    """A (mu, lambda) class in the (alpha, beta) torus basis: alpha -> mu
+    and beta -> mu + lambda, so mu = alpha and lambda = beta - alpha."""
+    u, v = c
+    return (u - v, v)
+
+
+def extension_subgroup(a, b):
+    """Index in Z^2 of the subgroup that the classes a and b generate:
+    |det [a; b]|, 0 when they are dependent."""
+    return abs(a[0] * b[1] - a[1] * b[0])
+
+
+def twist_steps(p, q):
+    """The first three trace steps of twist-extension, as
+    (operation, inputs, output), derived by the twist layer."""
+    orbit = seifert_orbit_class(p, q)
+    orbit_str = f"{orbit[0]}*mu + {orbit[1]}*lambda"
+    ab = to_alpha_beta(orbit)
+    meridian = (1, 0)
+    return [
+        ("seifert_orbit_class", {"p": p, "q": q}, orbit_str),
+        ("to_alpha_beta", {"class": orbit_str}, f"{ab[0]}*alpha + {ab[1]}*beta"),
+        (
+            "extension_subgroup",
+            {"generators": [list(meridian), list(ab)]},
+            {"rows": [[1, 0], [0, 1]], "rank": 2, "index": extension_subgroup(meridian, ab)},
+        ),
+    ]

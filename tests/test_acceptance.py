@@ -17,9 +17,14 @@ from conftest import (
     homology_diagonal,
     hoste_linking,
     invariant_factors,
+    load_named_fronts,
+    rot,
     self_linking_form,
     skew_det,
+    slice_bennequin_genus_bound,
     smith_diagonal_well_formed,
+    stein_condition,
+    tb,
     zero_classes,
 )
 from dehn4.forms import (
@@ -29,13 +34,6 @@ from dehn4.forms import (
     rohlin_constraint,
 )
 from dehn4.laurent import LaurentPoly
-from dehn4.legendrian import (
-    load_named_fronts,
-    rot,
-    slice_bennequin_genus_bound,
-    stein_condition,
-    tb,
-)
 from dehn4.linking import canonical_class, torus_presentation
 from dehn4.report import render_text
 from dehn4.scenarios import Verdict, build_scenario, run_scenario

@@ -150,6 +150,72 @@ def test_the_cyclotomic_table_is_rebuilt_from_x_to_the_n_minus_1():
     assert len(factor.CYCLOTOMIC) == 32
 
 
+def test_the_values_at_two_are_rebuilt_from_the_table():
+    assert factor.CYCLOTOMIC_AT_2 == {
+        n: sum(c << i for i, c in enumerate(phi)) for n, phi in factor.CYCLOTOMIC.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (2, -5, 2),  # the stevedore's (2t - 1)(t - 2)
+        expand([((1, -2), 2)]),
+        expand([((1, -2), 2), ((2, -1), 1)]),
+        expand([((1, -2), 2), (CYCLOTOMIC[6], 1), (CYCLOTOMIC[2], 1)]),
+        expand([((1, -2), 1), (CYCLOTOMIC[12], 2), (CYCLOTOMIC[1], 1)]),
+        expand([((1, -2), 3), ((1, 0, -2), 1)]),
+    ],
+)
+def test_factor_list_matches_sympy_where_the_value_at_two_is_zero(coeffs):
+    """At f(2) = 0 every Phi_n(2) divides f(2), so no division is skipped."""
+    assert sum(c << i for i, c in enumerate(reversed(coeffs))) == 0
+    assert factor_list(coeffs) == sympy_factor_list(coeffs)
+
+
+@pytest.mark.parametrize(
+    "chosen",
+    [
+        [2, 6],
+        [2, 2, 6],
+        [6, 6, 2],
+        [6],
+        [2, 2, 2],
+        [2, 6, 3],
+        [6, 6, 6, 2, 1],
+    ],
+)
+def test_factor_list_matches_sympy_on_cyclotomic_products_sharing_a_value_at_two(chosen):
+    """Phi_2(2) = Phi_6(2) = 3, so a factor of one passes the value test of
+    the other, and only the division tells them apart."""
+    assert factor.CYCLOTOMIC_AT_2[2] == factor.CYCLOTOMIC_AT_2[6] == 3
+    coeffs = expand([(CYCLOTOMIC[n], 1) for n in chosen])
+    for extra in ([], [((3, 1, 2), 1)], [((1, -2), 1)]):
+        f = expand([(coeffs, 1), *extra])
+        assert factor_list(f) == sympy_factor_list(f), (chosen, extra)
+
+
+def test_at_a_zero_value_at_two_the_cyclotomic_factors_still_divide_out_first(monkeypatch):
+    """Only (t - 2)^2 is left for the general route, which would find the
+    Phi_n too, only slower."""
+    general = []
+    route = factor._factor_general
+    monkeypatch.setattr(factor, "_factor_general", lambda f: general.append(f) or route(f))
+    coeffs = expand([((1, -2), 2), (CYCLOTOMIC[6], 1), (CYCLOTOMIC[2], 1)])
+    assert factor_list(coeffs) == sympy_factor_list(coeffs)
+    assert general == [[4, -4, 1]]
+
+
+def test_a_cyclotomic_division_is_tried_only_where_the_value_at_two_divides(monkeypatch):
+    """Phi_6 = t^2 - t + 1 has value 3 at t = 2: only Phi_1 (value 1),
+    Phi_2 and Phi_6 (value 3) are tried, not Phi_3 or Phi_4."""
+    tried = []
+    divide = factor._divide
+    monkeypatch.setattr(factor, "_divide", lambda a, b: tried.append(tuple(b)) or divide(a, b))
+    assert factor_list((1, -1, 1)) == [((1, -1, 1), 1)]
+    assert tried == [factor.CYCLOTOMIC[n] for n in (1, 2, 6)]
+
+
 # sqrt(2) + sqrt(3) + sqrt(5) over Q: irreducible over Z, but the product of
 # at most quadratic factors mod every prime
 SWINNERTON_DYER_8 = (1, 0, -40, 0, 352, 0, -960, 0, 576)

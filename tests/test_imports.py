@@ -81,8 +81,6 @@ _OPTIONAL = (
     "fractions",
     "json",
     "dehn4.forms",
-    "dehn4.legendrian",
-    "dehn4.twists",
     "dehn4.factor",
     "dehn4.seifert",
     "dehn4.linking",
@@ -126,11 +124,8 @@ _BUDGET = {
     "sphere-lens": (["--scenario", "sphere-lens"], ["dehn4.forms"]),
     "sphere-smooth-h": (["--scenario", "sphere-smooth-h"], ["dehn4.forms"]),
     "sphere-smooth-e8h": (["--scenario", "sphere-smooth-e8h"], ["dehn4.forms"]),
-    "torus-top-vs-smooth": (
-        ["--scenario", "torus-top-vs-smooth"],
-        sorted([*_TORUS, "dehn4.legendrian", "fractions", "json"]),
-    ),
-    "twist-extension": (["--scenario", "twist-extension"], [*_TORUS, "dehn4.twists"]),
+    "torus-top-vs-smooth": (["--scenario", "torus-top-vs-smooth"], [*_TORUS, "fractions"]),
+    "twist-extension": (["--scenario", "twist-extension"], _TORUS),
     "torus-solid stevedore": (
         ["--scenario", "torus-solid", "--knot-j", "stevedore", "--knot-k", "unknot"],
         sorted([*_TORUS, "dehn4.factor", "fractions"]),

@@ -165,3 +165,46 @@ def test_multiplication_commutes_and_evaluates(c1, c2):
     p, q = lp(c1), lp(c2)
     assert p * q == q * p
     assert evaluate(p * q, 3) == evaluate(p, 3) * evaluate(q, 3)
+
+
+def built_term_by_term(terms):
+    """The polynomial of (exponent, coefficient) terms, like terms added one
+    at a time into a dict, zeros dropped."""
+    acc = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, 0) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+@given(
+    st.dictionaries(st.integers(-6, 6), st.integers(-6, 6), max_size=6),
+    st.dictionaries(st.integers(-6, 6), st.integers(-6, 6), max_size=6),
+    st.integers(-9, 9),
+    st.integers(-4, 4).filter(bool),
+)
+def test_products_shifts_and_substitutions_equal_the_polynomial_built_term_by_term(c1, c2, k, n):
+    """The arithmetic builds its result from a dict through the one
+    constructor; it equals the LaurentPoly of the same terms, given as
+    (exponent, coefficient) pairs, and keeps the canonical form: exponents
+    increasing and no zero coefficient."""
+    p, q = lp(c1), lp(c2)
+    cases = [
+        (p * q, [(e1 + e2, a * b) for e1, a in c1.items() for e2, b in c2.items()]),
+        (p.shifted(k), [(e + k, c) for e, c in c1.items()]),
+        (p.substituted(n), [(e * n, c) for e, c in c1.items()]),
+        (-p, [(e, -c) for e, c in c1.items()]),
+    ]
+    for result, terms in cases:
+        assert result == LaurentPoly(terms) == lp(built_term_by_term(terms))
+        assert result.coeffs == built_term_by_term(terms)
+        exps = [e for e, _ in result._coeffs]
+        assert exps == sorted(set(exps)) and all(c for _, c in result._coeffs)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(1, 2), Fraction(2, 1)])
+def test_shifted_and_substituted_refuse_a_non_integer_power(bad):
+    p = lp({1: 1, 0: -1, -1: 1})
+    with pytest.raises(ValueError, match="must be integers"):
+        p.shifted(bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        p.substituted(bad)

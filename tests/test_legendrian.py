@@ -2,14 +2,16 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from dehn4.legendrian import (
+from conftest import (
     FrontData,
     load_named_fronts,
     rot,
     slice_bennequin_genus_bound,
+    smooth_side_steps,
     stein_condition,
     tb,
 )
+from dehn4.scenarios import build_scenario, run_scenario
 
 
 def test_standard_legendrian_unknot():
@@ -121,3 +123,24 @@ def test_stabilization_drops_tb_and_shifts_rot(writhe, down, up, positive):
     assert tb(stabbed) == tb(front) - 1
     assert abs(rot(stabbed) - rot(front)) == 1
     assert tb(stabbed) + abs(rot(stabbed)) <= tb(front) + abs(rot(front))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {},
+        {"n": 1},
+        {"n": -3},
+        {"knot_j": "unknot"},
+        {"knot_k": "trefoil"},
+        {"knot_j": {"torus": [3, 4]}},
+    ],
+)
+def test_smooth_side_trace_steps_match_the_oracle(params):
+    """torus-top-vs-smooth writes its smooth side as literal steps; the
+    Legendrian layer derives the same steps from the named fronts, and no
+    parameter moves them."""
+    trace = run_scenario(build_scenario("torus-top-vs-smooth", **params)).trace
+    ops = [t.operation for t in trace]
+    start = ops.index("stein_condition")
+    assert [tuple(t) for t in trace[start : start + 3]] == smooth_side_steps()

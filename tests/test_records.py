@@ -1,6 +1,7 @@
-"""The immutable records of dehn4 are NamedTuples: frozen, compared and
-hashed by value, shown as `Name(field=value, ...)`, and the three that
-check their fields check them however they are built."""
+"""The immutable records of dehn4, and the two of the Legendrian test
+oracle, are NamedTuples: frozen, compared and hashed by value, shown as
+`Name(field=value, ...)`, and the three that check their fields check
+them however they are built."""
 from __future__ import annotations
 
 import copy
@@ -8,8 +9,8 @@ import pickle
 
 import pytest
 
+from conftest import FrontData, HandleCheck
 from dehn4.forms import EvenFormClass, LensWitness, SignatureCongruence
-from dehn4.legendrian import FrontData, HandleCheck
 from dehn4.scenarios import HypothesisFlag, Report, Scenario, TraceStep, Verdict
 from dehn4 import seifert
 from dehn4.seifert import (
@@ -25,7 +26,8 @@ from dehn4.seifert import (
 
 
 def _records():
-    """One record of each of the 13 kinds; each call builds new objects."""
+    """One record of each of the 13 kinds, 11 of dehn4 and the two of the
+    Legendrian oracle in conftest; each call builds new objects."""
     trefoil = Knot("trefoil", torus_knot_seifert(2, 3))
     flag = HypothesisFlag("rho-y1", True, "classical")
     scenario = Scenario("torus-solid", n=1, knot_j=trefoil, knot_k=trefoil, flags=(flag,))

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from conftest import SCHEMA
-from dehn4 import cli, forms, twists
+from dehn4 import cli, forms
 from dehn4.cli import main
 from dehn4.report import render, render_json, render_text, report_to_json_dict
 from dehn4.scenarios import (
@@ -141,14 +141,6 @@ def test_twist_extension_negative_and_swapped_pairs_mixed(p, q):
     assert report.verdict is Verdict.MIXED
     sub = next(t for t in report.trace if t.operation == "extension_subgroup")
     assert sub.output == {"rows": [[1, 0], [0, 1]], "rank": 2, "index": 1}
-
-
-def test_twist_extension_asserts_the_full_subgroup(monkeypatch):
-    """The meridian and the orbit class have determinant 1 for every p and q:
-    any other index is an internal error, not a verdict."""
-    monkeypatch.setattr(twists, "extension_subgroup", lambda a, b: 2)
-    with pytest.raises(AssertionError, match="internal error: extension subgroup index 2"):
-        run("twist-extension", p=2, q=3)
 
 
 def obstruction_witness_present(report) -> bool:
@@ -604,6 +596,13 @@ def _cli_error(capsys, argv) -> str:
 )
 def test_parameter_the_scenario_does_not_take_is_rejected(capsys, argv, message):
     assert _cli_error(capsys, argv) == f"dehn4: error: {message}"
+
+
+@pytest.mark.parametrize("p, q", [(2, 4), (1, 3), (0, 5)])
+def test_twist_extension_refuses_a_pair_of_no_nontrivial_torus_knot(capsys, p, q):
+    assert _cli_error(capsys, ["--scenario", "twist-extension", "--p", str(p), "--q", str(q)]) == (
+        f"dehn4: error: ({p}, {q}) are not parameters of a nontrivial torus knot"
+    )
 
 
 def test_sphere_lens_checks_q_before_factoring_p(monkeypatch):

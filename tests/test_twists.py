@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from dehn4.twists import extension_subgroup, seifert_orbit_class, to_alpha_beta
+from conftest import extension_subgroup, seifert_orbit_class, to_alpha_beta, twist_steps
+from dehn4.scenarios import build_scenario, run_scenario
 
 
 def to_mu_lambda(c):
@@ -64,3 +65,13 @@ def test_index_is_the_same_for_two_bases_of_one_subgroup():
 def test_index_is_absolute_determinant(v1, v2):
     det = v1[0] * v2[1] - v1[1] * v2[0]
     assert extension_subgroup(v1, v2) == abs(det)
+
+
+def test_twist_trace_steps_match_the_oracle():
+    """twist-extension writes its first three steps from p and q; the
+    twist layer derives the same steps from the orbit class."""
+    pairs = [(p, q) for p in range(2, 12) for q in range(p + 1, 13) if gcd(p, q) == 1]
+    assert len(pairs) == 34
+    for p, q in pairs:
+        trace = run_scenario(build_scenario("twist-extension", p=p, q=q)).trace
+        assert [tuple(t) for t in trace[:3]] == twist_steps(p, q), (p, q)
