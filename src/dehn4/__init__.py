@@ -7,14 +7,13 @@ Modules by topic:
   laurent     integer Laurent polynomials (Alexander polynomials)
   factor      factorization over Z of small-degree polynomials
               (Yun, Berlekamp, Hensel lifting, Zassenhaus)
-  linking     the torus presentation (trace text and linking matrix)
-              and its boundary torus in closed form: the self-linking
-              form n*x^2 - x*y and its two zero classes
   seifert     Seifert matrices as checked sparse rows, Alexander
               polynomials, signatures, Fox-Milnor, sliceness verdicts
   forms       even form classes a*E8 + b*H, splitting enumeration under
               Rokhlin constraints, lens-space QR test
-  scenarios   the named end-to-end obstruction reports
+  scenarios   the named end-to-end obstruction reports, with the torus
+              presentation and its boundary torus in closed form in n:
+              the self-linking form n*x^2 - x*y and its two zero classes
   report      deterministic text and JSON rendering
   cli         the `dehn4 report` command line
 """

@@ -46,6 +46,7 @@ from .scenarios import (
     ScenarioError,
     build_scenario,
     is_single_line,
+    parse_json,
     run_scenario,
 )
 
@@ -94,8 +95,6 @@ def _load_config(path: str) -> dict:
         raise ScenarioError(f"config file {shown} cannot be read: {exc.strerror}")
     except UnicodeDecodeError:
         raise ScenarioError(f"config file {shown} is not UTF-8 text")
-    from .seifert import parse_json
-
     try:
         data = parse_json(text)
     except ValueError as exc:

@@ -25,6 +25,7 @@ Scenarios:
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from functools import cache, partial
 from math import gcd
@@ -32,8 +33,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # Each library module serves only some scenarios, so the run functions and
 # the knot branches import it on first use: forms the three sphere
-# scenarios, seifert and linking (with exact and laurent) the three torus
-# scenarios.
+# scenarios, seifert (with exact and laurent) the three torus scenarios.
 # `import dehn4` and a sphere report load no torus code.  The imports are
 # absolute, since a relative `from . import x` also runs two importlib
 # functions in Python each time: about 1 us in a report against 0.5 us.
@@ -52,6 +52,24 @@ class Verdict(Enum):
 def is_single_line(text: str) -> bool:
     """No line break and no control character, so text renders as part of one report line."""
     return re.search("[\x00-\x1f\x7f-\x9f\u2028\u2029]", text) is None  # Cc, Zl, Zp
+
+
+def parse_json(text: str):
+    """json.loads, with each way it refuses a text as one ValueError whose
+    message says why: the decoder's own, "nested too deeply", or the
+    integer digit limit of int(str) (sys.set_int_max_str_digits)."""
+    import json
+
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(str(exc)) from None
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    except ValueError:  # the only other ValueError of json.loads on a str
+        limit = getattr(sys, "get_int_max_str_digits", None)  # Python >= 3.10.7
+        bound = f"the limit of {limit()} digits" if limit else "the digit limit"
+        raise ValueError(f"an integer exceeds {bound}") from None
 
 
 # the fields; the public subclass checks them in __new__, which a NamedTuple
@@ -422,9 +440,9 @@ def _class_knots(s: Scenario, classes: tuple[tuple[int, int], ...]) -> list[Knot
     """Knots carrying the algebraic concordance classes of zero classes.
 
     The zero classes of n*x^2 - x*y are beta = (0, 1) and alpha = (1, n),
-    up to sign (`linking.torus_zero_classes`), so any class but beta is
-    alpha; a sign flip reverses the curve, which does not move the
-    algebraic obstructions.
+    up to sign (`_torus_pipeline`), so any class but beta is alpha; a sign
+    flip reverses the curve, which does not move the algebraic
+    obstructions.
     """
     import dehn4.seifert as seifert
 
@@ -445,20 +463,52 @@ def _class_knots(s: Scenario, classes: tuple[tuple[int, int], ...]) -> list[Knot
     return knots
 
 
-def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], tuple[tuple[int, int], ...]]:
+def _torus_pipeline(
+    s: Scenario,
+) -> tuple[list[TraceStep], tuple[tuple[int, int], ...], tuple[int, int]]:
     """Shared head of the torus scenarios: presentation through zero classes.
 
-    det B = -1, so H_1 = 0; Hoste's formula gives n*x^2 - x*y, whose zero
-    classes are beta = (0, 1) and alpha = (1, n) (see `linking`).
-    """
-    import dehn4.linking as linking
+    Returns the trace, the two zero classes sorted, and alpha.  Every step
+    is a closed form in n.  Every torus lies on the boundary of one
+    presentation: a dotted circle L1 and an n-framed circle L2 linking it
+    once, with linking matrix B = [[0, 1], [1, n]].  The boundary torus has
+    the basis alpha (linking L1 once) and beta (linking L2 once), with
+    pushoff data lk(alpha, beta+) = 0 and lk(beta, alpha+) = 1, so
+    x*alpha + y*beta has linking vector (x, y) and S^3 self-linking x*y.
 
-    text, b = linking.torus_presentation(s.n)
-    matrix = [list(r) for r in b]
-    form = linking.torus_form(s.n)
-    classes = linking.torus_zero_classes(s.n)
+    det B = -1 for every n, so H_1 = 0: the surgered manifold is a homology
+    sphere.  Hoste's surgery formula (Hoste 1986)
+
+        lk_Y(sigma, sigma+) = lk_{S^3}(sigma, sigma+) - a . B^{-1} . a^T
+
+    (a the curve's linking vector) with B^{-1} = [[-n, 1], [1, 0]] gives
+    the self-linking x*y - (2*x*y - n*x^2) = n*x^2 - x*y.  This form is
+    x*(n*x - y), so its primitive zero classes are beta = (0, 1) and
+    alpha = (1, n), each signed so that y > 0, or y = 0 and x > 0: alpha
+    is (-1, -n) for n < 0.  The form is written with a coefficient of +-1
+    as a bare sign and a zero term left out, so n = 0 gives "-x*y".  The
+    tests derive every step again from B, by Hoste's formula through
+    bordered determinants and by a grid search for the zeros.
+    """
+    n = s.n
+    text = (
+        "component L1 dotted\n"
+        f"component L2 framed {n}\n"
+        "lk L1 L2 1\n"
+        "curve alpha lk ( 1 0 ) self 0\n"
+        "curve beta lk ( 0 1 ) self 0\n"
+        "pushoff alpha beta 0 1\n"
+    )
+    matrix = [[0, 1], [1, n]]
+    if n == 0:
+        form = "-x*y"
+    else:
+        square = "x^2" if abs(n) == 1 else f"{abs(n)}*x^2"
+        form = f"{'-' if n < 0 else ''}{square} - x*y"
+    alpha = (1, n) if n >= 0 else (-1, -n)
+    classes = tuple(sorted(((0, 1), alpha)))
     return [
-        TraceStep("parse_presentation", {"n": s.n}, {"text": text}),
+        TraceStep("parse_presentation", {"n": n}, {"text": text}),
         TraceStep("boundary_linking_matrix", {}, matrix),
         TraceStep(
             "first_homology",
@@ -468,20 +518,20 @@ def _torus_pipeline(s: Scenario) -> tuple[list[TraceStep], tuple[tuple[int, int]
         TraceStep(
             "self_linking_form",
             {"basis": ["alpha", "beta"]},
-            {"coefficients": [s.n, -1, 0], "form": form},
+            {"coefficients": [n, -1, 0], "form": form},
         ),
         TraceStep(
             "zero_classes",
             {"form": form},
             {"classes": [list(c) for c in classes], "all_classes": False},
         ),
-    ], classes
+    ], classes, alpha
 
 
 def _run_torus_solid(s: Scenario) -> _Run:
     import dehn4.seifert as seifert
 
-    trace, classes = _torus_pipeline(s)
+    trace, classes, _ = _torus_pipeline(s)
     notes = []
     # -J and K # cable(J; n) often share Delta (K with Delta = 1 and n = 1),
     # so the two classes share one Fox-Milnor test; the memo lives for this
@@ -514,14 +564,12 @@ def _run_torus_solid(s: Scenario) -> _Run:
 
 
 def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
-    import dehn4.linking as linking
     import dehn4.seifert as seifert
 
-    trace, classes = _torus_pipeline(s)
+    trace, classes, alpha_class = _torus_pipeline(s)
     notes = []
 
     # --- topological side: the (1, n) class bounds a topological disk ---
-    alpha_class = linking.canonical_class(1, s.n)
     alpha_knot, beta_knot = _class_knots(s, (alpha_class, (0, 1)))
     delta = seifert.alexander_polynomial(alpha_knot.matrix)
     trace.append(

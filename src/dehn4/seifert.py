@@ -26,7 +26,9 @@ det(V - V^T) = 1, for every coprime 2 <= p < q <= 30.  A derived
 matrix's rows are int and zero-free by construction, and
 det(V - V^T) = 1 follows from the parent's by an identity that each
 builder's docstring names.  The tests take that determinant again, from
-an independent dense oracle.  An unpickled matrix re-enters through
+an independent dense oracle.  A pickled torus leaf holds (p, q) and
+unpickles through `torus_knot_seifert`, which checks them again, so it
+keeps its closed forms; any other unpickled matrix re-enters through
 `from_rows`, and is checked like any other.  Only
 `SeifertMatrix.entries`, a view for text and tests, is dense: JSON reports
 write the sparse rows themselves.
@@ -71,7 +73,6 @@ Sign conventions (documented, tests pin them down):
 """
 from __future__ import annotations
 
-import sys
 from enum import Enum
 from itertools import chain
 from math import comb, gcd, isqrt, prod
@@ -80,7 +81,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .exact import IntMatrix, SparseRows, det, signature_symmetric
 from .laurent import LaurentPoly
-from .scenarios import is_single_line  # there, so that the sphere reports load no seifert
+# there, so that the sphere reports and config files load no seifert
+from .scenarios import is_single_line, parse_json
 
 
 class SeifertMatrix:
@@ -105,8 +107,9 @@ class SeifertMatrix:
     dense view, a new tuple of tuples on each access.
 
     The matrix is immutable, so a copy or a deep copy is the matrix
-    itself, and a pickle holds its sparse rows and unpickles through
-    `from_rows`, the trust boundary.
+    itself.  A pickle of a torus leaf holds (p, q) and unpickles through
+    `torus_knot_seifert`; any other pickle holds the sparse rows and
+    unpickles through `from_rows`, the trust boundary.
     """
 
     __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander")
@@ -183,6 +186,8 @@ class SeifertMatrix:
         return self
 
     def __reduce__(self):
+        if self._origin is not None and self._origin[0] == "torus":
+            return torus_knot_seifert, self._origin[1:]
         return SeifertMatrix.from_rows, ([dict(row) for row in self.rows],)
 
     @property
@@ -892,24 +897,6 @@ def knot_names() -> tuple[str, ...]:
     return tuple(sorted(_NAMED_KNOTS))
 
 
-def parse_json(text: str):
-    """json.loads, with each way it refuses a text as one ValueError whose
-    message says why: the decoder's own, "nested too deeply", or the
-    integer digit limit of int(str) (sys.set_int_max_str_digits)."""
-    import json
-
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(str(exc)) from None
-    except RecursionError:
-        raise ValueError("nested too deeply") from None
-    except ValueError:  # the only other ValueError of json.loads on a str
-        limit = getattr(sys, "get_int_max_str_digits", None)  # Python >= 3.10.7
-        bound = f"the limit of {limit()} digits" if limit else "the digit limit"
-        raise ValueError(f"an integer exceeds {bound}") from None
-
-
 def _spec_error(field: str, expected: str, value) -> ValueError:
     import json
 
@@ -980,6 +967,8 @@ def knot_from_spec(spec) -> Knot:
         return Knot(spec.get("name", f"twist({m})"), twist_knot_seifert(m))
     if keys == {"whitehead"}:
         clasp = spec["whitehead"]
+        if clasp not in ("+", "-"):
+            raise _spec_error("whitehead", "\"+\" or \"-\"", clasp)
         return Knot(
             spec.get("name", f"whitehead-double({clasp})"), whitehead_double_seifert(clasp)
         )

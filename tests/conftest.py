@@ -9,9 +9,7 @@ from typing import NamedTuple
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from dehn4.exact import det
 from dehn4.laurent import LaurentPoly
-from dehn4.linking import canonical_class
 from dehn4.seifert import SeifertMatrix
 
 settings.register_profile("exact", deadline=None, max_examples=60)
@@ -454,11 +452,12 @@ def smith_diagonal_well_formed(m, diag):
         assert product == divisor
 
 
-# The general linking layer, the oracle for the closed forms of the torus
-# boundary in `dehn4.linking`: first homology of any symmetric 2x2 linking
-# matrix, Hoste's self-linking through bordered determinants, the
-# self-linking form from three curves, and its zero classes by factoring
-# over Z and by a grid search.
+# The general linking layer, the oracle for the closed forms in n that the
+# torus scenarios write (`scenarios._torus_pipeline`): first homology of any
+# symmetric 2x2 linking matrix, Hoste's self-linking through bordered
+# determinants, the self-linking form from three curves, and its zero
+# classes by factoring over Z and by a grid search.  It uses nothing from
+# dehn4.
 
 
 @dataclass(frozen=True)
@@ -505,18 +504,25 @@ def hoste_linking(b, a, self_lk):
 
     The correction is a bordered determinant over det B,
     a . B^-1 . a^T = -det([[B, a^T], [a, 0]]) / det(B), both taken by
-    `exact.det`; exact rational output.
+    `dense_det`; exact rational output.  An entry of B or a that is not an
+    int, a float zero included, is a TypeError.
     """
     if len(a) != len(b):
         raise ValueError("curve linking vector does not match the matrix size")
-    det_b = det(sparse_rows(b))
+    if any(len(row) != len(b) for row in b):
+        raise ValueError("non-square matrix")
+    bordered = [list(row) + [y] for row, y in zip(b, a)]
+    bordered.append(list(a) + [0])
+    for i, row in enumerate(bordered):
+        for j, x in enumerate(row):
+            if type(x) is not int:  # bool is an int subclass
+                raise TypeError(f"matrix entry [{i}][{j}] must be an int, got {x!r}")
+    det_b = dense_det(b)
     if det_b == 0:
         raise SingularLinkingMatrix(
             "linking matrix is singular; surgery linking numbers are undefined"
         )
-    bordered = [list(row) + [y] for row, y in zip(b, a)]
-    bordered.append(list(a) + [0])
-    return self_lk + Fraction(det(sparse_rows(bordered)), det_b)
+    return self_lk + Fraction(dense_det(bordered), det_b)
 
 
 @dataclass(frozen=True)
@@ -599,6 +605,17 @@ def zero_classes(form):
         for sign in (1, -1):
             found.add(canonical_class(-b + sign * r, 2 * a))
     return ZeroClasses(classes=tuple(sorted(found)))
+
+
+def canonical_class(x, y):
+    """The primitive class of (x, y), signed so that y > 0, or y = 0 and x > 0."""
+    g = gcd(abs(x), abs(y))
+    if g == 0:
+        raise ValueError("(0, 0) is not a class")
+    x, y = x // g, y // g
+    if y < 0 or (y == 0 and x < 0):
+        x, y = -x, -y
+    return (x, y)
 
 
 def zero_set_bruteforce(form, bound=20):

@@ -12,6 +12,7 @@ from math import gcd
 from conftest import (
     SelfLinkingForm,
     build_seifert,
+    canonical_class,
     evaluate,
     first_homology,
     homology_diagonal,
@@ -34,7 +35,6 @@ from dehn4.forms import (
     rohlin_constraint,
 )
 from dehn4.laurent import LaurentPoly
-from dehn4.linking import canonical_class, torus_presentation
 from dehn4.report import render_text
 from dehn4.scenarios import Verdict, build_scenario, run_scenario
 from dehn4.seifert import (
@@ -48,6 +48,7 @@ from dehn4.seifert import (
     torus_knot_seifert,
     whitehead_double_seifert,
 )
+from test_surgery import torus_presentation
 
 
 @contextlib.contextmanager
@@ -80,7 +81,7 @@ def test_sphere_lens_criterion():
 def test_self_linking_form_criterion():
     with criterion("self-linking form is n*x^2 - x*y for n in [-50, 50]"):
         for n in range(-50, 51):
-            b = torus_presentation(n)[1]
+            b = torus_presentation("torus-solid", n)[1]
             form = self_linking_form(b)
             assert (form.a, form.b, form.c) == (n, -1, 0)
             for x in range(-5, 6):

@@ -83,12 +83,11 @@ _OPTIONAL = (
     "dehn4.forms",
     "dehn4.factor",
     "dehn4.seifert",
-    "dehn4.linking",
     "dehn4.exact",
     "dehn4.laurent",
 )
 # what every torus report loads
-_TORUS = ["dehn4.exact", "dehn4.laurent", "dehn4.linking", "dehn4.seifert"]
+_TORUS = ["dehn4.exact", "dehn4.laurent", "dehn4.seifert"]
 
 _LOADED = """
 import sys
@@ -108,7 +107,7 @@ def _loaded(module: str, argv: list[str]) -> set[str]:
 
 
 # each case's `dehn4 report` arguments, None for a bare `import dehn4`, with
-# the optional modules it loads
+# the optional modules it loads; "{config}" is the path of _CONFIG in a file
 _BUDGET = {
     "import dehn4": (None, []),
     "import dehn4.cli": ([], []),
@@ -122,6 +121,7 @@ _BUDGET = {
         [*_TORUS, "json"],
     ),
     "sphere-lens": (["--scenario", "sphere-lens"], ["dehn4.forms"]),
+    "sphere-lens config": (["--config", "{config}"], ["dehn4.forms", "json"]),
     "sphere-smooth-h": (["--scenario", "sphere-smooth-h"], ["dehn4.forms"]),
     "sphere-smooth-e8h": (["--scenario", "sphere-smooth-e8h"], ["dehn4.forms"]),
     "torus-top-vs-smooth": (["--scenario", "torus-top-vs-smooth"], [*_TORUS, "fractions"]),
@@ -133,11 +133,18 @@ _BUDGET = {
 }
 
 
+_CONFIG = '{"scenario": "sphere-lens", "p": 7, "q": 3}'
+
+
 @pytest.mark.parametrize("case", _BUDGET)
-def test_a_report_loads_only_the_optional_modules_it_runs(case):
+def test_a_report_loads_only_the_optional_modules_it_runs(case, tmp_path):
     """Counted in a fresh interpreter, beyond what a bare one loads; no
     timing, only which modules are in sys.modules at the end."""
     args, loaded = _BUDGET[case]
+    if args and "{config}" in args:
+        config = tmp_path / "config.json"
+        config.write_text(_CONFIG)
+        args = [str(config) if a == "{config}" else a for a in args]
     module = "dehn4" if args is None else "dehn4.cli"
     new = _loaded(module, ["report", *args] if args else [])
     assert module in new
@@ -156,8 +163,7 @@ _SPHERE_CASES = sorted(name for name, args in CASES.items() if args[1].startswit
 
 _GOLDEN_WITHOUT_TORUS_CODE = """
 import contextlib, io, sys
-sys.modules["dehn4.seifert"] = None  # an import of either now raises ImportError
-sys.modules["dehn4.linking"] = None
+sys.modules["dehn4.seifert"] = None  # an import of it now raises ImportError
 from dehn4.cli import main
 cases = {cases!r}
 differ = []

@@ -11,6 +11,7 @@ from conftest import (
     SelfLinkingForm,
     SingularLinkingMatrix,
     ZeroClasses,
+    canonical_class,
     dense_det,
     first_homology,
     homology_diagonal,
@@ -22,8 +23,7 @@ from conftest import (
     zero_classes,
     zero_set_bruteforce,
 )
-from dehn4.linking import canonical_class, torus_presentation
-from dehn4.scenarios import build_scenario, run_scenario
+from test_surgery import torus_presentation, torus_steps
 
 
 def test_smith_of_paper_matrix_is_identity():
@@ -174,7 +174,7 @@ def test_self_linking_form_matches_paper_for_all_n():
 
 def test_self_linking_form_agrees_with_hoste_grid():
     for n in range(-50, 51):
-        b = torus_presentation(n)[1]
+        b = torus_presentation("torus-solid", n)[1]
         form = self_linking_form(b)
         for x in range(-5, 6):
             for y in range(-5, 6):
@@ -186,7 +186,7 @@ def test_self_linking_form_agrees_with_hoste_grid():
 def test_zero_classes_paper_family():
     """The torus scenarios handle exactly beta = (0, 1) and alpha = (1, n)."""
     for n in range(-200, 201):
-        form = self_linking_form(torus_presentation(n)[1])
+        form = self_linking_form(torus_presentation("torus-solid", n)[1])
         assert form == SelfLinkingForm(n, -1, 0)
         result = zero_classes(form)
         assert len(result.classes) == 2
@@ -238,12 +238,15 @@ def test_canonical_class_sign_rules():
 @pytest.mark.parametrize("name", ["torus-solid", "torus-top-vs-smooth"])
 def test_torus_trace_steps_match_the_general_oracle(name):
     """The closed forms in n that the torus scenarios print are what the
-    general layer derives from B: homology from its Smith diagonal, the form
-    by Hoste's formula through bordered determinants, and the zero classes
-    by a grid search wide enough to reach (1, n)."""
+    general layer derives from B = [[0, 1], [1, n]]: homology from its Smith
+    diagonal, the form by Hoste's formula through bordered determinants,
+    and the zero classes by a grid search wide enough to reach (1, n).  The
+    oracle uses nothing from dehn4."""
     for n in range(-50, 51):
-        steps = {t.operation: t for t in run_scenario(build_scenario(name, n=n)).trace}
-        b = torus_presentation(n)[1]
+        steps = torus_steps(name, n)
+        b = ((0, 1), (1, n))
+        assert steps["boundary_linking_matrix"].output == [list(row) for row in b]
+        assert steps["first_homology"].inputs == {"matrix": [list(row) for row in b]}
         hom = first_homology(b)
         assert steps["first_homology"].output == {
             "group": str(hom),
@@ -260,3 +263,6 @@ def test_torus_trace_steps_match_the_general_oracle(name):
             "classes": [list(c) for c in classes],
             "all_classes": False,
         }
+        if name == "torus-top-vs-smooth":  # alpha, the zero class other than beta
+            (alpha,) = set(classes) - {(0, 1)}
+            assert steps["alexander_polynomial"].inputs["class"] == list(alpha)

@@ -105,6 +105,27 @@ def test_a_seifert_matrix_copies_as_itself_and_unpickles_through_from_rows(monke
         pickle.loads(data)
 
 
+def test_a_torus_leaf_unpickles_from_p_and_q_and_keeps_its_closed_forms(monkeypatch):
+    leaf = torus_knot_seifert(40, 41)
+    data = pickle.dumps(leaf)
+    assert len(data) < 200  # (p, q), not 1560 rows
+    calls = []
+    for name in ("det", "signature_symmetric"):
+        kernel = getattr(seifert, name)
+        monkeypatch.setattr(
+            seifert, name, lambda m, kernel=kernel, name=name: calls.append(name) or kernel(m)
+        )
+    w = pickle.loads(data)
+    assert calls == []
+    assert signature(w) == signature(leaf) == -800
+    assert calls == []
+    assert w == leaf and w is not leaf and hash(w) == hash(leaf)
+    # torus_knot_seifert checks p and q again
+    bad = pickle.dumps(seifert.SeifertMatrix._from_origin(("torus", 4, 6), 15))
+    with pytest.raises(ValueError, match=r"must be coprime, got \(4, 6\)"):
+        pickle.loads(bad)
+
+
 def test_records_that_differ_in_one_field_differ():
     assert EvenFormClass(1, 2) != EvenFormClass(1, 3)
     assert HypothesisFlag("f", True, "cited") != HypothesisFlag("f", False, "cited")

@@ -650,6 +650,9 @@ def test_sphere_lens_memory_does_not_grow_with_p(fmt):
         ({"seifert": [1, 2]}, "field 'seifert' must be an array of arrays of integers"),
         ({"name": 7, "torus": [2, 3]}, "field 'name' must be a string, got 7"),
         ({"name": None}, "field 'name' must be a string, got null"),
+        ({"whitehead": 5}, "field 'whitehead' must be \"+\" or \"-\", got 5"),
+        ({"whitehead": ["+"]}, "field 'whitehead' must be \"+\" or \"-\", got [\"+\"]"),
+        ({"whitehead": "x"}, "field 'whitehead' must be \"+\" or \"-\", got \"x\""),
     ],
 )
 @pytest.mark.parametrize("param", ["knot_j", "knot_k"])
