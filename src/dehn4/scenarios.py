@@ -37,6 +37,10 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 # `import dehn4` and a sphere report load no torus code.  The imports are
 # absolute, since a relative `from . import x` also runs two importlib
 # functions in Python each time: about 1 us in a report against 0.5 us.
+# A report builds only what its inputs change: default flags are built on
+# a scenario's first build_scenario and kept (`_fixed_flags`), not at
+# import, and twist-extension makes its companion record from (p, q)
+# without build_scenario.
 if TYPE_CHECKING:
     from .seifert import Knot, SliceVerdict
 
@@ -259,10 +263,14 @@ def build_scenario(
                 args[param] = seifert.knot_from_spec(args[param])
             except ValueError as exc:
                 raise ScenarioError(f"{param}: {exc}") from None
+    if kind.check is not None:
+        kind.check(args)
     defaults = kind.flags(args)
+    if not flags:
+        return Scenario(name, flags=defaults, **args)
     known = [f.name for f in defaults]
     given_flags: dict[str, HypothesisFlag] = {}
-    for flag in flags or ():
+    for flag in flags:
         if flag.name not in known:
             raise ScenarioError(
                 f"scenario {name!r} reads no flag {flag.name!r}; "
@@ -534,9 +542,9 @@ def _run_torus_solid(s: Scenario) -> _Run:
     trace, classes, _ = _torus_pipeline(s)
     notes = []
     # -J and K # cable(J; n) often share Delta (K with Delta = 1 and n = 1),
-    # so the two classes share one Fox-Milnor test; the memo lives for this
-    # report only
-    fox_milnor = cache(seifert.fox_milnor)
+    # so the two classes share one Fox-Milnor test: a plain dict from Delta
+    # to its result, which lives for this report only
+    memo: dict = {}
     for cls, knot in zip(classes, _class_knots(s, classes)):
         trace.append(
             TraceStep(
@@ -545,7 +553,7 @@ def _run_torus_solid(s: Scenario) -> _Run:
                 {"knot": knot.name, "genus": knot.matrix.genus},
             )
         )
-        verdict = seifert.algebraic_slice_verdict(knot.matrix, fox_milnor)
+        verdict = seifert.algebraic_slice_verdict(knot.matrix, memo)
         trace.append(
             TraceStep(
                 "algebraic_slice_verdict",
@@ -651,10 +659,19 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     return trace, Verdict.INCONCLUSIVE, {"notes": notes}
 
 
-def _run_twist_extension(s: Scenario) -> _Run:
-    p, q = s.p, s.q
+def _check_torus_pair(p: int, q: int) -> None:
     if gcd(abs(p), abs(q)) != 1 or abs(p) < 2 or abs(q) < 2:
-        raise ValueError(f"({p}, {q}) are not parameters of a nontrivial torus knot")
+        raise ScenarioError(
+            "parameters 'p' and 'q' must be those of a nontrivial torus knot "
+            f"(coprime, each at least 2 in absolute value), got ({p}, {q})"
+        )
+
+
+def _run_twist_extension(s: Scenario) -> _Run:
+    import dehn4.seifert as seifert
+
+    p, q = s.p, s.q
+    _check_torus_pair(p, q)  # build_scenario checks them; a record made otherwise may not
     # The orbit class of the circle action on the T(p, q) exterior is
     # lambda + pq*mu, (pq, 1) in the (mu, lambda) basis.  The torus basis
     # has alpha -> mu and beta -> mu + lambda, so the class is (pq - 1, 1)
@@ -677,11 +694,17 @@ def _run_twist_extension(s: Scenario) -> _Run:
         if not _flag_value(s, name)
     ]
 
-    companion = build_scenario(
+    # The companion is the torus-solid record of J = T(p, q) and K the
+    # unknot at n = -1, made here with the names a {"torus": [p, q]} spec
+    # and "unknot" get, so its steps are those of build_scenario's record.
+    # It skips the spec parser and the default flags, which
+    # _run_torus_solid does not read.  torus_knot_seifert is looked up on
+    # the module at each call, so a patched builder reaches the companion.
+    companion = Scenario(
         "torus-solid",
         n=-1,
-        knot_j={"torus": [p, q]},
-        knot_k="unknot",
+        knot_j=seifert.Knot(f"torus({p},{q})", seifert.torus_knot_seifert(p, q)),
+        knot_k=seifert.Knot("unknot", seifert.unknot()),
     )
     companion_trace, companion_verdict, _ = _run_torus_solid(companion)
     trace.extend(
@@ -699,9 +722,23 @@ def _run_twist_extension(s: Scenario) -> _Run:
     }
 
 
+# A scenario's default flags are built on its first build_scenario and kept,
+# so later builds check no provenance again.  Not at import: the first
+# is_single_line compiles its pattern, which no sphere-lens report needs.
+def _fixed_flags(*flags: tuple[str, bool, str]) -> Callable[[dict], tuple[HypothesisFlag, ...]]:
+    """The default flags of a scenario whose flags no parameter moves."""
+    built = cache(lambda: tuple(HypothesisFlag(*flag) for flag in flags))
+    return lambda args: built()
+
+
+@cache
+def _torus_incompressible(value: bool) -> tuple[HypothesisFlag, ...]:
+    return (HypothesisFlag("torus-incompressible", value, _GABAI_SOLID_TORUS),)
+
+
 def _torus_solid_flags(args: dict) -> tuple[HypothesisFlag, ...]:
     compressible = args["knot_k"].matrix.size == 0 and args["n"] == 0
-    return (HypothesisFlag("torus-incompressible", not compressible, _GABAI_SOLID_TORUS),)
+    return _torus_incompressible(not compressible)
 
 
 class _Kind(NamedTuple):
@@ -709,27 +746,25 @@ class _Kind(NamedTuple):
     params: dict  # every accepted parameter with its default; knots as specs
     flags: Callable[[dict], tuple[HypothesisFlag, ...]]  # of the filled-in parameters
     citations: tuple[str, ...]
+    check: Callable[[dict], None] | None = None  # refuses filled-in parameters
 
 
 _SCENARIOS = {
-    "sphere-lens": _Kind(_run_sphere_lens, {"p": 5, "q": 2}, lambda args: (), (_LENS_QR_CITE,)),
+    "sphere-lens": _Kind(_run_sphere_lens, {"p": 5, "q": 2}, _fixed_flags(), (_LENS_QR_CITE,)),
     "sphere-smooth-h": _Kind(
         partial(_run_sphere_smooth, total=(0, 1), exclusions=False),
         {},
-        lambda args: (
-            HypothesisFlag("rho-y1", True, _ROKHLIN_P),
-            HypothesisFlag("rho-y2", True, _ROKHLIN_P),
-        ),
+        _fixed_flags(("rho-y1", True, _ROKHLIN_P), ("rho-y2", True, _ROKHLIN_P)),
         (_ROKHLIN_CONGRUENCE, _EVEN_FORM_CLASSIFICATION),
     ),
     "sphere-smooth-e8h": _Kind(
         partial(_run_sphere_smooth, total=(1, 1), exclusions=True),
         {},
-        lambda args: (
-            HypothesisFlag("rho-y1", True, _ROKHLIN_P),
-            HypothesisFlag("rho-y2", False, _ROKHLIN_PP),
-            HypothesisFlag("no-e8-filling-y1", True, _DONALDSON),
-            HypothesisFlag("no-acyclic-filling-y2", True, _FS_ACYCLIC),
+        _fixed_flags(
+            ("rho-y1", True, _ROKHLIN_P),
+            ("rho-y2", False, _ROKHLIN_PP),
+            ("no-e8-filling-y1", True, _DONALDSON),
+            ("no-acyclic-filling-y2", True, _FS_ACYCLIC),
         ),
         (_ROKHLIN_CONGRUENCE, _EVEN_FORM_CLASSIFICATION, _DONALDSON, _FS_ACYCLIC),
     ),
@@ -742,10 +777,10 @@ _SCENARIOS = {
     "torus-top-vs-smooth": _Kind(
         _run_torus_top_vs_smooth,
         {"n": 0, "knot_j": "left-trefoil", "knot_k": "whitehead-double-positive"},
-        lambda args: (
-            HypothesisFlag("torus-incompressible", True, _GABAI_SOLID_TORUS),
-            HypothesisFlag("surgered-manifold-irreducible", True, _GABAI_ZERO_SURGERY),
-            HypothesisFlag("alexander-one-slice", True, _FREEDMAN_ALEX_ONE),
+        _fixed_flags(
+            ("torus-incompressible", True, _GABAI_SOLID_TORUS),
+            ("surgered-manifold-irreducible", True, _GABAI_ZERO_SURGERY),
+            ("alexander-one-slice", True, _FREEDMAN_ALEX_ONE),
         ),
         (
             _HOSTE_CITE,
@@ -760,11 +795,12 @@ _SCENARIOS = {
     "twist-extension": _Kind(
         _run_twist_extension,
         {"p": 2, "q": 3},
-        lambda args: (
-            HypothesisFlag("meridian-twist-extends", True, _GOMPF_MERIDIAN),
-            HypothesisFlag("orbit-twist-extends", True, _ORBIT_ISOTOPY),
+        _fixed_flags(
+            ("meridian-twist-extends", True, _GOMPF_MERIDIAN),
+            ("orbit-twist-extends", True, _ORBIT_ISOTOPY),
         ),
         (_GOMPF_MERIDIAN, _ORBIT_ISOTOPY, _HOSTE_CITE, _SIGNATURE_OBSTRUCTS),
+        lambda args: _check_torus_pair(args["p"], args["q"]),
     ),
 }
 

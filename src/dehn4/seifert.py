@@ -28,8 +28,12 @@ det(V - V^T) = 1 follows from the parent's by an identity that each
 builder's docstring names.  The tests take that determinant again, from
 an independent dense oracle.  A pickled torus leaf holds (p, q) and
 unpickles through `torus_knot_seifert`, which checks them again, so it
-keeps its closed forms; any other unpickled matrix re-enters through
-`from_rows`, and is checked like any other.  Only
+keeps its closed forms.  A pickled derived matrix holds its builder and
+its parents, and unpickles by replaying the builder, so it keeps its
+origin and reads its invariants from its parents again; a connected sum
+holds its flat list of summands, folded again by `connected_sum`, so a
+chain of any length pickles without recursion.  A pickled checked leaf
+re-enters through `from_rows`, and is checked like any other.  Only
 `SeifertMatrix.entries`, a view for text and tests, is dense: JSON reports
 write the sparse rows themselves.
 
@@ -74,6 +78,7 @@ Sign conventions (documented, tests pin them down):
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 from itertools import chain
 from math import comb, gcd, isqrt, prod
 from types import MappingProxyType
@@ -108,8 +113,11 @@ class SeifertMatrix:
 
     The matrix is immutable, so a copy or a deep copy is the matrix
     itself.  A pickle of a torus leaf holds (p, q) and unpickles through
-    `torus_knot_seifert`; any other pickle holds the sparse rows and
-    unpickles through `from_rows`, the trust boundary.
+    `torus_knot_seifert`.  A pickle of a derived matrix replays its
+    builder, `mirror`, `reverse`, `concordance_inverse` or
+    `parallel_cable`, on its parents, and a sum's folds `connected_sum`
+    over its flat summands.  A pickle of a checked leaf holds the sparse
+    rows and unpickles through `from_rows`, the trust boundary.
     """
 
     __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander")
@@ -186,9 +194,16 @@ class SeifertMatrix:
         return self
 
     def __reduce__(self):
-        if self._origin is not None and self._origin[0] == "torus":
-            return torus_knot_seifert, self._origin[1:]
-        return SeifertMatrix.from_rows, ([dict(row) for row in self.rows],)
+        match self._origin:
+            case None:
+                return SeifertMatrix.from_rows, ([dict(row) for row in self.rows],)
+            case ("torus", p, q):
+                return torus_knot_seifert, (p, q)
+            case ("sum", _, _):
+                # flat, so that a long chain of sums pickles without recursion
+                return reduce, (connected_sum, _summands(self))
+            case (op, *parents):
+                return _BUILDERS[op], tuple(parents)
 
     @property
     def rows(self) -> tuple[Mapping[int, int], ...]:
@@ -463,6 +478,15 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
     if n < 0:
         v, n = reverse(v), -n
     return v if n == 1 else SeifertMatrix._from_origin(("cable", v, n), n * v.size)
+
+
+# the builder that replays each derived origin on its parents, for pickles
+_BUILDERS = {
+    "mirror": mirror,
+    "reverse": reverse,
+    "inverse": concordance_inverse,
+    "cable": parallel_cable,
+}
 
 
 def _build_rows(v: SeifertMatrix) -> list[dict[int, int]]:
@@ -851,24 +875,26 @@ class SliceVerdict(NamedTuple):
     note: str | None = None
 
 
-def algebraic_slice_verdict(v: SeifertMatrix, fox_milnor=None) -> SliceVerdict:
+def algebraic_slice_verdict(v: SeifertMatrix, memo: dict | None = None) -> SliceVerdict:
     """Signature first, then Fox-Milnor; Unknown when neither obstructs.
 
-    fox_milnor is the Fox-Milnor test to run on Delta: a caller that asks
-    about several knots of one report can pass a memo of it, so a Delta
-    they share is factored once.  Omitted, it is this module's
-    `fox_milnor`, looked up at call time.
+    memo, when given, maps each Delta already tested to its `fox_milnor`
+    result: a caller that asks about several knots of one report can pass
+    one dict, so a Delta they share is factored once.  A Delta beyond the
+    degree bound is not kept, and is refused again in O(span).
     """
     sig = signature(v)
     if sig != 0:
         return SliceVerdict(tag=SliceTag.OBSTRUCTED_BY_SIGNATURE, signature=sig)
     delta = alexander_polynomial(v)
-    if fox_milnor is None:
-        fox_milnor = globals()["fox_milnor"]
-    try:
-        fm = fox_milnor(delta)
-    except FactorizationBoundError as exc:
-        return SliceVerdict(tag=SliceTag.UNKNOWN, signature=0, note=str(exc))
+    fm = None if memo is None else memo.get(delta)
+    if fm is None:
+        try:
+            fm = fox_milnor(delta)
+        except FactorizationBoundError as exc:
+            return SliceVerdict(tag=SliceTag.UNKNOWN, signature=0, note=str(exc))
+        if memo is not None:
+            memo[delta] = fm
     if not fm.passed:
         return SliceVerdict(tag=SliceTag.OBSTRUCTED_BY_FOX_MILNOR, signature=0, fox_milnor=fm)
     return SliceVerdict(tag=SliceTag.UNKNOWN, signature=0, fox_milnor=fm)

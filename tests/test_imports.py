@@ -186,3 +186,26 @@ def test_every_sphere_golden_renders_without_the_torus_modules():
     ]
     out = _run(_GOLDEN_WITHOUT_TORUS_CODE.format(cases=cases)).split()
     assert out == [str(len(cases)), "differ:"]
+
+
+_PATTERN_COMPILED = """
+import contextlib, io, re
+from dehn4.cli import main
+from dehn4.scenarios import is_single_line
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+before = set(re._cache)
+is_single_line("x")  # compiles the provenance pattern unless a flag already did
+print(len(set(re._cache) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "scenario, compiled", [("sphere-lens", False), ("sphere-smooth-h", True), ("torus-solid", True)]
+)
+def test_only_a_report_with_flags_compiles_the_provenance_pattern(scenario, compiled):
+    """Default flags are built on a scenario's first build, not at import,
+    so `import dehn4` and a sphere-lens report, which has none, leave the
+    pattern that checks a provenance out of re's cache."""
+    argv = ["report", "--scenario", scenario]
+    assert _run(_PATTERN_COMPILED.format(argv=argv)).split() == ["0" if compiled else "1"]

@@ -19,7 +19,11 @@ from dehn4.seifert import (
     Knot,
     SliceTag,
     SliceVerdict,
+    concordance_inverse,
+    connected_sum,
     mirror,
+    parallel_cable,
+    reverse,
     signature,
     torus_knot_seifert,
 )
@@ -93,7 +97,7 @@ def test_copies_and_pickles_are_equal_records_of_the_same_kind(record):
 
 
 def test_a_seifert_matrix_copies_as_itself_and_unpickles_through_from_rows(monkeypatch):
-    v = mirror(torus_knot_seifert(3, 4))
+    v = seifert.SeifertMatrix(mirror(torus_knot_seifert(3, 4)).entries)  # a checked leaf
     assert copy.copy(v) is v and copy.deepcopy(v) is v
     assert copy.deepcopy(Knot("k", v)).matrix is v
     data = pickle.dumps(v)
@@ -124,6 +128,46 @@ def test_a_torus_leaf_unpickles_from_p_and_q_and_keeps_its_closed_forms(monkeypa
     bad = pickle.dumps(seifert.SeifertMatrix._from_origin(("torus", 4, 6), 15))
     with pytest.raises(ValueError, match=r"must be coprime, got \(4, 6\)"):
         pickle.loads(bad)
+
+
+def _sum_chain(count, nest_right):
+    v = torus_knot_seifert(2, 3)
+    for _ in range(count - 1):
+        w = torus_knot_seifert(2, 3)
+        v = connected_sum(w, v) if nest_right else connected_sum(v, w)
+    return v
+
+
+@pytest.mark.parametrize(
+    "build, sigma",
+    [
+        (lambda: parallel_cable(torus_knot_seifert(12, 13), 2), 0),
+        (lambda: parallel_cable(torus_knot_seifert(12, 13), -3), -72),
+        (lambda: mirror(torus_knot_seifert(20, 21)), 200),
+        (lambda: concordance_inverse(reverse(torus_knot_seifert(5, 7))), 16),
+        (lambda: _sum_chain(1200, nest_right=False), -2400),
+        (lambda: _sum_chain(1200, nest_right=True), -2400),
+    ],
+    ids=["cable-2", "cable-minus-3", "mirror", "inverse-of-reverse", "sum-left", "sum-right"],
+)
+def test_a_derived_matrix_unpickles_through_its_builder(monkeypatch, build, sigma):
+    """A derived matrix pickles as its builder replayed on its parents, so
+    it keeps its origin and reads its invariants from the parents' closed
+    forms; a connected sum pickles as its flat list of summands."""
+    v = build()
+    data = pickle.dumps(v)
+    calls = []
+    for name in ("det", "signature_symmetric"):
+        kernel = getattr(seifert, name)
+        monkeypatch.setattr(
+            seifert, name, lambda m, kernel=kernel, name=name: calls.append(name) or kernel(m)
+        )
+    w = pickle.loads(data)
+    assert calls == []
+    assert w is not v and w.size == v.size and w._origin[0] == v._origin[0]
+    assert signature(w) == signature(v) == sigma
+    assert calls == []
+    assert w == v and hash(w) == hash(v)
 
 
 def test_records_that_differ_in_one_field_differ():

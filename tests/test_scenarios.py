@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from conftest import SCHEMA
-from dehn4 import cli, forms
+from dehn4 import cli, forms, scenarios
 from dehn4.cli import main
 from dehn4.report import render, render_json, render_text, report_to_json_dict
 from dehn4.scenarios import (
@@ -598,11 +598,30 @@ def test_parameter_the_scenario_does_not_take_is_rejected(capsys, argv, message)
     assert _cli_error(capsys, argv) == f"dehn4: error: {message}"
 
 
+def _torus_pair_message(p, q):
+    return (
+        "parameters 'p' and 'q' must be those of a nontrivial torus knot "
+        f"(coprime, each at least 2 in absolute value), got ({p}, {q})"
+    )
+
+
 @pytest.mark.parametrize("p, q", [(2, 4), (1, 3), (0, 5)])
 def test_twist_extension_refuses_a_pair_of_no_nontrivial_torus_knot(capsys, p, q):
     assert _cli_error(capsys, ["--scenario", "twist-extension", "--p", str(p), "--q", str(q)]) == (
-        f"dehn4: error: ({p}, {q}) are not parameters of a nontrivial torus knot"
+        f"dehn4: error: {_torus_pair_message(p, q)}"
     )
+
+
+@pytest.mark.parametrize("p, q", [(2, 4), (-3, 6), (1, 3), (-1, 3), (0, 5), (5, 0), (7, -7)])
+def test_build_scenario_refuses_a_twist_pair_naming_p_and_q(p, q):
+    with pytest.raises(ScenarioError) as built:
+        build_scenario("twist-extension", p=p, q=q)
+    assert str(built.value) == _torus_pair_message(p, q)
+    # a record made otherwise is refused by the run, with the same message
+    flags = build_scenario("twist-extension").flags
+    with pytest.raises(ScenarioError) as ran:
+        run_scenario(Scenario("twist-extension", p=p, q=q, flags=flags))
+    assert str(ran.value) == str(built.value)
 
 
 def test_sphere_lens_checks_q_before_factoring_p(monkeypatch):
@@ -696,6 +715,34 @@ def test_omitted_flags_keep_their_defaults():
     assert build_scenario("sphere-smooth-e8h", flags=(later, given)).flags == (
         given, *defaults[1:3], later,
     )
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        *((name, {}) for name in SCENARIO_NAMES),
+        ("torus-solid", {"n": 0, "knot_k": "unknot"}),  # torus-incompressible false
+        ("twist-extension", {"p": -5, "q": 7}),
+    ],
+)
+def test_default_flags_are_built_once_and_kept(monkeypatch, name, params):
+    """A scenario's default flags are built on its first build and kept:
+    a later build returns the same flag objects and checks no provenance."""
+    first = build_scenario(name, **params).flags
+    calls = []
+    real = scenarios.is_single_line
+    monkeypatch.setattr(scenarios, "is_single_line", lambda text: calls.append(text) or real(text))
+    second = build_scenario(name, **params).flags
+    assert second == first and all(a is b for a, b in zip(second, first))
+    assert calls == []
+
+
+def test_torus_solid_keeps_one_flag_tuple_per_value():
+    on = build_scenario("torus-solid").flags
+    off = build_scenario("torus-solid", n=0, knot_k="unknot").flags
+    assert [f.value for f in on + off] == [True, False]
+    assert build_scenario("torus-solid", n=5, knot_k="figure-eight").flags is on
+    assert build_scenario("torus-solid", n=0, knot_j="trefoil", knot_k="unknot").flags is off
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import extension_subgroup, seifert_orbit_class, to_alpha_beta, twist_steps
-from dehn4.scenarios import build_scenario, run_scenario
+from dehn4.scenarios import Verdict, _run_torus_solid, build_scenario, run_scenario
 
 
 def to_mu_lambda(c):
@@ -75,3 +75,28 @@ def test_twist_trace_steps_match_the_oracle():
     for p, q in pairs:
         trace = run_scenario(build_scenario("twist-extension", p=p, q=q)).trace
         assert [tuple(t) for t in trace[:3]] == twist_steps(p, q), (p, q)
+
+
+def test_the_companion_steps_and_verdict_are_those_of_the_public_torus_solid_path():
+    """twist-extension builds its companion torus-solid record itself; the
+    oracle is the record that build_scenario makes from the specs
+    {"torus": [p, q]} and "unknot" at n = -1, run the same way."""
+    pairs = [
+        (sp * p, sq * q)
+        for p in range(2, 13)
+        for q in range(2, 13)
+        if gcd(p, q) == 1
+        for sp in (1, -1)
+        for sq in (1, -1)
+    ]
+    assert len(pairs) == 4 * 2 * 34
+    for p, q in pairs:
+        report = run_scenario(build_scenario("twist-extension", p=p, q=q))
+        companion = build_scenario("torus-solid", n=-1, knot_j={"torus": [p, q]}, knot_k="unknot")
+        trace, verdict, _ = _run_torus_solid(companion)
+        expected = [(f"companion.{t.operation}", t.inputs, t.output) for t in trace]
+        assert [tuple(t) for t in report.trace[3:]] == expected, (p, q)
+        assert report.verdict is {
+            Verdict.OBSTRUCTED: Verdict.MIXED,
+            Verdict.INCONCLUSIVE: Verdict.EXTENDS,
+        }[verdict], (p, q)
