@@ -7,8 +7,9 @@ Modules by topic:
   laurent     integer Laurent polynomials (Alexander polynomials)
   factor      factorization over Z of small-degree polynomials
               (Yun, Berlekamp, Hensel lifting, Zassenhaus)
-  seifert     Seifert matrices as checked sparse rows, Alexander
-              polynomials, signatures, Fox-Milnor, sliceness verdicts
+  seifert     Seifert matrices as sparse rows, checked or table knots
+              in closed form, Alexander polynomials, signatures,
+              Fox-Milnor, sliceness verdicts
   forms       even form classes a*E8 + b*H, splitting enumeration under
               Rokhlin constraints, lens-space QR test
   scenarios   the named end-to-end obstruction reports, with the torus

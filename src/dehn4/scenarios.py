@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # Each library module serves only some scenarios, so the run functions and
 # the knot branches import it on first use: forms the three sphere
-# scenarios, seifert (with exact and laurent) the three torus scenarios.
+# scenarios, seifert (with laurent) the three torus scenarios, and seifert
+# imports exact only for a checked leaf, from a {"seifert": ...} spec.
 # `import dehn4` and a sphere report load no torus code.  The imports are
 # absolute, since a relative `from . import x` also runs two importlib
 # functions in Python each time: about 1 us in a report against 0.5 us.

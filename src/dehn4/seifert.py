@@ -11,24 +11,28 @@ and a three-valued sliceness verdict.
 `SeifertMatrix` keeps V as immutable sparse rows, the input form of the
 `exact` kernels.  The public constructors, `SeifertMatrix(entries)` and
 `SeifertMatrix.from_rows`, are the one trust boundary: every matrix that
-enters there, from a `{"seifert": ...}` spec or a table knot, is checked
-at once in this order: each entry an int, the matrix square, its size
-even, and det(V - V^T) = 1, taken by `det` from sparse rows.  A torus
-knot and the derived builders (mirror, reverse, concordance inverse,
-connected sum, parallel cable) go through the private
+enters there, from a `{"seifert": ...}` spec or a caller's rows, is
+checked at once in this order: each entry an int, the matrix square, its
+size even, and det(V - V^T) = 1, taken by `det` from sparse rows.  The
+table knots (the unknot, the twist knots, the Whitehead doubles, the
+torus knots) and the derived builders (mirror, reverse, concordance
+inverse, connected sum, parallel cable) go through the private
 `SeifertMatrix._from_origin`, which stores only the size of V and its
-origin: the torus parameters, or the operation and its parents.  The
-rows are built from the origin on first read, in O(nonzeros), so a
-report that never reads them builds none.  None of these is checked.  A
-torus knot's fence basis is code, not input: nothing a user writes
-reaches it but (p, q), so the tests, not the reports, take its
-det(V - V^T) = 1, for every coprime 2 <= p < q <= 30.  A derived
-matrix's rows are int and zero-free by construction, and
-det(V - V^T) = 1 follows from the parent's by an identity that each
+origin: the table knot and its parameters, or the operation and its
+parents.  The rows are built from the origin on first read, in
+O(nonzeros), so a report that never reads them builds none.  None of
+these is checked.  A table knot's rows are code, not input: nothing a
+user writes reaches them but the parameters, so the tests, not the
+reports, take their det(V - V^T) = 1: for every coprime
+2 <= p < q <= 30, for twist knots with -50 <= m <= 50, and for both
+clasps.  A derived matrix's rows are int and zero-free by construction,
+and det(V - V^T) = 1 follows from the parent's by an identity that each
 builder's docstring names.  The tests take that determinant again, from
-an independent dense oracle.  A pickled torus leaf holds (p, q) and
-unpickles through `torus_knot_seifert`, which checks them again, so it
-keeps its closed forms.  A pickled derived matrix holds its builder and
+an independent dense oracle.  So `exact` is imported only when a checked
+leaf is made or runs a kernel.  A pickled table knot holds its
+parameters and unpickles through its builder, which checks them again,
+so it keeps its closed forms, and the unknot unpickles as the one shared
+instance.  A pickled derived matrix holds its builder and
 its parents, and unpickles by replaying the builder, so it keeps its
 origin and reads its invariants from its parents again; a connected sum
 holds its flat list of summands, folded again by `connected_sum`, so a
@@ -37,12 +41,16 @@ re-enters through `from_rows`, and is checked like any other.  Only
 `SeifertMatrix.entries`, a view for text and tests, is dense: JSON reports
 write the sparse rows themselves.
 
-The two invariants are evaluated over that record.  A torus knot T(p, q)
-reads them from closed forms: the signature from the
-Gordon-Litherland-Murasugi lattice count in O(min(p, q)) steps (Gordon,
-Litherland and Murasugi 1981), and Delta = (t^pq - 1)(t - 1) /
-((t^p - 1)(t^q - 1)) by long division in O(pq) (Rolfsen 1976).  A
-derived matrix takes them from its parents, by the classical identities
+The two invariants are evaluated over that record.  A table knot reads
+them from closed forms.  A torus knot T(p, q) takes the signature from
+the Gordon-Litherland-Murasugi lattice count in O(min(p, q)) steps
+(Gordon, Litherland and Murasugi 1981), and Delta = (t^pq - 1)(t - 1) /
+((t^p - 1)(t^q - 1)) by long division in O(pq) (Rolfsen 1976).  The
+twist knot with m full twists has sigma = -2 for m < 0 and 0 for m >= 0,
+and Delta = -m*t + (2m + 1) - m/t; a Whitehead double and the unknot
+have sigma = 0 and Delta = 1 (each from its 2 x 2 matrix, see
+`twist_knot_seifert` and `whitehead_double_seifert`).  A derived matrix
+takes them from its parents, by the classical identities
 (Seifert 1950; Lickorish 1997, ch. 6 and 8):
   * sigma(-V^T) = sigma(-V) = -sigma(V) and sigma(V^T) = sigma(V);
   * a connected sum adds signatures and multiplies Alexander polynomials;
@@ -82,12 +90,14 @@ from functools import reduce
 from itertools import chain
 from math import comb, gcd, isqrt, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .exact import IntMatrix, SparseRows, det, signature_symmetric
 from .laurent import LaurentPoly
-# there, so that the sphere reports and config files load no seifert
+# the two live in scenarios, so that the sphere reports and config files load no seifert
 from .scenarios import is_single_line, parse_json
+
+if TYPE_CHECKING:
+    from .exact import IntMatrix, SparseRows
 
 
 class SeifertMatrix:
@@ -99,21 +109,24 @@ class SeifertMatrix:
     sparse ones.  Both check every matrix they are given at once, in this
     order: every entry is an int (an error names [i][j]), the matrix is
     square, its size is even, and det(V - V^T) = 1.  Such a matrix is a
-    leaf.  A torus leaf and the matrices derived from checked ones come
-    from `_from_origin`, which stores only their size and their origin: the
-    torus parameters, or the operation and its parents (see the module
-    docstring).  Their `rows` are built from the origin on first read and
-    are never checked: a torus leaf's fence basis is checked by the tests,
-    and a derived matrix's by its parents.  Only a checked leaf runs the
-    kernels, and a kernel result, the signature or the Alexander
+    checked leaf.  A table knot (unknot, twist knot, Whitehead double,
+    torus knot) and the matrices derived from others come from
+    `_from_origin`, which stores only their size and their origin: the
+    table knot and its parameters, or the operation and its parents (see
+    the module docstring).  Their `rows` are built from the origin on
+    first read and are never checked: a table knot's rows are checked by
+    the tests, and a derived matrix's by its parents.  Only a checked leaf
+    runs the kernels, and a kernel result, the signature or the Alexander
     polynomial, is kept on that leaf; every other matrix reads its
     invariants from its origin.  Equality and hashing read `rows` only, so
     neither the origin nor a kept result changes them.  `entries` is a
     dense view, a new tuple of tuples on each access.
 
     The matrix is immutable, so a copy or a deep copy is the matrix
-    itself.  A pickle of a torus leaf holds (p, q) and unpickles through
-    `torus_knot_seifert`.  A pickle of a derived matrix replays its
+    itself.  A pickle of a table knot holds its parameters and unpickles
+    through its builder: `unknot`, `twist_knot_seifert`,
+    `whitehead_double_seifert` or `torus_knot_seifert`.  A pickle of a
+    derived matrix replays its
     builder, `mirror`, `reverse`, `concordance_inverse` or
     `parallel_cable`, on its parents, and a sum's folds `connected_sum`
     over its flat summands.  A pickle of a checked leaf holds the sparse
@@ -151,13 +164,15 @@ class SeifertMatrix:
         """V of the given size, unchecked, whose rows `_build_rows` makes
         from origin on first read.
 
-        origin is ("torus", p, q) for the positive torus knot T(p, q) with
-        2 <= p < q coprime, or how V was built from its parents:
-        ("mirror", W), ("reverse", W), ("inverse", W), ("sum", W, X) or
-        ("cable", W, n) with n >= 2.  The caller vouches for the size, and
-        each builder's docstring names the identity that gives a derived V
-        det(V - V^T) = 1.  A torus leaf's rows are never checked here: the
-        tests take det(V - V^T) of its fence basis.
+        origin is a table knot: ("unknot",), ("twist", m) for the twist
+        knot with m full twists, ("whitehead", clasp) for the untwisted
+        Whitehead double with clasp "+" or "-", or ("torus", p, q) for the
+        positive torus knot T(p, q) with 2 <= p < q coprime.  Or it is how
+        V was built from its parents: ("mirror", W), ("reverse", W),
+        ("inverse", W), ("sum", W, X) or ("cable", W, n) with n >= 2.  The
+        caller vouches for the size, and each builder's docstring names the
+        identity that gives a derived V det(V - V^T) = 1.  A table knot's
+        rows are never checked here: the tests take their det(V - V^T).
         """
         v = cls.__new__(cls)
         v._store(origin, size, None)
@@ -197,8 +212,6 @@ class SeifertMatrix:
         match self._origin:
             case None:
                 return SeifertMatrix.from_rows, ([dict(row) for row in self.rows],)
-            case ("torus", p, q):
-                return torus_knot_seifert, (p, q)
             case ("sum", _, _):
                 # flat, so that a long chain of sums pickles without recursion
                 return reduce, (connected_sum, _summands(self))
@@ -247,6 +260,9 @@ def _without_zeros(rows: list[dict[int, int]]) -> list[dict[int, int]]:
 
 def _check_unimodular(rows: list[dict[int, int]]) -> None:
     """The size of a square V is even and det(V - V^T) = 1, or a ValueError."""
+    # imported here, so that a report on table knots alone loads no exact
+    from dehn4.exact import det
+
     n = len(rows)
     if n % 2 != 0:
         raise ValueError(f"Seifert matrix must have even size, got {n}")
@@ -279,13 +295,13 @@ def _plus_transpose(rows: SparseRows, s: int) -> list[dict[int, int]]:
 def unknot() -> SeifertMatrix:
     """The empty (0x0) Seifert matrix of the unknot, one shared instance.
 
-    A SeifertMatrix is immutable, and the kernel results kept on it are
-    those of every 0x0 matrix, so it is checked and eliminated once.
+    A table leaf with sigma = 0 and Delta = 1, so nothing checks or
+    eliminates it; a pickle of it unpickles as this instance.
     """
     return _UNKNOT
 
 
-_UNKNOT = SeifertMatrix(())
+_UNKNOT = SeifertMatrix._from_origin(("unknot",), 0)
 
 
 def torus_knot_seifert(p: int, q: int) -> SeifertMatrix:
@@ -384,20 +400,33 @@ def twist_knot_seifert(m: int) -> SeifertMatrix:
 
     m = -1 is the right-handed trefoil, m = 1 the figure-eight,
     m = 2 the stevedore knot; m = 0 is a genus-1 surface for the unknot.
+
+    The leaf records m, and `signature` and `alexander_polynomial` read
+    its invariants from closed forms: V + V^T = [[-2, 1], [1, 2m]] has
+    determinant -4m - 1, so sigma = -2 for m < 0 and 0 for m >= 0, and
+    det(V - t*V^T) = t - m(t - 1)^2 gives Delta = -m*t + (2m + 1) - m/t.
+    Its skew form V - V^T = [[0, 1], [-1, 0]] has determinant 1 for every
+    m, and the tests check all three against the kernels.  An m that is
+    not an int (a bool, a float) is a ValueError.
     """
-    return SeifertMatrix(((-1, 1), (0, m)))
+    if type(m) is not int:  # bool is an int subclass
+        raise ValueError(f"twist knot parameter m must be an integer, got {m!r}")
+    return SeifertMatrix._from_origin(("twist", m), 2)
 
 
 def whitehead_double_seifert(clasp: str) -> SeifertMatrix:
-    """Untwisted Whitehead double with the given clasp sign ('+' or '-').
+    """Untwisted Whitehead double with the given clasp sign ('+' or '-'):
+    the genus-1 matrix [[c, 1], [0, 0]] with c = -1 for '+' and 1 for '-'.
 
     The untwisted double's Seifert form does not see the companion knot,
-    so its Alexander polynomial is 1 for either clasp.
+    so its Alexander polynomial is 1 for either clasp: det(V - t*V^T) = t.
+    V + V^T = [[2c, 1], [1, 0]] has determinant -1, so sigma = 0.  The
+    leaf records the clasp and reads both from those closed forms, which
+    the tests check against the kernels.
     """
     if clasp not in ("+", "-"):
         raise ValueError(f"clasp must be '+' or '-', got {clasp!r}")
-    c = -1 if clasp == "+" else 1
-    return SeifertMatrix(((c, 1), (0, 0)))
+    return SeifertMatrix._from_origin(("whitehead", clasp), 2)
 
 
 def mirror(v: SeifertMatrix) -> SeifertMatrix:
@@ -480,8 +509,13 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
     return v if n == 1 else SeifertMatrix._from_origin(("cable", v, n), n * v.size)
 
 
-# the builder that replays each derived origin on its parents, for pickles
+# the builder that replays each origin but a sum on its parameters or
+# parents, for pickles
 _BUILDERS = {
+    "unknot": unknot,
+    "twist": twist_knot_seifert,
+    "whitehead": whitehead_double_seifert,
+    "torus": torus_knot_seifert,
     "mirror": mirror,
     "reverse": reverse,
     "inverse": concordance_inverse,
@@ -491,12 +525,19 @@ _BUILDERS = {
 
 def _build_rows(v: SeifertMatrix) -> list[dict[int, int]]:
     """The sparse rows of a V made by `_from_origin`, from its origin, in
-    O(nonzeros).  A torus leaf's rows are its fence basis, unchecked: the
-    tests take det(V - V^T) of `_positive_torus_bricks`, so no report
-    takes it again.  Derived rows are built from their parents' `rows`."""
+    O(nonzeros).  A table knot's rows are code, unchecked: the tests take
+    det(V - V^T) of `_positive_torus_bricks` and of the genus-1 rows, so
+    no report takes it again.  Derived rows are built from their parents'
+    `rows`."""
     match v._origin:
         case ("torus", p, q):
             return _positive_torus_bricks(p, q)
+        case ("twist", m):
+            return [{0: -1, 1: 1}, {1: m} if m else {}]
+        case ("whitehead", clasp):
+            return [{0: -1 if clasp == "+" else 1, 1: 1}, {}]
+        case ("unknot",):
+            return []
         case ("mirror", w):
             return _transpose(w.rows, -1)
         case ("reverse", w):
@@ -528,11 +569,13 @@ def _build_rows(v: SeifertMatrix) -> list[dict[int, int]]:
 def signature(v: SeifertMatrix) -> int:
     """Signature of V + V^T.
 
-    A torus leaf reads it from the Gordon-Litherland-Murasugi count.  A
-    derived V takes it from its parents: sigma(-V^T) = sigma(-V) =
-    -sigma(V), sigma(V^T) = sigma(V), a connected sum adds over its
-    summands (`_summands`), and the n-cable has sigma(V) for odd n and 0
-    for even n.  The last is Litherland's satellite formula
+    A table knot reads it from a closed form: a torus leaf from the
+    Gordon-Litherland-Murasugi count, the twist knot with m full twists
+    has -2 for m < 0 and 0 for m >= 0, and a Whitehead double and the
+    unknot have 0.  A derived V takes it from its parents:
+    sigma(-V^T) = sigma(-V) = -sigma(V), sigma(V^T) = sigma(V), a
+    connected sum adds over its summands (`_summands`), and the n-cable
+    has sigma(V) for odd n and 0 for even n.  The last is Litherland's satellite formula
     sigma_w(P(K)) = sigma_w(P) + sigma_(w^m)(K) at w = -1 (Litherland
     1979): the pattern P of `parallel_cable` is unknotted, with winding
     number m = n, and the Levine-Tristram signature sigma_1 is 0.  Only a
@@ -550,7 +593,13 @@ def signature(v: SeifertMatrix) -> int:
             return signature(w) if n % 2 else 0
         case ("sum", _, _):
             return sum(map(signature, _summands(v)))
+        case ("twist", m):
+            return -2 if m < 0 else 0
+        case ("whitehead", _) | ("unknot",):
+            return 0
     if v._signature is None:
+        from dehn4.exact import signature_symmetric
+
         object.__setattr__(v, "_signature", signature_symmetric(_plus_transpose(v.rows, 1)))
     return v._signature
 
@@ -558,8 +607,10 @@ def signature(v: SeifertMatrix) -> int:
 def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     """Normalized Alexander polynomial det(V - t*V^T).
 
-    A torus leaf reads it from the closed form of `_torus_alexander`.  A
-    derived V takes it from its parents: the mirror, the reverse and the
+    A table knot reads it from a closed form: a torus leaf from
+    `_torus_alexander`, the twist knot with m full twists has
+    -m*t + (2m + 1) - m/t, and a Whitehead double and the unknot have 1.
+    A derived V takes it from its parents: the mirror, the reverse and the
     concordance inverse keep Delta, a connected sum multiplies over its
     summands (nested sums are flattened by `_summands`), and the n-cable
     of V has Delta_V(t^n) (Seifert's satellite formula).  Products and
@@ -580,6 +631,10 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
             return prod(map(alexander_polynomial, _summands(v)), start=LaurentPoly.one())
         case ("cable", w, n):
             return alexander_polynomial(w).substituted(n)
+        case ("twist", m):
+            return LaurentPoly({-1: -m, 0: 2 * m + 1, 1: -m})
+        case ("whitehead", _) | ("unknot",):
+            return LaurentPoly.one()
     if v._alexander is None:
         object.__setattr__(v, "_alexander", _blockwise_alexander(v.rows))
     return v._alexander
@@ -692,8 +747,10 @@ def _interpolated_alexander(rows: SparseRows) -> LaurentPoly:
 
     The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
     """
-    # imported on first use, so that a report that interpolates nothing skips it
+    # imported on first use, so that a report that interpolates nothing skips them
     from fractions import Fraction
+
+    from dehn4.exact import det
 
     m = len(rows) // 2
 

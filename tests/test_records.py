@@ -11,14 +11,16 @@ import pytest
 
 from conftest import FrontData, HandleCheck
 from dehn4.forms import EvenFormClass, LensWitness, SignatureCongruence
+from dehn4.laurent import LaurentPoly
 from dehn4.scenarios import HypothesisFlag, Report, Scenario, TraceStep, Verdict
-from dehn4 import seifert
+from dehn4 import exact, seifert
 from dehn4.seifert import (
     FoxMilnorFailure,
     FoxMilnorResult,
     Knot,
     SliceTag,
     SliceVerdict,
+    alexander_polynomial,
     concordance_inverse,
     connected_sum,
     mirror,
@@ -26,6 +28,9 @@ from dehn4.seifert import (
     reverse,
     signature,
     torus_knot_seifert,
+    twist_knot_seifert,
+    unknot,
+    whitehead_double_seifert,
 )
 
 
@@ -104,7 +109,7 @@ def test_a_seifert_matrix_copies_as_itself_and_unpickles_through_from_rows(monke
     w = pickle.loads(data)
     assert w == v and w is not v and signature(w) == signature(v) == 6
     # the pickle holds rows, not an origin: it re-enters at the trust boundary
-    monkeypatch.setattr(seifert, "det", lambda m: 0)
+    monkeypatch.setattr(exact, "det", lambda m: 0)
     with pytest.raises(ValueError, match=r"det\(V - V\^T\) must equal 1"):
         pickle.loads(data)
 
@@ -115,9 +120,9 @@ def test_a_torus_leaf_unpickles_from_p_and_q_and_keeps_its_closed_forms(monkeypa
     assert len(data) < 200  # (p, q), not 1560 rows
     calls = []
     for name in ("det", "signature_symmetric"):
-        kernel = getattr(seifert, name)
+        kernel = getattr(exact, name)
         monkeypatch.setattr(
-            seifert, name, lambda m, kernel=kernel, name=name: calls.append(name) or kernel(m)
+            exact, name, lambda m, kernel=kernel, name=name: calls.append(name) or kernel(m)
         )
     w = pickle.loads(data)
     assert calls == []
@@ -128,6 +133,40 @@ def test_a_torus_leaf_unpickles_from_p_and_q_and_keeps_its_closed_forms(monkeypa
     bad = pickle.dumps(seifert.SeifertMatrix._from_origin(("torus", 4, 6), 15))
     with pytest.raises(ValueError, match=r"must be coprime, got \(4, 6\)"):
         pickle.loads(bad)
+
+
+@pytest.mark.parametrize(
+    "build, sigma, delta",
+    [
+        (lambda: twist_knot_seifert(2), 0, {-1: -2, 0: 5, 1: -2}),
+        (lambda: twist_knot_seifert(-3), -2, {-1: 3, 0: -5, 1: 3}),
+        (lambda: twist_knot_seifert(0), 0, {0: 1}),
+        (lambda: whitehead_double_seifert("+"), 0, {0: 1}),
+        (lambda: whitehead_double_seifert("-"), 0, {0: 1}),
+    ],
+    ids=["twist-2", "twist-minus-3", "twist-0", "whitehead-plus", "whitehead-minus"],
+)
+def test_a_genus_one_table_leaf_unpickles_through_its_builder(monkeypatch, build, sigma, delta):
+    """A twist knot or Whitehead double pickles as its builder and its
+    parameter, so it keeps its closed forms and runs no kernel."""
+    v = build()
+    data = pickle.dumps(v)
+    calls = []
+    for name in ("det", "signature_symmetric"):
+        kernel = getattr(exact, name)
+        monkeypatch.setattr(
+            exact, name, lambda m, kernel=kernel, name=name: calls.append(name) or kernel(m)
+        )
+    w = pickle.loads(data)
+    assert w is not v and w._origin == v._origin and w._origin[0] in ("twist", "whitehead")
+    assert signature(w) == sigma and alexander_polynomial(w) == LaurentPoly(delta)
+    assert calls == []
+    assert w == v and hash(w) == hash(v)
+
+
+def test_the_unknot_unpickles_as_its_one_instance():
+    assert pickle.loads(pickle.dumps(unknot())) is unknot()
+    assert copy.deepcopy(Knot("unknot", unknot())).matrix is unknot()
 
 
 def _sum_chain(count, nest_right):
@@ -158,9 +197,9 @@ def test_a_derived_matrix_unpickles_through_its_builder(monkeypatch, build, sigm
     data = pickle.dumps(v)
     calls = []
     for name in ("det", "signature_symmetric"):
-        kernel = getattr(seifert, name)
+        kernel = getattr(exact, name)
         monkeypatch.setattr(
-            seifert, name, lambda m, kernel=kernel, name=name: calls.append(name) or kernel(m)
+            exact, name, lambda m, kernel=kernel, name=name: calls.append(name) or kernel(m)
         )
     w = pickle.loads(data)
     assert calls == []

@@ -14,6 +14,7 @@ from conftest import (
     dense_mirror,
     dense_parallel_cable,
     dense_reverse,
+    dense_signature_symmetric,
     dense_torus_bricks,
     euclid_det,
     evaluate,
@@ -23,7 +24,7 @@ from conftest import (
     transpose,
 )
 from dehn4.exact import det, signature_symmetric
-from dehn4 import cli, factor, seifert
+from dehn4 import cli, exact, factor, seifert
 from dehn4.laurent import LaurentPoly
 from dehn4.scenarios import build_scenario, run_scenario
 from dehn4.seifert import (
@@ -181,12 +182,49 @@ def test_torus_bricks_read_back_give_the_closed_form_invariants(p, q):
     assert delta == seifert._torus_alexander(p, q) == torus_alexander_oracle(p, q)
 
 
+def genus_one_table_leaves():
+    """Each twist knot with |m| <= 50 and both Whitehead doubles, with the
+    dense matrix that gives the same knot."""
+    for m in range(-50, 51):
+        yield twist_knot_seifert(m), ((-1, 1), (0, m))
+    for clasp, c in (("+", -1), ("-", 1)):
+        yield whitehead_double_seifert(clasp), ((c, 1), (0, 0))
+
+
+def test_genus_one_table_leaves_have_the_dense_rows_and_are_unimodular():
+    # the rows are code, so the tests, not the reports, take det(V - V^T),
+    # by the dense oracle and by the kernel
+    leaves = list(genus_one_table_leaves())
+    assert len(leaves) == 103
+    for leaf, dense in leaves:
+        assert leaf.rows == SeifertMatrix(dense).rows and leaf.entries == dense
+        assert skew_det(leaf) == 1
+        assert det(seifert._plus_transpose(leaf.rows, -1)) == 1
+
+
+def test_genus_one_table_leaves_read_the_kernels_invariants():
+    # the closed forms on the leaf, against the kernels on a checked copy
+    # of its rows and against the dense oracles
+    for leaf, dense in genus_one_table_leaves():
+        checked = SeifertMatrix(dense)
+        sym = [[dense[i][j] + dense[j][i] for j in range(2)] for i in range(2)]
+        assert signature(leaf) == signature(checked) == dense_signature_symmetric(sym)
+        delta = alexander_polynomial(leaf)
+        assert delta == alexander_polynomial(checked) == newton_alexander(checked)
+
+
+@pytest.mark.parametrize("m", [True, 1.0, "2"], ids=["bool", "float", "str"])
+def test_twist_knot_refuses_a_parameter_that_is_not_an_int(m):
+    with pytest.raises(ValueError, match=r"parameter m must be an integer, got"):
+        twist_knot_seifert(m)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_json_report_on_torus_specs_takes_no_determinant(monkeypatch, capsys, n):
     # J, K and every class knot are torus leaves or built from them: the
     # report writes their rows, and no kernel takes a determinant
     calls = []
-    monkeypatch.setattr(seifert, "det", lambda m: calls.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: calls.append(len(m)) or det(m))
     argv = ["report", "--scenario", "torus-solid", "--n", str(n), "--format", "json"]
     argv += ["--knot-j", '{"torus": [8, 9]}', "--knot-k", '{"torus": [-2, 5]}']
     assert cli.main(argv) == 0
@@ -240,14 +278,14 @@ def test_unknot_alexander_is_one():
     assert signature(unknot()) == 0
 
 
-def test_unknot_is_one_instance_checked_and_eliminated_once(monkeypatch):
+def test_unknot_is_one_instance_and_runs_no_kernel(monkeypatch):
+    # a table leaf: neither made nor read through the kernels
     assert unknot() is unknot()
     assert unknot() == SeifertMatrix(()) and unknot().size == 0
-    signature(unknot())
     calls = []
-    monkeypatch.setattr(seifert, "det", lambda m: calls.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: calls.append(len(m)) or det(m))
     monkeypatch.setattr(
-        seifert, "signature_symmetric", lambda m: calls.append(len(m)) or signature_symmetric(m)
+        exact, "signature_symmetric", lambda m: calls.append(len(m)) or signature_symmetric(m)
     )
     assert signature(unknot()) == 0 and alexander_polynomial(unknot()).is_one()
     assert seifert.knot_from_spec("unknot").matrix is unknot()
@@ -345,10 +383,10 @@ def test_seifert_matrix_from_rows_checks():
 def test_every_builder_checks_unimodularity(monkeypatch):
     # the public constructors are the trust boundary: once the det(V - V^T)
     # step is patched to fail, every matrix that enters through them fails
-    # at once; a torus leaf is not one of them, and its rows, the fence
-    # basis that the tests check, are read unchecked
+    # at once; a table knot is not one of them, and its rows, which the
+    # tests check, are read unchecked
     v = SeifertMatrix(((-1, 1), (0, -1)))
-    monkeypatch.setattr(seifert, "det", lambda m: 0)
+    monkeypatch.setattr(exact, "det", lambda m: 0)
     builds = [
         lambda: SeifertMatrix(v.entries),
         lambda: SeifertMatrix.from_rows(v.rows),
@@ -359,6 +397,9 @@ def test_every_builder_checks_unimodularity(monkeypatch):
             build()
     assert torus_knot_seifert(2, 3).entries == ((-1, 1), (0, -1))
     assert torus_knot_seifert(-2, 3).entries == ((1, 0), (-1, 1))
+    assert twist_knot_seifert(2).entries == ((-1, 1), (0, 2))
+    assert whitehead_double_seifert("+").entries == ((-1, 1), (0, 0))
+    assert unknot().entries == ()
 
 
 def test_derived_builders_take_no_determinant(monkeypatch):
@@ -367,7 +408,7 @@ def test_derived_builders_take_no_determinant(monkeypatch):
     v, w = torus_knot_seifert(3, 4), FIG8
     assert v.rows  # the torus leaf's bricks, built unchecked on first read
     calls = []
-    monkeypatch.setattr(seifert, "det", lambda m: calls.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: calls.append(len(m)) or det(m))
     derived = [op(v) for op in (mirror, reverse, concordance_inverse)]
     derived.append(connected_sum(v, w))
     derived += [parallel_cable(v, n) for n in (-2, -1, 1, 2)]
@@ -392,7 +433,7 @@ def test_twist_extension_checks_the_companion_once(monkeypatch, torus_specs_as_r
     # concordance inverse, cable and connected sum are derived from it
     # unchecked
     sizes = []
-    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
     run_scenario(build_scenario("twist-extension", p=p, q=q))
     assert sizes.count((p - 1) * (q - 1)) == 1
 
@@ -401,33 +442,31 @@ def test_twist_extension_checks_the_companion_once(monkeypatch, torus_specs_as_r
 def test_twist_extension_diagonalizes_the_companion_once(monkeypatch, torus_specs_as_rows, p, q):
     # for a companion given by its rows, sigma(-J) = -sigma(J), and the -1
     # cable of J is J^T, so both class knots read the one elimination of
-    # J; the 0 x 0 unknot K may add an empty one
+    # J; the unknot K is a table leaf and adds none
     sizes = []
     monkeypatch.setattr(
-        seifert,
+        exact,
         "signature_symmetric",
         lambda m: sizes.append(len(m)) or signature_symmetric(m),
     )
     run_scenario(build_scenario("twist-extension", p=p, q=q))
-    assert sizes.count((p - 1) * (q - 1)) == 1
-    assert set(sizes) <= {0, (p - 1) * (q - 1)}
+    assert sizes == [(p - 1) * (q - 1)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("p,q", [(2, 3), (8, 9), (40, 41)])
 def test_twist_extension_runs_no_elimination_on_its_torus_companion(monkeypatch, capsys, p, q, fmt):
-    # sigma(J) comes from the lattice count, and no report reads the rows
-    # of J: the only kernel call left is the 0 x 0 signature of the shared
-    # unknot K, on its first use in the process
+    # sigma(J) comes from the lattice count, no report reads the rows of
+    # J, and the unknot K is a table leaf: no kernel runs
     dets, sigs = [], []
-    monkeypatch.setattr(seifert, "det", lambda m: dets.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: dets.append(len(m)) or det(m))
     monkeypatch.setattr(
-        seifert, "signature_symmetric", lambda m: sigs.append(len(m)) or signature_symmetric(m)
+        exact, "signature_symmetric", lambda m: sigs.append(len(m)) or signature_symmetric(m)
     )
     argv = ["report", "--scenario", "twist-extension", "--p", str(p), "--q", str(q)]
     assert cli.main([*argv, "--format", fmt]) == 0
     assert "Mixed" in capsys.readouterr().out
-    assert dets == [] and sigs in ([], [0])
+    assert dets == [] and sigs == []
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -436,7 +475,7 @@ def test_torus_top_vs_smooth_takes_no_determinant_of_its_torus_companion(monkeyp
     # report writes the 56 x 56 matrix of J, whose bricks the tests check,
     # so neither format takes its determinant
     sizes = []
-    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
     argv = ["report", "--scenario", "torus-top-vs-smooth", "--n", "1"]
     argv += ["--knot-j", '{"torus": [8, 9]}']
     assert cli.main([*argv, "--format", fmt]) == 0
@@ -456,7 +495,7 @@ def test_torus_solid_takes_the_companion_alexander_once(monkeypatch, knot_k):
         "torus-solid", n=1, knot_j={"seifert": [list(r) for r in rows]}, knot_k=knot_k
     )
     sizes = []
-    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
     run_scenario(scenario)
     assert sizes.count(6) == 3
     assert max(sizes) == 6
@@ -487,7 +526,7 @@ def test_torus_top_vs_smooth_cable_takes_no_determinant_beyond_its_companion(
     # leaves: WD+ (2 x 2) and T(5,6), given by its rows (20 x 20, also
     # checked where it enters)
     sizes = []
-    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
     run_scenario(build_scenario("torus-top-vs-smooth", n=3, knot_j={"torus": [5, 6]}))
     assert max(sizes) == 20
 
@@ -501,7 +540,7 @@ def test_torus_solid_cable_takes_no_signature_elimination_beyond_its_companion(
     # the largest is the one of the leaf J itself
     sizes = []
     monkeypatch.setattr(
-        seifert, "signature_symmetric", lambda m: sizes.append(len(m)) or signature_symmetric(m)
+        exact, "signature_symmetric", lambda m: sizes.append(len(m)) or signature_symmetric(m)
     )
     run_scenario(build_scenario("torus-solid", n=3, knot_j={"torus": [p, q]}))
     assert max(sizes) == (p - 1) * (q - 1)
@@ -883,7 +922,7 @@ def test_alexander_takes_half_the_size_plus_one_determinants(monkeypatch, v, blo
     # k/2 determinants; the unknot has no block, a block sum two
     v = SeifertMatrix.from_rows(v.rows)  # a fresh leaf keeps no Delta yet
     sizes = []
-    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
     alexander_polynomial(v)
     assert sizes == [k for k in blocks for _ in range(k // 2)]
 
@@ -929,7 +968,7 @@ def test_alexander_of_a_block_up_to_sign_and_transpose_runs_the_kernel_once(monk
     for part in parts:
         oracle = oracle * newton_alexander(SeifertMatrix(part))
     sizes = []
-    monkeypatch.setattr(seifert, "det", lambda m: sizes.append(len(m)) or det(m))
+    monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
     assert alexander_polynomial(v) == oracle
     assert sizes == [k] * (k // 2)
 
@@ -966,7 +1005,7 @@ def test_alexander_interpolation_checks_every_division(monkeypatch):
     ]
     for v, values in cases:
         feed = iter(values)
-        monkeypatch.setattr(seifert, "det", lambda m: next(feed))
+        monkeypatch.setattr(exact, "det", lambda m: next(feed))
         with pytest.raises(ArithmeticError, match="not an integer polynomial"):
             alexander_polynomial(v)
 
