@@ -21,6 +21,9 @@ Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-15):
 
   * square-free decomposition by Yun's algorithm (Yun 1976), with gcds
     taken by the primitive remainder sequence;
+  * a square-free part of degree 1 is irreducible, and one of degree 2
+    splits over Z exactly when its discriminant is a perfect square, into
+    the primitive parts of 2a*t + b -+ sqrt(b^2 - 4ac); neither goes on;
   * Berlekamp's algorithm on each square-free part mod a small prime p
     (Berlekamp 1967).  The primes that keep the degree and leave the part
     square-free mod p are tried in increasing order, up to PRIMES_TRIED of
@@ -157,6 +160,17 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     n = len(f) - 1
     if n == 1:
         return [f]
+    if n == 2:
+        # a t^2 + b t + c has the roots (-b +- sqrt(d)) / 2a, d = b^2 - 4ac: it
+        # splits over Z exactly when d is a square, and then 4a f is
+        # (2a t + b - sqrt(d))(2a t + b + sqrt(d)), so by Gauss's lemma f is
+        # the product of their primitive parts
+        c, b, a = f
+        d = b * b - 4 * a * c
+        if d < 0 or isqrt(d) ** 2 != d:
+            return [f]
+        r = isqrt(d)
+        return [_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])]
     best = None
     tried = 0
     for p in _primes():

@@ -7,8 +7,8 @@ value +1 at t = 1.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from itertools import chain
-from typing import Iterable, Mapping
 
 
 class LaurentPoly:

@@ -75,9 +75,13 @@ makes V - t*V^T block-diagonal, so Delta is the product of the blocks'
 det(B - t*B^T), each interpolated on its own from k/2 determinants for a
 block of size k.  A sum of two g x g blocks then takes g determinants of
 size g, where the whole leaf would take g of size 2g.  Blocks equal up
-to sign or transpose share one Delta, so K # -K takes g/2.  Each kernel
-result is kept on its immutable leaf, so the one companion of a report
-is eliminated once however many class knots are built from it.
+to sign or transpose share one Delta, so K # -K takes g/2.  The first of
+a block's determinants, det B, is also its top coefficient, so
+`alexander_span` reads the span of Delta from the record and from one
+det B per distinct block: the Fox-Milnor test refuses a Delta wider than
+its bound before any interpolation.  Each kernel result is kept on its
+immutable leaf, so the one companion of a report is eliminated once
+however many class knots are built from it.
 
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
@@ -133,7 +137,7 @@ class SeifertMatrix:
     rows and unpickles through `from_rows`, the trust boundary.
     """
 
-    __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander")
+    __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander", "_parts")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
         dense = [list(row) for row in entries]
@@ -184,6 +188,7 @@ class SeifertMatrix:
         object.__setattr__(self, "_rows", None if rows is None else _frozen(rows))
         object.__setattr__(self, "_signature", None)
         object.__setattr__(self, "_alexander", None)
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeifertMatrix is immutable")
@@ -615,12 +620,11 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     summands (nested sums are flattened by `_summands`), and the n-cable
     of V has Delta_V(t^n) (Seifert's satellite formula).  Products and
     substitutions of normalized polynomials are normalized.  A checked
-    leaf is split by `_blocks` into the principal blocks on the components
-    of its support graph, and Delta is the product of the blocks'
+    leaf is the product over its distinct blocks (`_leaf_parts`) of their
     `_interpolated_alexander`: a block of size k takes k/2 determinants
-    of size k, and a block equal to an earlier one up to sign
-    or transpose takes none (see `_blockwise_alexander`).  It is computed
-    once: the result is kept on the matrix.
+    of size k, det B, which `alexander_span` may already have taken, and
+    k/2 - 1 more; a block equal to an earlier one up to sign or transpose
+    takes none.  It is computed once: the result is kept on the matrix.
     """
     match v._origin:
         case ("torus", p, q):
@@ -636,28 +640,73 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
         case ("whitehead", _) | ("unknot",):
             return LaurentPoly.one()
     if v._alexander is None:
-        object.__setattr__(v, "_alexander", _blockwise_alexander(v.rows))
+        delta = LaurentPoly.one()
+        for block, count, top in _leaf_parts(v):
+            block_delta = _interpolated_alexander(block, top)
+            for _ in range(count):
+                delta = delta * block_delta
+        object.__setattr__(v, "_alexander", delta)
     return v._alexander
 
 
-def _blockwise_alexander(rows: SparseRows) -> LaurentPoly:
-    """Delta of a checked leaf: the product over its `_blocks` of
-    `_interpolated_alexander`, run once per block up to sign and transpose.
+def alexander_span(v: SeifertMatrix) -> int:
+    """The span of `alexander_polynomial(v)`, by the identities that give
+    Delta, without building Delta where they allow.
+
+    A torus leaf T(p, q) has span (p - 1)(q - 1), a twist knot 2 (0 at
+    m = 0), a Whitehead double and the unknot 0.  Mirror, reverse and
+    concordance inverse keep the span, a sum adds its summands', and the
+    n-cable multiplies it by |n|.  In a checked leaf a block B of size k
+    with det B != 0 adds k: f(t) = det(B - t*B^T) has f(0) = det B, and
+    its top coefficient det(-B^T) = det B too, so Delta_B spans all of
+    0..k.  So a leaf whose blocks are all nonsingular takes one
+    determinant per distinct block, and `_leaf_parts` keeps each det B
+    for `alexander_polynomial`.  A leaf with a block of det B = 0 reads
+    the span off Delta.
+    """
+    match v._origin:
+        case ("torus", p, q):
+            return (p - 1) * (q - 1)
+        case ("mirror" | "reverse" | "inverse", w):
+            return alexander_span(w)
+        case ("sum", _, _):
+            return sum(map(alexander_span, _summands(v)))
+        case ("cable", w, n):
+            return n * alexander_span(w)
+        case ("twist", m):
+            return 2 if m else 0
+        case ("whitehead", _) | ("unknot",):
+            return 0
+    parts = _leaf_parts(v)
+    if all(top for _, _, top in parts):
+        return sum(count * len(block) for block, count, _ in parts)
+    return alexander_polynomial(v).span
+
+
+def _leaf_parts(v: SeifertMatrix) -> list[tuple[SparseRows, int, int]]:
+    """(B, multiplicity, det B) for each block B of the checked leaf v
+    (`_blocks`), up to sign and transpose, in the order the blocks first
+    appear; made once and kept on v.
 
     For B of even size k, det(-B + t*B^T) = (-1)^k det(B - t*B^T) and
     det(B^T - t*B) = det((B - t*B^T)^T), so -B, B^T and -B^T have B's
-    Delta.  A block is keyed by its relabeled rows, sorted; its Delta is
-    looked up under the keys of all four.  The memo lives for this call.
+    det and Delta.  A block is keyed by its relabeled rows, sorted, and
+    counts toward the first block under any of the four keys.
     """
-    known: dict[tuple, LaurentPoly] = {}
-    delta = LaurentPoly.one()
-    for block in _blocks(rows):
-        key = tuple(tuple(sorted(row.items())) for row in block)
-        block_delta = next((known[k] for k in _sign_and_transpose(key) if k in known), None)
-        if block_delta is None:
-            block_delta = known[key] = _interpolated_alexander(block)
-        delta = delta * block_delta
-    return delta
+    if v._parts is None:
+        from dehn4.exact import det
+
+        parts: dict[tuple, list] = {}
+        for block in _blocks(v.rows):
+            key = tuple(tuple(sorted(row.items())) for row in block)
+            seen = next((k for k in _sign_and_transpose(key) if k in parts), None)
+            if seen is None:
+                parts[key] = [block, 1]
+            else:
+                parts[seen][1] += 1
+        tops = [(block, count, det(block)) for block, count in parts.values()]
+        object.__setattr__(v, "_parts", tops)
+    return v._parts
 
 
 def _sign_and_transpose(key: tuple) -> Iterable[tuple]:
@@ -728,22 +777,22 @@ def _blocks(rows: SparseRows) -> list[SparseRows]:
     return [[{position[j]: x for j, x in rows[i].items()} for i in members] for members in blocks]
 
 
-def _interpolated_alexander(rows: SparseRows) -> LaurentPoly:
+def _interpolated_alexander(rows: SparseRows, top: int) -> LaurentPoly:
     """The kernel of `alexander_polynomial`: det(V - t*V^T) from V's sparse
-    rows, for V of even size with det(V - V^T) = 1.
+    rows and top = det V, for V of even size with det(V - V^T) = 1.
 
     For V of size n = 2m, f(t) = det(V - t*V^T) is palindromic,
     f(t) = t^n f(1/t), since (V - t*V^T)^T = -t(V - V^T/t) and n is even.
     So f(t)/t^m is an integer polynomial of degree <= m in Conway's
     variable u = (t - 1)^2/t: f(t) = sum_j c_j t^(m-j) (t - 1)^(2j).  The
-    top coefficient is c_m = f(0) = det V, and the bottom one is free:
-    t = 1 is u = 0, where f(1) = det(V - V^T) = 1, so c_0 = 1.  The rest
-    come from `det` at the m - 1 integer nodes t = 2, -1, 3, -2, 4, ...,
-    whose u are distinct and nonzero and whose |t| stays small (the
-    entries of V - t*V^T grow with |t|), by exact Newton interpolation over
-    Fractions of f(t)/t^m - c_m u^m, which has degree <= m - 1, on u = 0
-    and those nodes.  That is m determinants.  A c_j that is not an
-    integer raises ArithmeticError.
+    top coefficient is c_m = f(0) = det V, the given top, and the bottom
+    one is free: t = 1 is u = 0, where f(1) = det(V - V^T) = 1, so
+    c_0 = 1.  The rest come from `det` at the m - 1 integer nodes t = 2,
+    -1, 3, -2, 4, ..., whose u are distinct and nonzero and whose |t|
+    stays small (the entries of V - t*V^T grow with |t|), by exact Newton
+    interpolation over Fractions of f(t)/t^m - c_m u^m, which has degree
+    <= m - 1, on u = 0 and those nodes.  That is m - 1 determinants.  A
+    c_j that is not an integer raises ArithmeticError.
 
     The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
     """
@@ -757,7 +806,6 @@ def _interpolated_alexander(rows: SparseRows) -> LaurentPoly:
     def f(t: int) -> int:
         return det(_plus_transpose(rows, -t))
 
-    top = f(0)
     nodes = [2 + k // 2 if k % 2 == 0 else -1 - k // 2 for k in range(m - 1)]
     us = [Fraction(0)] + [Fraction((t - 1) ** 2, t) for t in nodes]
     dd = [Fraction(1)] + [Fraction(f(t), t**m) - top * u**m for t, u in zip(nodes, us[1:])]
@@ -823,13 +871,13 @@ def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
 
     Raises FactorizationBoundError when the polynomial degree exceeds
     FOX_MILNOR_DEGREE_BOUND (an "out of configured range" error, distinct
-    from a failed test).
+    from a failed test).  `algebraic_slice_verdict` refuses such a Delta
+    with the same message from `alexander_span`, before Delta is built,
+    so it calls this test only within the bound.
     """
     norm = delta.normalized()
     if norm.span > FOX_MILNOR_DEGREE_BOUND:
-        raise FactorizationBoundError(
-            f"polynomial degree {norm.span} exceeds bound {FOX_MILNOR_DEGREE_BOUND}"
-        )
+        raise FactorizationBoundError(_beyond_bound(norm.span))
     # Delta(-1), an integer: each term is +-c by the parity of its exponent
     det_int = abs(sum(-c if e % 2 else c for e, c in norm.coeffs.items()))
     if isqrt(det_int) ** 2 != det_int:
@@ -877,6 +925,10 @@ def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
     if product != norm:
         raise AssertionError("internal error: paired factorization does not reproduce Delta")
     return FoxMilnorResult(passed=True, factor=f)
+
+
+def _beyond_bound(span: int) -> str:
+    return f"polynomial degree {span} exceeds bound {FOX_MILNOR_DEGREE_BOUND}"
 
 
 def _poly_key(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -935,21 +987,23 @@ class SliceVerdict(NamedTuple):
 def algebraic_slice_verdict(v: SeifertMatrix, memo: dict | None = None) -> SliceVerdict:
     """Signature first, then Fox-Milnor; Unknown when neither obstructs.
 
-    memo, when given, maps each Delta already tested to its `fox_milnor`
-    result: a caller that asks about several knots of one report can pass
-    one dict, so a Delta they share is factored once.  A Delta beyond the
-    degree bound is not kept, and is refused again in O(span).
+    A Delta whose span exceeds FOX_MILNOR_DEGREE_BOUND is refused from
+    `alexander_span(v)` before Delta is built, with the note of `fox_milnor`'s
+    FactorizationBoundError.  memo, when given, maps each Delta already
+    tested to its `fox_milnor` result: a caller that asks about several
+    knots of one report can pass one dict, so a Delta they share is
+    factored once.
     """
     sig = signature(v)
     if sig != 0:
         return SliceVerdict(tag=SliceTag.OBSTRUCTED_BY_SIGNATURE, signature=sig)
+    span = alexander_span(v)
+    if span > FOX_MILNOR_DEGREE_BOUND:
+        return SliceVerdict(tag=SliceTag.UNKNOWN, signature=0, note=_beyond_bound(span))
     delta = alexander_polynomial(v)
     fm = None if memo is None else memo.get(delta)
     if fm is None:
-        try:
-            fm = fox_milnor(delta)
-        except FactorizationBoundError as exc:
-            return SliceVerdict(tag=SliceTag.UNKNOWN, signature=0, note=str(exc))
+        fm = fox_milnor(delta)
         if memo is not None:
             memo[delta] = fm
     if not fm.passed:

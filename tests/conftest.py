@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -149,6 +150,27 @@ def dense_parallel_cable(e, n):
                 for j in range(g2):
                     out[bi * g2 + i][bj * g2 + j] = blk[i][j]
     return freeze(out)
+
+
+def dense_congruence(e, seed):
+    """P e P^T for a seeded unimodular P = L U, L unit lower and U unit upper
+    triangular with their other entries drawn from {-1, 0, 1}.
+
+    det P = 1, so a Seifert matrix keeps det(V - V^T) = 1, its signature
+    and det(V - t*V^T); and P is dense, so the support graph of a block
+    sum becomes one block.
+    """
+    rng = random.Random(seed)
+    n = len(e)
+
+    def unit_lower():
+        return [[rng.choice((-1, 0, 1)) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    p = mul(unit_lower(), transpose(unit_lower()))
+    return freeze(mul(mul(p, e), transpose(p)))
 
 
 def skew_det(v):

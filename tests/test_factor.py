@@ -1,6 +1,7 @@
 """Factorization over Z against independent oracles: sympy's factor_list,
 the irreducibility of cyclotomic polynomials, and sympy's printer."""
 import random
+from itertools import product
 from math import gcd
 
 import hypothesis.strategies as st
@@ -251,6 +252,62 @@ def test_two_swinnerton_dyer_factors_recombine():
 )
 def test_factor_list_examples(coeffs, expected):
     assert factor_list(coeffs) == expected
+
+
+def _positive(g):
+    return g if g[0] > 0 else tuple(-c for c in g)
+
+
+def _at_minus_t(g):
+    """g(-t), leading coefficient positive."""
+    deg = len(g) - 1
+    return _positive(tuple(-c if (deg - i) % 2 else c for i, c in enumerate(g)))
+
+
+def _reciprocal(g):
+    """t^deg g(1/t), leading coefficient positive."""
+    return _positive(g[::-1])
+
+
+def test_every_small_quadratic_factors_as_sympy_factors_it():
+    # every primitive square-free a t^2 + b t + c with 0 < |a|, |b| <= 30
+    # and 0 < |c| <= 30 (factor_list takes a nonzero constant term), as f
+    # and -f with a > 0.  g(t) -> g(-t) and g(t) -> t^deg g(1/t) map a
+    # product to the product of the images, so sympy factors one quadratic
+    # of each class they generate, and its factors, mapped, are the
+    # expected factors of the rest
+    quadratics = {
+        (a, b, c)
+        for a, b, c in product(range(1, 31), range(-30, 31), range(-30, 31))
+        if c and gcd(a, b, c) == 1 and b * b != 4 * a * c
+    }
+    images = (lambda g: g, _at_minus_t, _reciprocal, lambda g: _reciprocal(_at_minus_t(g)))
+    checked = set()
+    for quadratic in sorted(quadratics):
+        if quadratic in checked:
+            continue
+        factors = sympy_factor_list(quadratic)
+        for image in images:
+            f = image(quadratic)
+            expected = sorted(
+                ((image(g), e) for g, e in factors), key=lambda ge: (len(ge[0]), ge[1], ge[0])
+            )
+            assert factor_list(f) == factor_list(tuple(-x for x in f)) == expected, f
+            checked.add(f)
+    assert checked == quadratics
+
+
+def test_a_quadratic_splits_without_berlekamp_or_hensel(monkeypatch):
+    # the stevedore's 2t^2 - 5t + 2 = (2t - 1)(t - 2), and t^2 + t - 1,
+    # irreducible, whose value 5 at t = 2 is the value of Phi_4
+    def refuse(*args):
+        raise AssertionError("a quadratic reached Berlekamp or Hensel lifting")
+
+    monkeypatch.setattr(factor, "_berlekamp_basis", refuse)
+    monkeypatch.setattr(factor, "_hensel_lift", refuse)
+    assert factor_list((2, -5, 2)) == [((1, -2), 1), ((2, -1), 1)]
+    assert factor_list((1, 1, -1)) == [((1, 1, -1), 1)]
+    assert factor_list((4, 0, 1)) == [((4, 0, 1), 1)]  # discriminant -16
 
 
 @pytest.mark.parametrize("coeffs", [(), (0,), (1, 0), (2, 4), (3, 0, 6), (6,)])

@@ -20,7 +20,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import SCHEMA, block_diagonal, read_rows
+from conftest import (
+    SCHEMA,
+    block_diagonal,
+    dense_concordance_inverse,
+    dense_torus_bricks,
+    read_rows,
+)
 from dehn4.cli import main
 from dehn4.scenarios import build_scenario
 
@@ -58,6 +64,15 @@ _T35_PLUS_FOUR_MINUS_T23 = {
 }
 
 
+_T37 = dense_torus_bricks(3, 7)
+# sigma = 0, and Delta = Delta_T(3,7)^2 has span 24 > 16, so Fox-Milnor
+# refuses it: "polynomial degree 24 exceeds bound 16"
+_T37_MINUS_T37 = {
+    "seifert": block_diagonal(_T37, dense_concordance_inverse(_T37)),
+    "name": "T(3,7)#-T(3,7)",
+}
+
+
 CASES: dict[str, tuple[str, ...]] = {
     # the six scenarios at their defaults
     "sphere-lens": ("--scenario", "sphere-lens"),
@@ -92,6 +107,11 @@ CASES: dict[str, tuple[str, ...]] = {
     "torus-solid-fox-milnor-odd-factor": (
         "--scenario", "torus-solid", "--n", "1", "--knot-k", "unknot",
         "--knot-j", json.dumps(_T35_PLUS_FOUR_MINUS_T23),
+    ),
+    # beyond the Fox-Milnor degree bound
+    "torus-solid-t37-minus-t37": (
+        "--scenario", "torus-solid", "--n", "1", "--knot-k", "unknot",
+        "--knot-j", json.dumps(_T37_MINUS_T37),
     ),
     **{
         f"torus-top-vs-smooth-torus-{p}-{p + 1}": (

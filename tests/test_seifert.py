@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from conftest import (
     block_diagonal,
     dense_concordance_inverse,
+    dense_congruence,
     dense_connected_sum,
     dense_det,
     dense_mirror,
@@ -32,6 +33,7 @@ from dehn4.seifert import (
     SeifertMatrix,
     SliceTag,
     alexander_polynomial,
+    alexander_span,
     algebraic_slice_verdict,
     concordance_inverse,
     connected_sum,
@@ -919,12 +921,13 @@ def test_alexander_with_singular_seifert_matrix(v):
 def test_alexander_takes_half_the_size_plus_one_determinants(monkeypatch, v, blocks):
     # per connected block B of size k of the leaf, k/2 + 1 values of
     # det(B - t*B^T), of which the one at t = 1, det(B - B^T) = 1, is free:
-    # k/2 determinants; the unknot has no block, a block sum two
+    # k/2 determinants; the unknot has no block, a block sum two.  Every
+    # block's det B comes first, so the sizes are compared as a multiset
     v = SeifertMatrix.from_rows(v.rows)  # a fresh leaf keeps no Delta yet
     sizes = []
     monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
     alexander_polynomial(v)
-    assert sizes == [k for k in blocks for _ in range(k // 2)]
+    assert sorted(sizes) == sorted(k for k in blocks for _ in range(k // 2))
 
 
 @st.composite
@@ -971,6 +974,117 @@ def test_alexander_of_a_block_up_to_sign_and_transpose_runs_the_kernel_once(monk
     monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
     assert alexander_polynomial(v) == oracle
     assert sizes == [k] * (k // 2)
+
+
+def _interleaved_minus_sum(p, q):
+    """T(p,q) # -T(p,q) as a checked leaf, rows and columns interleaved
+    (0, n/2, 1, n/2 + 1, ...): two blocks, -V after V."""
+    v = torus_knot_seifert(p, q)
+    e = connected_sum(v, concordance_inverse(v)).entries
+    n = len(e)
+    order = [k // 2 + (k % 2) * (n // 2) for k in range(n)]
+    return SeifertMatrix([[e[i][j] for j in order] for i in order])
+
+
+def _dense_minus_sum(p, q, seed):
+    """T(p,q) # -T(p,q) under a seeded dense unimodular congruence: one block."""
+    t = dense_torus_bricks(p, q)
+    return SeifertMatrix(dense_congruence(block_diagonal(t, dense_concordance_inverse(t)), seed))
+
+
+def _rows_of(v):
+    """v as a checked leaf, so its invariants come from the kernels."""
+    return SeifertMatrix.from_rows(v.rows)
+
+
+SPAN_CASES = {
+    # singular blocks: det B = 0, so the span is read off Delta
+    "singular-2x2": lambda: knot_from_spec({"seifert": [[-1, 1], [0, 0]]}).matrix,
+    "whitehead-plus-rows": lambda: _rows_of(whitehead_double_seifert("+")),
+    "whitehead-minus-rows": lambda: _rows_of(whitehead_double_seifert("-")),
+    "whitehead-plus-t34-rows": lambda: _rows_of(
+        connected_sum(whitehead_double_seifert("+"), torus_knot_seifert(3, 4))
+    ),
+    "twist-0-rows": lambda: _rows_of(twist_knot_seifert(0)),
+    # cables with negative n
+    "cable-trefoil-rows-minus-2": lambda: parallel_cable(_rows_of(TREFOIL), -2),
+    "cable-t35-minus-3": lambda: parallel_cable(torus_knot_seifert(3, 5), -3),
+    "cable-whitehead-rows-minus-3": lambda: parallel_cable(
+        _rows_of(whitehead_double_seifert("-")), -3
+    ),
+    "cable-of-cable-minus-2": lambda: parallel_cable(parallel_cable(FIG8, 3), -2),
+    # sums that mix checked leaves with table knots
+    "sum-trefoil-rows-t34": lambda: connected_sum(_rows_of(TREFOIL), torus_knot_seifert(3, 4)),
+    "sum-stevedore-fig8": lambda: connected_sum(twist_knot_seifert(2), FIG8),
+    "sum-whitehead-rows-unknot-twist": lambda: connected_sum(
+        connected_sum(_rows_of(whitehead_double_seifert("+")), unknot()), twist_knot_seifert(-3)
+    ),
+    "sum-mirror-leaf-cable": lambda: connected_sum(
+        mirror(_rows_of(torus_knot_seifert(2, 5))), parallel_cable(twist_knot_seifert(1), 2)
+    ),
+    # the interleaved rows of T(5,6) # -T(5,6): two 20 x 20 blocks
+    "interleaved-t56": lambda: _interleaved_minus_sum(5, 6),
+    # dense single blocks
+    **{
+        f"dense-t{p}{q}-seed{seed}": (lambda p=p, q=q, seed=seed: _dense_minus_sum(p, q, seed))
+        for p, q, seed in ((2, 3, 1), (2, 5, 2), (3, 4, 3), (2, 7, 4))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_CASES))
+def test_alexander_span_is_the_span_of_delta(name):
+    v = SPAN_CASES[name]()
+    assert alexander_span(v) == alexander_polynomial(v).span
+
+
+@given(seifert_matrices())
+def test_alexander_span_of_a_checked_leaf_is_the_span_of_delta(v):
+    assert alexander_span(v) == newton_alexander(v).span == alexander_polynomial(v).span
+
+
+def test_alexander_span_takes_one_determinant_per_distinct_block(monkeypatch):
+    # T(4,5) # -T(4,5) as rows: two 12 x 12 blocks, equal up to sign, each
+    # with det B != 0; the span is 24 from one determinant, and Delta then
+    # takes the 5 determinants it still needs, no more
+    v = _interleaved_minus_sum(4, 5)
+    sizes = []
+    monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
+    assert alexander_span(v) == 24
+    assert sizes == [12]
+    alexander_polynomial(v)
+    assert sizes == [12] * 6
+
+
+@pytest.mark.parametrize(
+    "knot_j, block",
+    [
+        pytest.param(lambda: _interleaved_minus_sum(4, 5), 12, id="t45-rows"),
+        pytest.param(lambda: _dense_minus_sum(6, 7, 0), 60, id="dense-60x60-t67"),
+    ],
+)
+def test_torus_solid_refuses_a_wide_delta_after_one_determinant(monkeypatch, knot_j, block):
+    # sigma(J) = 0, and Delta_J spans beyond the bound: each class knot is
+    # refused from the span, after det B of J's one distinct block, and no
+    # interpolation runs
+    v = knot_j()
+    rows = [list(row) for row in v.entries]
+    scenario = build_scenario("torus-solid", n=1, knot_j={"seifert": rows}, knot_k="unknot")
+    sizes = []
+    monkeypatch.setattr(exact, "det", lambda m: sizes.append(len(m)) or det(m))
+    report = run_scenario(scenario)
+    assert sizes == [block]
+    notes = [t.output["note"] for t in report.trace if t.operation == "algebraic_slice_verdict"]
+    assert notes == [f"polynomial degree {v.size} exceeds bound 16"] * 2
+
+
+def test_a_refused_delta_is_the_note_fox_milnor_gives():
+    # refusing from the span gives what fox_milnor gives on the built Delta
+    v = _interleaved_minus_sum(3, 7)
+    verdict = algebraic_slice_verdict(v, {})
+    with pytest.raises(seifert.FactorizationBoundError) as exc:
+        fox_milnor(alexander_polynomial(v))
+    assert verdict == (SliceTag.UNKNOWN, 0, None, str(exc.value))
 
 
 def test_chain_of_1200_connected_sums_needs_no_recursion():
