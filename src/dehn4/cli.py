@@ -4,7 +4,7 @@
                  [--knot-j SPEC] [--knot-k SPEC]
                  [--format text|json] [--config FILE]
 
-Each scenario takes these parameters (defaults in parentheses) and reads
+Each scenario takes these parameters (defaults in parentheses) and lists
 these hypothesis flags:
 
   sphere-lens          p (5), q (2); no flags
@@ -20,7 +20,9 @@ these hypothesis flags:
   twist-extension      p (2), q (3); meridian-twist-extends,
                        orbit-twist-extends
 
-Any other parameter or flag is an error, as is a flag given twice.
+Any other parameter or flag is an error, as is a flag given twice.  Each
+flag but torus-incompressible is read by its scenario's verdict;
+torus-incompressible records Gabai's fact, and no verdict uses it.
 
 Exit code 0 on any successful computation regardless of verdict; 1 on an
 error, a bad command line included, with one `dehn4: error:` line on

@@ -24,10 +24,9 @@ Scenarios:
 """
 from __future__ import annotations
 
-import re
 import sys
 from enum import Enum
-from functools import cache, partial
+from functools import partial
 from math import gcd
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -38,10 +37,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 # `import dehn4` and a sphere report load no torus code.  The imports are
 # absolute, since a relative `from . import x` also runs two importlib
 # functions in Python each time: about 1 us in a report against 0.5 us.
-# A report builds only what its inputs change: default flags are built on
-# a scenario's first build_scenario and kept (`_fixed_flags`), not at
-# import, and twist-extension makes its companion record from (p, q)
-# without build_scenario.
+# A report builds only what its inputs change: default flags are built
+# once, at import (`_fixed_flags`), and twist-extension makes its
+# companion record from (p, q) without build_scenario.
 if TYPE_CHECKING:
     from .seifert import Knot, SliceVerdict
 
@@ -54,9 +52,13 @@ class Verdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
+# the code points of Unicode's Cc, Zl and Zp categories
+_LINE_BREAKING = frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]))
+
+
 def is_single_line(text: str) -> bool:
     """No line break and no control character, so text renders as part of one report line."""
-    return re.search("[\x00-\x1f\x7f-\x9f\u2028\u2029]", text) is None  # Cc, Zl, Zp
+    return _LINE_BREAKING.isdisjoint(text)
 
 
 def parse_json(text: str):
@@ -240,7 +242,9 @@ def build_scenario(
     A parameter left as None takes the scenario's default.  Each given
     flag replaces the default flag of its name, and must be one of the
     scenario's flags; a flag not given keeps its default, so the scenario
-    lists every flag it reads.
+    lists every flag it reads.  It lists `torus-incompressible` too,
+    which records Gabai's fact for the torus scenarios, though no verdict
+    reads it.
     """
     kind = _kind(name)
     given = dict(zip(PARAMS, (p, q, n, knot_j, knot_k)))
@@ -723,23 +727,23 @@ def _run_twist_extension(s: Scenario) -> _Run:
     }
 
 
-# A scenario's default flags are built on its first build_scenario and kept,
-# so later builds check no provenance again.  Not at import: the first
-# is_single_line compiles its pattern, which no sphere-lens report needs.
+# A scenario's default flags are built once, at import, so no build checks
+# a provenance again.
 def _fixed_flags(*flags: tuple[str, bool, str]) -> Callable[[dict], tuple[HypothesisFlag, ...]]:
     """The default flags of a scenario whose flags no parameter moves."""
-    built = cache(lambda: tuple(HypothesisFlag(*flag) for flag in flags))
-    return lambda args: built()
+    built = tuple(HypothesisFlag(*flag) for flag in flags)
+    return lambda args: built
 
 
-@cache
-def _torus_incompressible(value: bool) -> tuple[HypothesisFlag, ...]:
-    return (HypothesisFlag("torus-incompressible", value, _GABAI_SOLID_TORUS),)
+_TORUS_INCOMPRESSIBLE = {
+    value: (HypothesisFlag("torus-incompressible", value, _GABAI_SOLID_TORUS),)
+    for value in (False, True)
+}
 
 
 def _torus_solid_flags(args: dict) -> tuple[HypothesisFlag, ...]:
     compressible = args["knot_k"].matrix.size == 0 and args["n"] == 0
-    return _torus_incompressible(not compressible)
+    return _TORUS_INCOMPRESSIBLE[not compressible]
 
 
 class _Kind(NamedTuple):

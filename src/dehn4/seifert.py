@@ -13,33 +13,34 @@ and a three-valued sliceness verdict.
 `SeifertMatrix.from_rows`, are the one trust boundary: every matrix that
 enters there, from a `{"seifert": ...}` spec or a caller's rows, is
 checked at once in this order: each entry an int, the matrix square, its
-size even, and det(V - V^T) = 1, taken by `det` from sparse rows.  The
-table knots (the unknot, the twist knots, the Whitehead doubles, the
-torus knots) and the derived builders (mirror, reverse, concordance
-inverse, connected sum, parallel cable) go through the private
+size even, and det(V - V^T) = 1, taken by `det` from sparse rows.  Such a
+matrix is a checked leaf.  Every other matrix is a builder record made by
 `SeifertMatrix._from_origin`, which stores only the size of V and its
-origin: the table knot and its parameters, or the operation and its
-parents.  The rows are built from the origin on first read, in
-O(nonzeros), so a report that never reads them builds none.  None of
-these is checked.  A table knot's rows are code, not input: nothing a
-user writes reaches them but the parameters, so the tests, not the
-reports, take their det(V - V^T) = 1: for every coprime
-2 <= p < q <= 30, for twist knots with -50 <= m <= 50, and for both
-clasps.  A derived matrix's rows are int and zero-free by construction,
-and det(V - V^T) = 1 follows from the parent's by an identity that each
-builder's docstring names.  The tests take that determinant again, from
-an independent dense oracle.  So `exact` is imported only when a checked
-leaf is made or runs a kernel.  A pickled table knot holds its
-parameters and unpickles through its builder, which checks them again,
-so it keeps its closed forms, and the unknot unpickles as the one shared
-instance.  A pickled derived matrix holds its builder and
-its parents, and unpickles by replaying the builder, so it keeps its
-origin and reads its invariants from its parents again; a connected sum
-holds its flat list of summands, folded again by `connected_sum`, so a
-chain of any length pickles without recursion.  A pickled checked leaf
-re-enters through `from_rows`, and is checked like any other.  Only
-`SeifertMatrix.entries`, a view for text and tests, is dense: JSON reports
-write the sparse rows themselves.
+origin, one of:
+  * a table knot and its parameters: the unknot, a twist knot, a
+    Whitehead double or a torus knot;
+  * ("signed", W, s, transposed), which is s * W^T or s * W for s = +-1:
+    `mirror` is (-1, transposed), `reverse` (1, transposed) and
+    `concordance_inverse` (-1, not transposed).  W is never itself
+    signed: the signs multiply and the transposes cancel, so a chain of
+    these is one level deep;
+  * ("sum", summands), the flat tuple of a connected sum's summands, none
+    of them a sum, so a chain of sums of any length is one level deep;
+  * ("cable", W, n), the n-cable of W for n >= 2.
+The rows are built from the origin on first read, in O(nonzeros), so a
+report that never reads them builds none, and they are never checked.  A
+table knot's rows are code, not input: nothing a user writes reaches them
+but the parameters, so the tests, not the reports, take their
+det(V - V^T) = 1: for every coprime 2 <= p < q <= 30, for twist knots
+with -50 <= m <= 50, and for both clasps.  A derived matrix gets
+det(V - V^T) = 1 from its parents by an identity that its builder's
+docstring names, and the tests take that determinant again from a dense
+oracle.  So `exact` is imported only when a checked leaf is made or runs
+a kernel.  A pickle replays the origin's builder on its parameters or
+parents (`_BUILDERS`), so a matrix unpickles with the same origin and
+runs no kernel; a checked leaf re-enters through `from_rows`.  Only
+`SeifertMatrix.entries`, a view for text and tests, is dense: JSON
+reports write the sparse rows themselves.
 
 The two invariants are evaluated over that record.  A table knot reads
 them from closed forms.  A torus knot T(p, q) takes the signature from
@@ -52,36 +53,28 @@ have sigma = 0 and Delta = 1 (each from its 2 x 2 matrix, see
 `twist_knot_seifert` and `whitehead_double_seifert`).  A derived matrix
 takes them from its parents, by the classical identities
 (Seifert 1950; Lickorish 1997, ch. 6 and 8):
-  * sigma(-V^T) = sigma(-V) = -sigma(V) and sigma(V^T) = sigma(V);
+  * sigma(s * W^T) = sigma(s * W) = s * sigma(W), and Delta is kept;
   * a connected sum adds signatures and multiplies Alexander polynomials;
-  * mirror, reverse and concordance inverse keep Delta;
-  * the n-cable has Delta_V(t^n), and sigma(V) for odd n and 0 for even
+  * the n-cable has Delta_W(t^n), and sigma(W) for odd n and 0 for even
     n, by Litherland's satellite formula (Litherland 1979).
-Mirror, reverse and concordance inverse form a Klein four-group on V, so
-each of them builds on its argument's parent when the argument is one of
-the three: a chain of them is one level deep.  The -n-cable of V is the
-n-cable of V^T, and the 1-cable is V itself, so `parallel_cable` returns
-V or its reverse for n = +-1, and a chain of +-1 cables collapses too.
-A cable with |n| >= 2 nests one level and is |n| times its parent's
-size, so a chain of depth d has size at least 2^d.  Connected sums nest
-too, but the rows, the signature and the Alexander polynomial of a sum
-walk its summands with an explicit stack, so a chain of any length
-needs no recursion, and only the outermost sum keeps rows.  The kernels
-run only on the leaves checked at the trust boundary.  `signature`
-passes the kernel the sparse rows of V + V^T.  `alexander_polynomial`
-splits a leaf into the principal blocks on the components of its
-support graph (one block for a connected V): a simultaneous permutation
-makes V - t*V^T block-diagonal, so Delta is the product of the blocks'
-det(B - t*B^T), each interpolated on its own from k/2 determinants for a
-block of size k.  A sum of two g x g blocks then takes g determinants of
-size g, where the whole leaf would take g of size 2g.  Blocks equal up
-to sign or transpose share one Delta, so K # -K takes g/2.  The first of
-a block's determinants, det B, is also its top coefficient, so
-`alexander_span` reads the span of Delta from the record and from one
-det B per distinct block: the Fox-Milnor test refuses a Delta wider than
-its bound before any interpolation.  Each kernel result is kept on its
-immutable leaf, so the one companion of a report is eliminated once
-however many class knots are built from it.
+The -n-cable of W is the n-cable of W^T and the 1-cable is W itself, so
+`parallel_cable` returns W or its reverse for n = +-1.  A cable with
+|n| >= 2 nests one level and is |n| times its parent's size, so a chain
+of depth d has size at least 2^d.  The kernels run only on the checked
+leaves.  `signature` passes the kernel the sparse rows of V + V^T.
+`alexander_polynomial` splits a leaf into the principal blocks on the
+components of its support graph (one block for a connected V): a
+simultaneous permutation makes V - t*V^T block-diagonal, so Delta is the
+product of the blocks' det(B - t*B^T), each interpolated on its own from
+k/2 determinants for a block of size k.  A sum of two g x g blocks then
+takes g determinants of size g, where the whole leaf would take g of
+size 2g.  Blocks equal up to sign or transpose share one Delta, so
+K # -K takes g/2.  The first of a block's determinants, det B, is also
+its top coefficient, so `alexander_span` reads the span of Delta from
+the record and from one det B per distinct block: the Fox-Milnor test
+refuses a Delta wider than its bound before any interpolation.  Each
+kernel result is kept on its immutable leaf, so the one companion of a
+report is eliminated once however many class knots are built from it.
 
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
@@ -90,7 +83,7 @@ Sign conventions (documented, tests pin them down):
 from __future__ import annotations
 
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 from math import comb, gcd, isqrt, prod
 from types import MappingProxyType
@@ -110,31 +103,16 @@ class SeifertMatrix:
     V is kept as immutable sparse rows: `rows[i]` is a read-only mapping
     {j: V[i][j]} of the nonzeros of row i, the form the kernels take.
     `SeifertMatrix(entries)` takes dense rows and `SeifertMatrix.from_rows`
-    sparse ones.  Both check every matrix they are given at once, in this
-    order: every entry is an int (an error names [i][j]), the matrix is
-    square, its size is even, and det(V - V^T) = 1.  Such a matrix is a
-    checked leaf.  A table knot (unknot, twist knot, Whitehead double,
-    torus knot) and the matrices derived from others come from
-    `_from_origin`, which stores only their size and their origin: the
-    table knot and its parameters, or the operation and its parents (see
-    the module docstring).  Their `rows` are built from the origin on
-    first read and are never checked: a table knot's rows are checked by
-    the tests, and a derived matrix's by its parents.  Only a checked leaf
-    runs the kernels, and a kernel result, the signature or the Alexander
-    polynomial, is kept on that leaf; every other matrix reads its
-    invariants from its origin.  Equality and hashing read `rows` only, so
-    neither the origin nor a kept result changes them.  `entries` is a
-    dense view, a new tuple of tuples on each access.
-
-    The matrix is immutable, so a copy or a deep copy is the matrix
-    itself.  A pickle of a table knot holds its parameters and unpickles
-    through its builder: `unknot`, `twist_knot_seifert`,
-    `whitehead_double_seifert` or `torus_knot_seifert`.  A pickle of a
-    derived matrix replays its
-    builder, `mirror`, `reverse`, `concordance_inverse` or
-    `parallel_cable`, on its parents, and a sum's folds `connected_sum`
-    over its flat summands.  A pickle of a checked leaf holds the sparse
-    rows and unpickles through `from_rows`, the trust boundary.
+    sparse ones; both check what they are given (see the module
+    docstring), and make a checked leaf.  A table knot or a derived matrix
+    comes from `_from_origin` and builds its `rows` from its origin on
+    first read.  Only a checked leaf runs the kernels, and keeps their
+    results, the signature and the Alexander polynomial; every other
+    matrix reads its invariants from its origin.  Equality and hashing
+    read `rows` only, so neither the origin nor a kept result changes
+    them.  `entries` is a dense view, a new tuple of tuples on each
+    access.  The matrix is immutable, so a copy or a deep copy is the
+    matrix itself, and a pickle replays how it was made.
     """
 
     __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander", "_parts")
@@ -146,21 +124,15 @@ class SeifertMatrix:
         if any(len(row) != len(dense) for row in dense):
             raise ValueError("Seifert matrix must be square")
         rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
-        _check_unimodular(rows)
-        self._store(None, len(rows), rows)
+        self._store(None, len(rows), _checked(rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping[int, int]]) -> SeifertMatrix:
         """From sparse rows {column: entry}, one per row; zeros may be stored."""
         sparse = [dict(row) for row in rows]
         _check_ints(sparse)
-        sparse = _without_zeros(sparse)
-        cols = set().union(*sparse)
-        if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= len(sparse)):
-            raise ValueError("Seifert matrix must be square")
-        _check_unimodular(sparse)
         v = cls.__new__(cls)
-        v._store(None, len(sparse), sparse)
+        v._store(None, len(sparse), _checked(sparse))
         return v
 
     @classmethod
@@ -172,11 +144,13 @@ class SeifertMatrix:
         knot with m full twists, ("whitehead", clasp) for the untwisted
         Whitehead double with clasp "+" or "-", or ("torus", p, q) for the
         positive torus knot T(p, q) with 2 <= p < q coprime.  Or it is how
-        V was built from its parents: ("mirror", W), ("reverse", W),
-        ("inverse", W), ("sum", W, X) or ("cable", W, n) with n >= 2.  The
-        caller vouches for the size, and each builder's docstring names the
-        identity that gives a derived V det(V - V^T) = 1.  A table knot's
-        rows are never checked here: the tests take their det(V - V^T).
+        V was built: ("signed", W, s, transposed) for s * W^T or s * W,
+        with W not signed and s = +-1; ("sum", summands) with a flat tuple
+        of summands, none of them a sum; or ("cable", W, n) with n >= 2.
+        The caller vouches for the size, and each builder's docstring names
+        the identity that gives a derived V det(V - V^T) = 1.  A table
+        knot's rows are never checked here: the tests take their
+        det(V - V^T).
         """
         v = cls.__new__(cls)
         v._store(origin, size, None)
@@ -214,14 +188,9 @@ class SeifertMatrix:
         return self
 
     def __reduce__(self):
-        match self._origin:
-            case None:
-                return SeifertMatrix.from_rows, ([dict(row) for row in self.rows],)
-            case ("sum", _, _):
-                # flat, so that a long chain of sums pickles without recursion
-                return reduce, (connected_sum, _summands(self))
-            case (op, *parents):
-                return _BUILDERS[op], tuple(parents)
+        if self._origin is None:
+            return SeifertMatrix.from_rows, ([dict(row) for row in self.rows],)
+        return _BUILDERS[self._origin[0]], self._origin[1:]
 
     @property
     def rows(self) -> tuple[Mapping[int, int], ...]:
@@ -259,20 +228,22 @@ def _check_ints(rows: list[dict[int, int]]) -> None:
                 raise ValueError(f"matrix entry [{i}][{j}] must be an integer, got {x!r}")
 
 
-def _without_zeros(rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    return [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
-
-
-def _check_unimodular(rows: list[dict[int, int]]) -> None:
-    """The size of a square V is even and det(V - V^T) = 1, or a ValueError."""
+def _checked(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The int rows of V without their zeros, once every column is in
+    range, the size is even and det(V - V^T) = 1; or a ValueError."""
     # imported here, so that a report on table knots alone loads no exact
     from dehn4.exact import det
 
+    rows = [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
     n = len(rows)
+    cols = set().union(*rows)
+    if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= n):
+        raise ValueError("Seifert matrix must be square")
     if n % 2 != 0:
         raise ValueError(f"Seifert matrix must have even size, got {n}")
     if det(_plus_transpose(rows, -1)) != 1:
         raise ValueError("det(V - V^T) must equal 1")
+    return rows
 
 
 def _transpose(rows: SparseRows, s: int = 1) -> list[dict[int, int]]:
@@ -435,54 +406,46 @@ def whitehead_double_seifert(clasp: str) -> SeifertMatrix:
 
 
 def mirror(v: SeifertMatrix) -> SeifertMatrix:
-    """Mirror image: -V^T.
-
-    Unchecked: -V^T - (-V^T)^T = V - V^T, so det(V - V^T) = 1 carries over.
-    """
-    return _unary("mirror", v)
+    """Mirror image: -V^T."""
+    return _signed(v, -1, True)
 
 
 def reverse(v: SeifertMatrix) -> SeifertMatrix:
-    """Orientation reverse: V^T.
-
-    Unchecked: V^T - V = -(V - V^T), and det(-A) = det A at even size.
-    """
-    return _unary("reverse", v)
+    """Orientation reverse: V^T."""
+    return _signed(v, 1, True)
 
 
 def concordance_inverse(v: SeifertMatrix) -> SeifertMatrix:
-    """Reversed mirror -V, the inverse in algebraic concordance.
-
-    Unchecked: -V - (-V)^T = -(V - V^T), and det(-A) = det A at even size.
-    """
-    return _unary("inverse", v)
+    """Reversed mirror -V, the inverse in algebraic concordance."""
+    return _signed(v, -1, False)
 
 
-def _unary(op: str, v: SeifertMatrix) -> SeifertMatrix:
-    """op applied to V, built on V's parent when V is itself a mirror,
-    reverse or concordance inverse.
+def _signed(v: SeifertMatrix, s: int, transposed: bool) -> SeifertMatrix:
+    """s * V^T when transposed, else s * V, for s = +-1.
 
-    With the identity the three form a Klein four-group acting on V: each
-    undoes itself, and any two compose to the third (the mirror of the
-    reverse is -(V^T)^T = -V, the mirror of -V is V^T, the reverse of -V
-    is -V^T).  So a chain of them has depth at most one.
+    Unchecked: the skew form of s * V is s(V - V^T) and that of s * V^T is
+    -s(V - V^T), and det(-A) = det A at even size.  On a V that is itself
+    r * W^T or r * W the signs multiply and the transposes cancel, and W
+    itself comes back when both do: a chain of these is one level deep.
     """
     match v._origin:
-        case (("mirror" | "reverse" | "inverse") as inner, w):
-            if inner == op:
-                return w
-            op, v = ({"mirror", "reverse", "inverse"} - {op, inner}).pop(), w
-    return SeifertMatrix._from_origin((op, v), v.size)
+        case ("signed", w, r, t):
+            v, s, transposed = w, r * s, t != transposed
+    if s == 1 and not transposed:
+        return v
+    return SeifertMatrix._from_origin(("signed", v, s, transposed), v.size)
 
 
 def connected_sum(v: SeifertMatrix, w: SeifertMatrix) -> SeifertMatrix:
-    """V and W as the two diagonal blocks.
+    """V and W as the two diagonal blocks, recorded as the flat tuple of
+    the summands of both, none of them a sum.
 
     Unchecked: the skew form is block-diagonal with blocks V - V^T and
     W - W^T, and a block-diagonal determinant is the product of its
     blocks, 1 * 1.
     """
-    return SeifertMatrix._from_origin(("sum", v, w), v.size + w.size)
+    parts = [x._origin[1] if x._origin and x._origin[0] == "sum" else (x,) for x in (v, w)]
+    return SeifertMatrix._from_origin(("sum", parts[0] + parts[1]), v.size + w.size)
 
 
 def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
@@ -498,9 +461,8 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
     Negative n stacks |n| copies of the reversed surface (the curve runs
     backwards along the companion), so it is the |n|-cable of
     `reverse(V)`.  The rows of the 1-cable are V itself, so n = 1 returns
-    V and n = -1 returns `reverse(V)`, and a chain of +-1 cables collapses
-    in the Klein four-group of `_unary`.  Only an n >= 2 cable records
-    its own origin.
+    V and n = -1 returns `reverse(V)`, so a chain of +-1 cables is V or
+    its reverse.  Only an n >= 2 cable records its own origin.
 
     Unchecked: with B = V (n > 0) or V^T (n < 0), the skew form has
     diagonal blocks B - B^T and off-diagonal blocks B - (B^T)^T = 0, so it
@@ -514,16 +476,14 @@ def parallel_cable(v: SeifertMatrix, n: int) -> SeifertMatrix:
     return v if n == 1 else SeifertMatrix._from_origin(("cable", v, n), n * v.size)
 
 
-# the builder that replays each origin but a sum on its parameters or
-# parents, for pickles
+# the builder that replays each origin on its parameters or parents, for pickles
 _BUILDERS = {
     "unknot": unknot,
     "twist": twist_knot_seifert,
     "whitehead": whitehead_double_seifert,
     "torus": torus_knot_seifert,
-    "mirror": mirror,
-    "reverse": reverse,
-    "inverse": concordance_inverse,
+    "signed": _signed,
+    "sum": partial(reduce, connected_sum),
     "cable": parallel_cable,
 }
 
@@ -543,15 +503,13 @@ def _build_rows(v: SeifertMatrix) -> list[dict[int, int]]:
             return [{0: -1 if clasp == "+" else 1, 1: 1}, {}]
         case ("unknot",):
             return []
-        case ("mirror", w):
-            return _transpose(w.rows, -1)
-        case ("reverse", w):
-            return _transpose(w.rows)
-        case ("inverse", w):
-            return [{j: -x for j, x in row.items()} for row in w.rows]
-        case ("sum", _, _):
+        case ("signed", w, s, transposed):
+            if transposed:
+                return _transpose(w.rows, s)
+            return [{j: s * x for j, x in row.items()} for row in w.rows]
+        case ("sum", parts):
             out, offset = [], 0
-            for w in _summands(v):
+            for w in parts:
                 out += ({j + offset: x for j, x in row.items()} for row in w.rows)
                 offset += w.size
             return out
@@ -577,10 +535,10 @@ def signature(v: SeifertMatrix) -> int:
     A table knot reads it from a closed form: a torus leaf from the
     Gordon-Litherland-Murasugi count, the twist knot with m full twists
     has -2 for m < 0 and 0 for m >= 0, and a Whitehead double and the
-    unknot have 0.  A derived V takes it from its parents:
-    sigma(-V^T) = sigma(-V) = -sigma(V), sigma(V^T) = sigma(V), a
-    connected sum adds over its summands (`_summands`), and the n-cable
-    has sigma(V) for odd n and 0 for even n.  The last is Litherland's satellite formula
+    unknot have 0.  A derived V takes it from its parents: s * W^T and
+    s * W have s * sigma(W), a connected sum adds over its summands, and
+    the n-cable has sigma(W) for odd n and 0 for even n.  The last is
+    Litherland's satellite formula
     sigma_w(P(K)) = sigma_w(P) + sigma_(w^m)(K) at w = -1 (Litherland
     1979): the pattern P of `parallel_cable` is unknotted, with winding
     number m = n, and the Levine-Tristram signature sigma_1 is 0.  Only a
@@ -590,14 +548,12 @@ def signature(v: SeifertMatrix) -> int:
     match v._origin:
         case ("torus", p, q):
             return _torus_signature(p, q)
-        case ("mirror" | "inverse", w):
-            return -signature(w)
-        case ("reverse", w):
-            return signature(w)
+        case ("signed", w, s, _):
+            return s * signature(w)
         case ("cable", w, n):
             return signature(w) if n % 2 else 0
-        case ("sum", _, _):
-            return sum(map(signature, _summands(v)))
+        case ("sum", parts):
+            return sum(map(signature, parts))
         case ("twist", m):
             return -2 if m < 0 else 0
         case ("whitehead", _) | ("unknot",):
@@ -615,10 +571,9 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     A table knot reads it from a closed form: a torus leaf from
     `_torus_alexander`, the twist knot with m full twists has
     -m*t + (2m + 1) - m/t, and a Whitehead double and the unknot have 1.
-    A derived V takes it from its parents: the mirror, the reverse and the
-    concordance inverse keep Delta, a connected sum multiplies over its
-    summands (nested sums are flattened by `_summands`), and the n-cable
-    of V has Delta_V(t^n) (Seifert's satellite formula).  Products and
+    A derived V takes it from its parents: s * W^T and s * W keep Delta,
+    a connected sum multiplies over its summands, and the n-cable of W
+    has Delta_W(t^n) (Seifert's satellite formula).  Products and
     substitutions of normalized polynomials are normalized.  A checked
     leaf is the product over its distinct blocks (`_leaf_parts`) of their
     `_interpolated_alexander`: a block of size k takes k/2 determinants
@@ -629,10 +584,10 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     match v._origin:
         case ("torus", p, q):
             return _torus_alexander(p, q)
-        case ("mirror" | "reverse" | "inverse", w):
+        case ("signed", w, *_):
             return alexander_polynomial(w)
-        case ("sum", _, _):
-            return prod(map(alexander_polynomial, _summands(v)), start=LaurentPoly.one())
+        case ("sum", parts):
+            return prod(map(alexander_polynomial, parts), start=LaurentPoly.one())
         case ("cable", w, n):
             return alexander_polynomial(w).substituted(n)
         case ("twist", m):
@@ -654,12 +609,12 @@ def alexander_span(v: SeifertMatrix) -> int:
     Delta, without building Delta where they allow.
 
     A torus leaf T(p, q) has span (p - 1)(q - 1), a twist knot 2 (0 at
-    m = 0), a Whitehead double and the unknot 0.  Mirror, reverse and
-    concordance inverse keep the span, a sum adds its summands', and the
-    n-cable multiplies it by |n|.  In a checked leaf a block B of size k
-    with det B != 0 adds k: f(t) = det(B - t*B^T) has f(0) = det B, and
-    its top coefficient det(-B^T) = det B too, so Delta_B spans all of
-    0..k.  So a leaf whose blocks are all nonsingular takes one
+    m = 0), a Whitehead double and the unknot 0.  s * W^T and s * W keep
+    the span, a sum adds its summands', and the n-cable multiplies it by
+    |n|.  In a checked leaf a block B of size k with det B != 0 adds k:
+    f(t) = det(B - t*B^T) has f(0) = det B, and its top coefficient
+    det(-B^T) = det B too, so Delta_B spans all of 0..k.  So a leaf
+    whose blocks are all nonsingular takes one
     determinant per distinct block, and `_leaf_parts` keeps each det B
     for `alexander_polynomial`.  A leaf with a block of det B = 0 reads
     the span off Delta.
@@ -667,10 +622,10 @@ def alexander_span(v: SeifertMatrix) -> int:
     match v._origin:
         case ("torus", p, q):
             return (p - 1) * (q - 1)
-        case ("mirror" | "reverse" | "inverse", w):
+        case ("signed", w, *_):
             return alexander_span(w)
-        case ("sum", _, _):
-            return sum(map(alexander_span, _summands(v)))
+        case ("sum", parts):
+            return sum(map(alexander_span, parts))
         case ("cable", w, n):
             return n * alexander_span(w)
         case ("twist", m):
@@ -719,21 +674,6 @@ def _sign_and_transpose(key: tuple) -> Iterable[tuple]:
     for k in (key, transposed):
         yield k
         yield tuple(tuple((j, -x) for j, x in row) for row in k)
-
-
-def _summands(v: SeifertMatrix) -> list[SeifertMatrix]:
-    """The matrices that are not sums in the nested connected sum V, left
-    to right.  An explicit stack walks the nesting, so a chain of any
-    length costs no recursion."""
-    out, stack = [], [v]
-    while stack:
-        w = stack.pop()
-        match w._origin:
-            case ("sum", a, b):
-                stack += (b, a)
-            case _:
-                out.append(w)
-    return out
 
 
 def _blocks(rows: SparseRows) -> list[SparseRows]:

@@ -190,24 +190,22 @@ def test_every_sphere_golden_renders_without_the_torus_modules():
     assert out == [str(len(cases)), "differ:"]
 
 
-_PATTERN_COMPILED = """
-import contextlib, io, re
-from dehn4.cli import main
-from dehn4.scenarios import is_single_line
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main({argv!r}) == 0
-before = set(re._cache)
-is_single_line("x")  # compiles the provenance pattern unless a flag already did
-print(len(set(re._cache) - before))
+_FLAGS_BUILT = """
+from dehn4 import scenarios
+built = []
+new = scenarios.HypothesisFlag.__new__
+scenarios.HypothesisFlag.__new__ = staticmethod(
+    lambda cls, *args: built.append(args) or new(cls, *args)
+)
+first, second = (scenarios.build_scenario({scenario!r}).flags for _ in range(2))
+print(first is second, len(first), len(built))
 """
 
 
 @pytest.mark.parametrize(
-    "scenario, compiled", [("sphere-lens", False), ("sphere-smooth-h", True), ("torus-solid", True)]
+    "scenario, count", [("sphere-lens", 0), ("sphere-smooth-h", 2), ("torus-solid", 1)]
 )
-def test_only_a_report_with_flags_compiles_the_provenance_pattern(scenario, compiled):
-    """Default flags are built on a scenario's first build, not at import,
-    so `import dehn4` and a sphere-lens report, which has none, leave the
-    pattern that checks a provenance out of re's cache."""
-    argv = ["report", "--scenario", scenario]
-    assert _run(_PATTERN_COMPILED.format(argv=argv)).split() == ["0" if compiled else "1"]
+def test_build_scenario_returns_the_default_flags_built_at_import(scenario, count):
+    """Default flags are plain tuples built once, at import: two builds
+    return the identical tuple, and no build constructs a HypothesisFlag."""
+    assert _run(_FLAGS_BUILT.format(scenario=scenario)).split() == ["True", str(count), "0"]

@@ -4,8 +4,11 @@ oracle, are NamedTuples: frozen, compared and hashed by value, shown as
 them however they are built."""
 from __future__ import annotations
 
+import base64
 import copy
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -177,22 +180,45 @@ def _sum_chain(count, nest_right):
     return v
 
 
+def _record(v):
+    """v's origin with every parent replaced by its own record, and a
+    checked leaf by "leaf"."""
+    match v._origin:
+        case None:
+            return "leaf"
+        case ("sum", parts):
+            return ("sum", tuple(map(_record, parts)))
+        case (kind, *fields):
+            return (kind, *(_record(x) if isinstance(x, seifert.SeifertMatrix) else x for x in fields))
+
+
 @pytest.mark.parametrize(
     "build, sigma",
     [
         (lambda: parallel_cable(torus_knot_seifert(12, 13), 2), 0),
         (lambda: parallel_cable(torus_knot_seifert(12, 13), -3), -72),
         (lambda: mirror(torus_knot_seifert(20, 21)), 200),
+        (lambda: reverse(torus_knot_seifert(3, 7)), -8),
         (lambda: concordance_inverse(reverse(torus_knot_seifert(5, 7))), 16),
         (lambda: _sum_chain(1200, nest_right=False), -2400),
         (lambda: _sum_chain(1200, nest_right=True), -2400),
+        (
+            lambda: connected_sum(
+                _sum_chain(3, nest_right=False),
+                concordance_inverse(connected_sum(_sum_chain(2, nest_right=True), unknot())),
+            ),
+            -2,
+        ),
     ],
-    ids=["cable-2", "cable-minus-3", "mirror", "inverse-of-reverse", "sum-left", "sum-right"],
+    ids=[
+        "cable-2", "cable-minus-3", "mirror", "reverse", "inverse-of-reverse",
+        "sum-left", "sum-right", "sum-of-sums",
+    ],
 )
 def test_a_derived_matrix_unpickles_through_its_builder(monkeypatch, build, sigma):
     """A derived matrix pickles as its builder replayed on its parents, so
-    it keeps its origin and reads its invariants from the parents' closed
-    forms; a connected sum pickles as its flat list of summands."""
+    it keeps its record, the signed origins one level deep and the sums
+    flat, and reads its invariants from the parents' closed forms."""
     v = build()
     data = pickle.dumps(v)
     calls = []
@@ -203,10 +229,24 @@ def test_a_derived_matrix_unpickles_through_its_builder(monkeypatch, build, sigm
         )
     w = pickle.loads(data)
     assert calls == []
-    assert w is not v and w.size == v.size and w._origin[0] == v._origin[0]
+    assert w is not v and w.size == v.size and _record(w) == _record(v)
     assert signature(w) == signature(v) == sigma
     assert calls == []
     assert w == v and hash(w) == hash(v)
+
+
+# pickles written by the code whose records were ("mirror", W), ("reverse", W),
+# ("inverse", W) and the nested ("sum", W, X), with the rows and signature
+# that code read from them
+OLD_PICKLES = json.loads((Path(__file__).parent / "data" / "seifert_pickles.json").read_text())
+
+
+@pytest.mark.parametrize("name", OLD_PICKLES)
+def test_pickles_of_the_earlier_records_still_load(name):
+    case = OLD_PICKLES[name]
+    v = pickle.loads(base64.b64decode(case["pickle"]))
+    assert [list(row) for row in v.entries] == case["entries"]
+    assert signature(v) == case["signature"]
 
 
 def test_records_that_differ_in_one_field_differ():

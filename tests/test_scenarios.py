@@ -4,6 +4,7 @@ import os
 import re
 import sys
 import tracemalloc
+import unicodedata
 from pathlib import Path
 
 import jsonschema
@@ -726,8 +727,8 @@ def test_omitted_flags_keep_their_defaults():
     ],
 )
 def test_default_flags_are_built_once_and_kept(monkeypatch, name, params):
-    """A scenario's default flags are built on its first build and kept:
-    a later build returns the same flag objects and checks no provenance."""
+    """A scenario's default flags are built once, at import: a build
+    returns the same flag objects and checks no provenance."""
     first = build_scenario(name, **params).flags
     calls = []
     real = scenarios.is_single_line
@@ -807,6 +808,46 @@ def test_knot_name_and_provenance_may_hold_other_text():
     flag = HypothesisFlag("rho-y1", True, "Rokhlin, 1952: μ = 1")
     assert "knot_j=Stevedore 6₁ (twist 2)" in render_text(run("torus-solid", knot_j=knot))
     assert build_scenario("sphere-smooth-h", flags=(flag,)).flags[0] is flag
+
+
+def test_is_single_line_rejects_exactly_the_old_patterns_code_points():
+    """is_single_line tests a set of code points, not a pattern; on every
+    code point it agrees with the pattern it replaced, which is Unicode's
+    Cc, Zl and Zp."""
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    rejected = {c for c in text if not scenarios.is_single_line(c)}
+    assert rejected == set(re.findall("[\x00-\x1f\x7f-\x9f\u2028\u2029]", text))
+    assert rejected == {c for c in text if unicodedata.category(c) in ("Cc", "Zl", "Zp")}
+    assert len(rejected) == 67
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("torus-solid", {}),
+        ("torus-solid", {"n": 0, "knot_k": "unknot"}),  # the flag is false by default
+        ("torus-top-vs-smooth", {}),
+    ],
+)
+def test_torus_incompressible_changes_only_its_own_line(name, params):
+    """torus-incompressible records Gabai's fact; no verdict reads it, so
+    flipping it changes its [x]/[ ] line in text and its value in JSON."""
+    default = build_scenario(name, **params)
+    (flag,) = [f for f in default.flags if f.name == "torus-incompressible"]
+    flipped = build_scenario(name, **params, flags=(flag._replace(value=not flag.value),))
+    before, after = run_scenario(default), run_scenario(flipped)
+    changed = [
+        (a, b)
+        for a, b in zip(render_text(before).splitlines(), render_text(after).splitlines(), strict=True)
+        if a != b
+    ]
+    marks = ("[x]", "[ ]") if flag.value else ("[ ]", "[x]")
+    assert changed == [tuple(f"  {mark} torus-incompressible" for mark in marks)]
+    expected = report_to_json_dict(before)
+    for entry in expected["scenario"]["flags"]:
+        if entry["name"] == "torus-incompressible":
+            entry["value"] = not flag.value
+    assert report_to_json_dict(after) == expected
 
 
 @pytest.mark.parametrize(

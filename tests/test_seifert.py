@@ -862,6 +862,27 @@ def builder_trees(draw, depth=3, budget=24):
     return unary(draw(builder_trees(depth - 1, budget)))
 
 
+def check_record(v):
+    """A signed origin is one level deep and never the identity, and no
+    origin inside a sum is itself a sum, anywhere in v's record."""
+    stack = [v]
+    while stack:
+        match stack.pop()._origin:
+            case ("signed", w, s, transposed):
+                assert s in (1, -1) and (s, transposed) != (1, False)
+                assert w._origin is None or w._origin[0] != "signed"
+                stack.append(w)
+            case ("sum", parts):
+                assert type(parts) is tuple and len(parts) >= 2
+                assert all(w._origin is None or w._origin[0] != "sum" for w in parts)
+                stack += parts
+            case ("cable", w, n):
+                assert n >= 2
+                stack.append(w)
+            case origin:
+                assert origin is None or origin[0] in ("unknot", "twist", "whitehead", "torus")
+
+
 @given(builder_trees())
 def test_builder_tree_invariants_match_the_kernel(v):
     # the identities over the recorded origin, against the kernels run on
@@ -869,6 +890,18 @@ def test_builder_tree_invariants_match_the_kernel(v):
     leaf = SeifertMatrix.from_rows(v.rows)
     assert signature(v) == signature(leaf)
     assert alexander_polynomial(v) == alexander_polynomial(leaf)
+    check_record(v)
+    check_record(connected_sum(v, connected_sum(v, leaf)))
+    # a signed chain is one level deep, and gives back its parent when the
+    # signs and the transposes cancel
+    signed = v._origin is not None and v._origin[0] == "signed"
+    base = v._origin[1] if signed else v
+    for outer in UNARY_ORACLES:
+        twice = outer(outer(v))
+        assert twice._origin == v._origin if signed else twice is v
+        for inner in UNARY_ORACLES:
+            composed = outer(inner(v))
+            assert composed is base or composed._origin[1] is base
 
 
 def leibniz_alexander(v: SeifertMatrix) -> LaurentPoly:
