@@ -9,10 +9,11 @@ stored zero is allowed; the kernels copy the rows without their zeros and
 never change the caller's.  A row that is not a mapping (no `items`) is
 a TypeError (`k in row` would test a dense row's values, not its columns),
 as is an entry whose type is not exactly int (a float, a Fraction or a
-bool is refused, not coerced); a column outside range(n) is a
-ValueError.  Row scaling is lazy: a row with a zero in the pivot column
-would only be multiplied by pivot/prev, and those factors telescope, so
-it is left as it is and keeps the pivot its values belong to.  The work
+bool is refused, not coerced); a column outside range(n), or not an
+int, is a ValueError, also where its entry is a stored zero.  Row
+scaling is lazy: a row with a zero in the pivot column would only be
+multiplied by pivot/prev, and those factors telescope, so it is left as
+it is and keeps the pivot its values belong to.  The work
 is O(sum of fill^2) over the steps, not O(n^3).  There is no rational
 solve and no floating point anywhere.
 """
@@ -28,7 +29,8 @@ SparseRows = Sequence[Mapping[int, int]]
 
 def _copy(m: SparseRows) -> list[dict[int, int]]:
     """Fresh rows without zeros; refuses a row that is not a mapping, an
-    entry that is not an int and a column outside range(len(m))."""
+    entry that is not an int and a column outside range(len(m)), a stored
+    zero's column too."""
     n = len(m)
     rows = []
     for i, row in enumerate(m):
@@ -43,11 +45,10 @@ def _copy(m: SparseRows) -> list[dict[int, int]]:
             for j, x in r.items():
                 if type(x) is not int:  # bool is an int subclass
                     raise TypeError(f"matrix entry [{i}][{j}] must be an int, got {x!r}")
-    rows = [{j: x for j, x in r.items() if x} if 0 in r.values() else r for r in rows]
     cols = set().union(*rows)
-    if cols and (min(cols) < 0 or max(cols) >= n):
+    if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= n):
         raise ValueError(f"a column outside 0..{n - 1}: non-square matrix")
-    return rows
+    return [{j: x for j, x in r.items() if x} if 0 in r.values() else r for r in rows]
 
 
 def det(m: SparseRows) -> int:

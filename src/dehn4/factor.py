@@ -20,7 +20,9 @@ What is left, if it has degree >= 1, goes the classical route (von zur
 Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-15):
 
   * square-free decomposition by Yun's algorithm (Yun 1976), with gcds
-    taken by the primitive remainder sequence;
+    taken by the primitive remainder sequence.  A linear polynomial, or a
+    quadratic a*t^2 + b*t + c with b^2 - 4ac != 0, is already square-free
+    and skips it;
   * a square-free part of degree 1 is irreducible, and one of degree 2
     splits over Z exactly when its discriminant is a perfect square, into
     the primitive parts of 2a*t + b -+ sqrt(b^2 - 4ac); neither goes on;
@@ -131,7 +133,10 @@ def factor_list(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
 def _factor_general(f: list[int]) -> list[tuple[list[int], int]]:
     """[(g, k)]: the irreducible factors g of f, each with its multiplicity
     k, by Yun, Berlekamp, Hensel lifting and Zassenhaus, for f primitive
-    of degree >= 1 with positive leading coefficient."""
+    of degree >= 1 with positive leading coefficient.  A linear f, or a
+    quadratic with b^2 - 4ac != 0, is square-free and skips Yun."""
+    if len(f) == 2 or len(f) == 3 and f[1] * f[1] != 4 * f[0] * f[2]:
+        return [(g, 1) for g in _zassenhaus(f)]
     return [(g, k) for part, k in _square_free_parts(f) for g in _zassenhaus(part)]
 
 

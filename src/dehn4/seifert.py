@@ -12,11 +12,15 @@ and a three-valued sliceness verdict.
 `exact` kernels.  The public constructors, `SeifertMatrix(entries)` and
 `SeifertMatrix.from_rows`, are the one trust boundary: every matrix that
 enters there, from a `{"seifert": ...}` spec or a caller's rows, is
-checked at once in this order: each entry an int, the matrix square, its
-size even, and det(V - V^T) = 1, taken by `det` from sparse rows.  Such a
-matrix is a checked leaf.  Every other matrix is a builder record made by
-`SeifertMatrix._from_origin`, which stores only the size of V and its
-origin, one of:
+checked at once in this order: each entry an int, the matrix square (a
+stored zero's column too), its size even, and det(V - V^T) = 1.  The last
+is taken by `det` once per distinct block: `_checked` splits V into the
+principal blocks on the components of its support graph (`_blocks`) and
+groups them up to sign and transpose, and det(V - V^T) is the product of
+the blocks' det(B - B^T), Pfaffian squares, so it is 1 exactly when each
+is.  Such a matrix is a checked leaf, and keeps those classes.  Every
+other matrix is a builder record made by `SeifertMatrix._from_origin`,
+which stores only the size of V and its origin, one of:
   * a table knot and its parameters: the unknot, a twist knot, a
     Whitehead double or a torus knot;
   * ("signed", W, s, transposed), which is s * W^T or s * W for s = +-1:
@@ -61,20 +65,21 @@ The -n-cable of W is the n-cable of W^T and the 1-cable is W itself, so
 `parallel_cable` returns W or its reverse for n = +-1.  A cable with
 |n| >= 2 nests one level and is |n| times its parent's size, so a chain
 of depth d has size at least 2^d.  The kernels run only on the checked
-leaves.  `signature` passes the kernel the sparse rows of V + V^T.
-`alexander_polynomial` splits a leaf into the principal blocks on the
-components of its support graph (one block for a connected V): a
-simultaneous permutation makes V - t*V^T block-diagonal, so Delta is the
-product of the blocks' det(B - t*B^T), each interpolated on its own from
-k/2 determinants for a block of size k.  A sum of two g x g blocks then
-takes g determinants of size g, where the whole leaf would take g of
-size 2g.  Blocks equal up to sign or transpose share one Delta, so
-K # -K takes g/2.  The first of a block's determinants, det B, is also
-its top coefficient, so `alexander_span` reads the span of Delta from
-the record and from one det B per distinct block: the Fox-Milnor test
-refuses a Delta wider than its bound before any interpolation.  Each
-kernel result is kept on its immutable leaf, so the one companion of a
-report is eliminated once however many class knots are built from it.
+leaves, one distinct block at a time (one block for a connected V): a
+simultaneous permutation makes V + V^T and V - t*V^T block-diagonal.
+`signature` passes the kernel the sparse rows of B + B^T, and a block
+and its negative cancel, so K # -K takes no elimination.
+`alexander_polynomial` is the product of the blocks' det(B - t*B^T),
+each interpolated on its own from k/2 determinants for a block of size
+k.  A sum of two g x g blocks then takes g determinants of size g, where
+the whole leaf would take g of size 2g.  Blocks equal up to sign or
+transpose share one Delta, so K # -K takes g/2.  The first of a block's
+determinants, det B, is also its top coefficient, so `alexander_span`
+reads the span of Delta from the record and from one det B per distinct
+block: the Fox-Milnor test refuses a Delta wider than its bound before
+any interpolation.  Each kernel result is kept on its immutable leaf, so
+the one companion of a report is eliminated once however many class
+knots are built from it.
 
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
@@ -106,13 +111,14 @@ class SeifertMatrix:
     sparse ones; both check what they are given (see the module
     docstring), and make a checked leaf.  A table knot or a derived matrix
     comes from `_from_origin` and builds its `rows` from its origin on
-    first read.  Only a checked leaf runs the kernels, and keeps their
-    results, the signature and the Alexander polynomial; every other
-    matrix reads its invariants from its origin.  Equality and hashing
-    read `rows` only, so neither the origin nor a kept result changes
-    them.  `entries` is a dense view, a new tuple of tuples on each
-    access.  The matrix is immutable, so a copy or a deep copy is the
-    matrix itself, and a pickle replays how it was made.
+    first read.  Only a checked leaf runs the kernels, on the distinct
+    blocks it keeps from its check, and keeps their results, the
+    signature and the Alexander polynomial; every other matrix reads its
+    invariants from its origin.  Equality and hashing read `rows` only,
+    so neither the origin nor a kept result changes them.  `entries` is
+    a dense view, a new tuple of tuples on each access.  The matrix is
+    immutable, so a copy or a deep copy is the matrix itself, and a
+    pickle replays how it was made.
     """
 
     __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander", "_parts")
@@ -124,7 +130,7 @@ class SeifertMatrix:
         if any(len(row) != len(dense) for row in dense):
             raise ValueError("Seifert matrix must be square")
         rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
-        self._store(None, len(rows), _checked(rows))
+        self._store(None, len(rows), *_checked(rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping[int, int]]) -> SeifertMatrix:
@@ -132,7 +138,7 @@ class SeifertMatrix:
         sparse = [dict(row) for row in rows]
         _check_ints(sparse)
         v = cls.__new__(cls)
-        v._store(None, len(sparse), _checked(sparse))
+        v._store(None, len(sparse), *_checked(sparse))
         return v
 
     @classmethod
@@ -153,16 +159,18 @@ class SeifertMatrix:
         det(V - V^T).
         """
         v = cls.__new__(cls)
-        v._store(origin, size, None)
+        v._store(origin, size, None, None)
         return v
 
-    def _store(self, origin: tuple | None, size: int, rows: list[dict[int, int]] | None) -> None:
+    def _store(
+        self, origin: tuple | None, size: int, rows: list[dict[int, int]] | None, parts: list | None
+    ) -> None:
         object.__setattr__(self, "_origin", origin)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "_rows", None if rows is None else _frozen(rows))
         object.__setattr__(self, "_signature", None)
         object.__setattr__(self, "_alexander", None)
-        object.__setattr__(self, "_parts", None)
+        object.__setattr__(self, "_parts", parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeifertMatrix is immutable")
@@ -228,22 +236,43 @@ def _check_ints(rows: list[dict[int, int]]) -> None:
                 raise ValueError(f"matrix entry [{i}][{j}] must be an integer, got {x!r}")
 
 
-def _checked(rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """The int rows of V without their zeros, once every column is in
-    range, the size is even and det(V - V^T) = 1; or a ValueError."""
+def _checked(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[list]]:
+    """The int rows of V without their zeros and V's distinct blocks, once
+    every column, stored zeros included, is in range, the size is even
+    and det(V - V^T) = 1; or a ValueError.
+
+    The blocks are those of `_blocks`, grouped up to sign and transpose
+    into [B, plus, minus, None]: plus counts the blocks B and B^T, minus
+    the blocks -B and -B^T, and `_leaf_parts` fills in det B.  A block is
+    keyed by its relabeled rows, sorted, and joins the class that holds
+    one of its four keys.  One simultaneous permutation makes V - V^T
+    block-diagonal, so det(V - V^T) is the product of the blocks'
+    det(B - B^T); each is a Pfaffian square, >= 0 and 0 at odd size, and
+    -B, B^T and -B^T share B's.  So det(V - V^T) = 1 exactly when
+    det(B - B^T) = 1 for each distinct B, and that is what is taken.
+    """
     # imported here, so that a report on table knots alone loads no exact
     from dehn4.exact import det
 
-    rows = [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
     n = len(rows)
     cols = set().union(*rows)
     if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= n):
         raise ValueError("Seifert matrix must be square")
     if n % 2 != 0:
         raise ValueError(f"Seifert matrix must have even size, got {n}")
-    if det(_plus_transpose(rows, -1)) != 1:
+    rows = [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
+    parts: dict[tuple, list] = {}
+    for block in _blocks(rows):
+        key = tuple(tuple(sorted(row.items())) for row in block)
+        for i, k in enumerate(_sign_and_transpose(key) if parts else ()):
+            if k in parts:
+                parts[k][1 + i % 2] += 1  # the keys of -B and -B^T come at odd i
+                break
+        else:
+            parts[key] = [block, 1, 0, None]
+    if any(det(_plus_transpose(block, -1)) != 1 for block, *_ in parts.values()):
         raise ValueError("det(V - V^T) must equal 1")
-    return rows
+    return rows, list(parts.values())
 
 
 def _transpose(rows: SparseRows, s: int = 1) -> list[dict[int, int]]:
@@ -542,8 +571,12 @@ def signature(v: SeifertMatrix) -> int:
     sigma_w(P(K)) = sigma_w(P) + sigma_(w^m)(K) at w = -1 (Litherland
     1979): the pattern P of `parallel_cable` is unknotted, with winding
     number m = n, and the Levine-Tristram signature sigma_1 is 0.  Only a
-    checked leaf runs exact congruence diagonalization on its own rows,
-    once: the result is kept on the leaf.
+    checked leaf runs exact congruence diagonalization, once per distinct
+    block B of `_checked`: a simultaneous permutation makes V + V^T
+    block-diagonal, B^T + B is B + B^T and -B and -B^T negate it, so sigma
+    is the sum of (plus - minus) * sigma(B + B^T), and a class with
+    plus = minus, as in K # -K, takes no elimination.  The result is kept
+    on the leaf.
     """
     match v._origin:
         case ("torus", p, q):
@@ -561,7 +594,12 @@ def signature(v: SeifertMatrix) -> int:
     if v._signature is None:
         from dehn4.exact import signature_symmetric
 
-        object.__setattr__(v, "_signature", signature_symmetric(_plus_transpose(v.rows, 1)))
+        sig = sum(
+            (plus - minus) * signature_symmetric(_plus_transpose(block, 1))
+            for block, plus, minus, _ in v._parts
+            if plus != minus
+        )
+        object.__setattr__(v, "_signature", sig)
     return v._signature
 
 
@@ -596,9 +634,9 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
             return LaurentPoly.one()
     if v._alexander is None:
         delta = LaurentPoly.one()
-        for block, count, top in _leaf_parts(v):
+        for block, plus, minus, top in _leaf_parts(v):
             block_delta = _interpolated_alexander(block, top)
-            for _ in range(count):
+            for _ in range(plus + minus):
                 delta = delta * block_delta
         object.__setattr__(v, "_alexander", delta)
     return v._alexander
@@ -633,47 +671,40 @@ def alexander_span(v: SeifertMatrix) -> int:
         case ("whitehead", _) | ("unknot",):
             return 0
     parts = _leaf_parts(v)
-    if all(top for _, _, top in parts):
-        return sum(count * len(block) for block, count, _ in parts)
+    if all(top for *_, top in parts):
+        return sum((plus + minus) * len(block) for block, plus, minus, _ in parts)
     return alexander_polynomial(v).span
 
 
-def _leaf_parts(v: SeifertMatrix) -> list[tuple[SparseRows, int, int]]:
-    """(B, multiplicity, det B) for each block B of the checked leaf v
-    (`_blocks`), up to sign and transpose, in the order the blocks first
-    appear; made once and kept on v.
+def _leaf_parts(v: SeifertMatrix) -> list[list]:
+    """The distinct blocks [B, plus, minus, det B] of the checked leaf v,
+    as `_checked` groups them, each det B taken on first use and kept.
 
     For B of even size k, det(-B + t*B^T) = (-1)^k det(B - t*B^T) and
     det(B^T - t*B) = det((B - t*B^T)^T), so -B, B^T and -B^T have B's
-    det and Delta.  A block is keyed by its relabeled rows, sorted, and
-    counts toward the first block under any of the four keys.
+    det and Delta: a class adds plus + minus copies of B's.
     """
-    if v._parts is None:
+    parts = v._parts
+    if parts and parts[-1][3] is None:
         from dehn4.exact import det
 
-        parts: dict[tuple, list] = {}
-        for block in _blocks(v.rows):
-            key = tuple(tuple(sorted(row.items())) for row in block)
-            seen = next((k for k in _sign_and_transpose(key) if k in parts), None)
-            if seen is None:
-                parts[key] = [block, 1]
-            else:
-                parts[seen][1] += 1
-        tops = [(block, count, det(block)) for block, count in parts.values()]
-        object.__setattr__(v, "_parts", tops)
-    return v._parts
+        for part in parts:
+            part[3] = det(part[0])
+    return parts
 
 
 def _sign_and_transpose(key: tuple) -> Iterable[tuple]:
-    """The keys of B, -B, B^T and -B^T, for B keyed by its sorted rows."""
+    """The keys of B, -B, B^T and -B^T, for B keyed by its sorted rows,
+    each made only when the one before it is not the one looked for."""
+    yield key
+    yield tuple(tuple((j, -x) for j, x in row) for row in key)
     columns: list[list[tuple[int, int]]] = [[] for _ in key]
     for i, row in enumerate(key):
         for j, x in row:
             columns[j].append((i, x))  # i ascends, so each column is sorted
     transposed = tuple(map(tuple, columns))
-    for k in (key, transposed):
-        yield k
-        yield tuple(tuple((j, -x) for j, x in row) for row in k)
+    yield transposed
+    yield tuple(tuple((j, -x) for j, x in row) for row in transposed)
 
 
 def _blocks(rows: SparseRows) -> list[SparseRows]:
@@ -683,11 +714,11 @@ def _blocks(rows: SparseRows) -> list[SparseRows]:
 
     One simultaneous permutation makes V, and so V - t*V^T, block-diagonal
     with these blocks, and det(P M P^T) = det M: Delta is the product of
-    the blocks' determinants.  Each det(B - B^T) is a Pfaffian square, and
-    their product is det(V - V^T) = 1, so every block has even size and
-    det(B - B^T) = 1.  A connected V is one block, its own rows.  A block
-    keeps the order of its indices in V, so two blocks laid out alike in V
-    get the same labels.
+    the blocks' determinants.  `_checked` takes det(B - B^T), a Pfaffian
+    square, of each distinct block, where det(V - V^T) is their product.
+    A connected V is one block, its own rows.  A block keeps the order of
+    its indices in V, so two blocks laid out alike in V get the same
+    labels.
     """
     adjacent: list[list[int]] = [list(row) for row in rows]
     for i, row in enumerate(rows):

@@ -89,6 +89,12 @@ def test_kernels_drop_stored_zeros():
     assert det([{0: 0}]) == 0
     assert signature_symmetric([{0: 2, 1: 0}, {0: 0, 1: -3}]) == 0
     assert signature_symmetric([{0: 0, 1: 1}, {1: 0, 0: 1}]) == 0
+    # [[1]], but for a zero stored in a column outside 0..0
+    for m in [{0: 1, 5: 0}], [{0: 1, -1: 0}], [{0: 1, "x": 0}]:
+        with pytest.raises(ValueError, match=r"a column outside 0\.\.0"):
+            det(m)
+        with pytest.raises(ValueError, match=r"a column outside 0\.\.0"):
+            signature_symmetric(m)
 
 
 @settings(max_examples=200)

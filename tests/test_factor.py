@@ -299,15 +299,24 @@ def test_every_small_quadratic_factors_as_sympy_factors_it():
 
 def test_a_quadratic_splits_without_berlekamp_or_hensel(monkeypatch):
     # the stevedore's 2t^2 - 5t + 2 = (2t - 1)(t - 2), and t^2 + t - 1,
-    # irreducible, whose value 5 at t = 2 is the value of Phi_4
+    # irreducible, whose value 5 at t = 2 is the value of Phi_4; a nonzero
+    # discriminant makes a quadratic square-free, so only (2t - 1)^2 takes Yun
     def refuse(*args):
         raise AssertionError("a quadratic reached Berlekamp or Hensel lifting")
 
     monkeypatch.setattr(factor, "_berlekamp_basis", refuse)
     monkeypatch.setattr(factor, "_hensel_lift", refuse)
+    yun = []
+    square_free_parts = factor._square_free_parts
+    monkeypatch.setattr(
+        factor, "_square_free_parts", lambda f: yun.append(f) or square_free_parts(f)
+    )
     assert factor_list((2, -5, 2)) == [((1, -2), 1), ((2, -1), 1)]
     assert factor_list((1, 1, -1)) == [((1, 1, -1), 1)]
     assert factor_list((4, 0, 1)) == [((4, 0, 1), 1)]  # discriminant -16
+    assert yun == []
+    assert factor_list((4, -4, 1)) == [((2, -1), 2)]  # discriminant 0
+    assert len(yun) == 1
 
 
 @pytest.mark.parametrize("coeffs", [(), (0,), (1, 0), (2, 4), (3, 0, 6), (6,)])

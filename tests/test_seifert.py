@@ -1,3 +1,6 @@
+import json
+import random
+from functools import reduce
 from itertools import permutations
 from math import gcd, isqrt
 
@@ -376,10 +379,71 @@ def test_seifert_matrix_from_rows_checks():
         SeifertMatrix.from_rows([{0: -1, 2: 1}, {1: -1}])
     with pytest.raises(ValueError, match="square"):
         SeifertMatrix.from_rows([{0: -1, -1: 1}, {1: -1}])
+    # the trefoil's rows, but for zeros stored in columns outside 0..1
+    for rows in [{0: -1, 1: 1, 7: 0, "x": 0}, {1: -1}], [{0: -1, 1: 1, -1: 0}, {1: -1}]:
+        with pytest.raises(ValueError, match="square"):
+            SeifertMatrix.from_rows(rows)
     with pytest.raises(ValueError, match="even"):
         SeifertMatrix.from_rows([{0: 1}])
     with pytest.raises(ValueError, match="det"):
         SeifertMatrix.from_rows([{}, {}])
+
+
+def test_the_trust_boundary_takes_one_skew_determinant_per_distinct_block(monkeypatch):
+    # T(4,5) # -T(4,5) as rows: two 12 x 12 blocks, equal up to sign, so the
+    # boundary takes one det(B - B^T) at size 12, and sigma = sigma(B) -
+    # sigma(B) = 0 takes no elimination
+    v = torus_knot_seifert(4, 5)
+    rows = [list(r) for r in connected_sum(v, concordance_inverse(v)).entries]
+    dets, sigs = [], []
+    monkeypatch.setattr(exact, "det", lambda m: dets.append(len(m)) or det(m))
+    monkeypatch.setattr(
+        exact, "signature_symmetric", lambda m: sigs.append(len(m)) or signature_symmetric(m)
+    )
+    scenario = build_scenario("torus-solid", n=1, knot_j={"seifert": rows}, knot_k="unknot")
+    assert dets == [12]
+    report = run_scenario(scenario)
+    assert sigs == []
+    verdicts = [t.output for t in report.trace if t.operation == "algebraic_slice_verdict"]
+    assert [out["signature"] for out in verdicts] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "summands, copies",
+    [
+        ((TREFOIL, TREFOIL), 2),
+        ((TREFOIL, concordance_inverse(TREFOIL), reverse(TREFOIL)), 1),  # B, -B, B^T
+    ],
+    ids=["t23-t23", "t23-minus-t23-reverse-t23"],
+)
+def test_a_repeated_block_takes_one_signature_elimination(monkeypatch, summands, copies):
+    # T(2,3) # T(2,3) as rows: two equal 2 x 2 blocks, so one elimination of
+    # B + B^T gives 2 * sigma(B); beside -B and B^T, one copy of B is left
+    v = SeifertMatrix(reduce(connected_sum, summands).entries)
+    sizes = []
+    monkeypatch.setattr(
+        exact, "signature_symmetric", lambda m: sizes.append(len(m)) or signature_symmetric(m)
+    )
+    assert signature(v) == copies * signature(TREFOIL)
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0], [0, 1]],  # two 1 x 1 blocks, each of det(B - B^T) = 0
+        [list(r) for r in block_diagonal(TREFOIL.entries, ((2, 1), (1, 0)))],  # 1 and 0
+    ],
+    ids=["two-odd-blocks", "good-beside-singular"],
+)
+def test_a_block_of_skew_determinant_other_than_1_is_refused(capsys, rows):
+    n = len(rows)
+    assert dense_det([[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]) == 0
+    spec = json.dumps({"seifert": rows})
+    assert cli.main(["report", "--scenario", "torus-solid", "--knot-j", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["dehn4: error: knot_j: det(V - V^T) must equal 1"]
 
 
 def test_every_builder_checks_unimodularity(monkeypatch):
@@ -985,6 +1049,49 @@ def test_alexander_of_an_interleaved_block_sum(case):
     for part in parts:
         product = product * newton_alexander(part)
     assert delta == product
+
+
+@st.composite
+def signed_block_sums(draw):
+    """Up to four blocks s * B or s * B^T, s = +-1, with B one of at most two
+    matrices, each a random Seifert matrix or a small square integer matrix
+    that may be odd, singular or of det(B - B^T) != 1; their block sum
+    under one seeded simultaneous permutation, as dense rows."""
+    def square(k):
+        row = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+        return st.lists(row, min_size=k, max_size=k)
+
+    seifert = seifert_matrices(max_genus=2).map(lambda v: v.entries)
+    matrices = st.one_of(seifert, st.integers(1, 3).flatmap(square))
+    base = draw(st.lists(matrices, min_size=1, max_size=2))
+    signed = st.tuples(st.sampled_from(base), st.sampled_from((1, -1)), st.booleans())
+    blocks = [
+        [[s * x for x in row] for row in (transpose(b) if t else b)]
+        for b, s, t in draw(st.lists(signed, min_size=1, max_size=4))
+    ]
+    whole = block_diagonal(*blocks)
+    order = list(range(len(whole)))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(order)
+    return [[whole[i][j] for j in order] for i in order]
+
+
+@given(signed_block_sums())
+def test_checked_leaf_invariants_match_the_dense_oracles_on_signed_block_sums(rows):
+    # the boundary accepts exactly the V with det(V - V^T) = 1, by the dense
+    # oracle on the whole matrix, and the per-block signature and Delta
+    # are the whole matrix's
+    n = len(rows)
+    try:
+        v = SeifertMatrix(rows)
+    except ValueError:
+        v = None
+    skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
+    assert (v is not None) == (dense_det(skew) == 1)
+    if v is not None:
+        sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+        assert signature(v) == dense_signature_symmetric(sym)
+        assert alexander_polynomial(v) == newton_alexander(v)
+        assert alexander_span(v) == alexander_polynomial(v).span
 
 
 def test_alexander_of_a_block_up_to_sign_and_transpose_runs_the_kernel_once(monkeypatch):
