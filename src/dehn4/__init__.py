@@ -3,13 +3,16 @@ solid tori in the boundaries of 4-manifolds.
 
 Modules by topic:
   exact       sparse fraction-free Bareiss determinant and signature
-              on sparse rows
+              on sparse rows, and the checked-leaf layer of seifert:
+              the trust boundary and a checked matrix's invariants
+              from its distinct blocks
   laurent     integer Laurent polynomials (Alexander polynomials)
   factor      factorization over Z of small-degree polynomials
               (Yun, Berlekamp, Hensel lifting, Zassenhaus)
-  seifert     Seifert matrices as sparse rows, checked or table knots
-              in closed form, Alexander polynomials, signatures,
-              Fox-Milnor, sliceness verdicts
+  seifert     Seifert matrices as sparse rows, table knots and derived
+              matrices in closed form, Alexander polynomials,
+              signatures, sliceness verdicts
+  foxmilnor   the Fox-Milnor test on an Alexander polynomial
   forms       even form classes a*E8 + b*H, splitting enumeration under
               Rokhlin constraints, lens-space QR test
   scenarios   the named end-to-end obstruction reports, with the torus

@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .report import render
 from .scenarios import (
@@ -82,6 +81,9 @@ _JSON_TYPES = {
 
 
 def _load_config(path: str) -> dict:
+    # imported here, its one use, so that a report without --config loads no pathlib
+    from pathlib import Path
+
     candidate = Path(path)
     if not candidate.is_absolute():
         search_dir = os.environ.get("DEHN4_CONFIG_DIR")

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: the determinant and signature kernels.
+"""Exact integer linear algebra, and the checked-leaf layer of `seifert`.
 
 `det` for determinants and `signature_symmetric` for signatures are
 fraction-free Bareiss elimination on arbitrary-precision integers, each
@@ -16,12 +16,32 @@ multiplied by pivot/prev, and those factors telescope, so it is left as
 it is and keeps the pivot its values belong to.  The work
 is O(sum of fill^2) over the steps, not O(n^3).  There is no rational
 solve and no floating point anywhere.
+
+The rest is the code `seifert` runs only on a checked leaf, the matrix
+that `SeifertMatrix(entries)` or `SeifertMatrix.from_rows` makes from a
+caller's rows.  `seifert` imports this module exactly then, so a report
+on table knots and their derived matrices compiles none of it:
+  * the trust boundary, `check_ints` and `checked`: every entry an int,
+    every column in range, an even size and det(V - V^T) = 1, taken once
+    per distinct block (see `checked`); it returns V's rows without
+    their zeros and its distinct blocks, the classes [B, plus, minus,
+    det B] that the leaf keeps;
+  * the leaf's invariants from those classes: `leaf_signature`, the sum
+    of (plus - minus) * sigma(B + B^T); `block_dets`, each det B on first
+    use, which is also the top coefficient of B's Delta, for
+    `seifert.alexander_span`; and `leaf_alexander`, the product of the
+    blocks' Delta, each interpolated from k/2 determinants for a block
+    of size k (`_interpolated_alexander`).
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import chain
-from typing import Sequence
+from math import comb
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .laurent import LaurentPoly
 
 IntMatrix = tuple[tuple[int, ...], ...]
 SparseRows = Sequence[Mapping[int, int]]
@@ -172,3 +192,220 @@ def _add_row(rows, scale, k, off, prev) -> None:
             r[k] = x
         else:
             del r[k]  # x == 0 needs r[k] == -r[off] != 0
+
+
+def check_ints(rows: list[dict[int, int]]) -> None:
+    """An entry that is not an int (bool, float, str) is a ValueError naming [i][j]."""
+    if set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
+        return
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if type(x) is not int:  # bool is an int subclass
+                raise ValueError(f"matrix entry [{i}][{j}] must be an integer, got {x!r}")
+
+
+def checked(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[list]]:
+    """The int rows of V without their zeros and V's distinct blocks, once
+    every column, stored zeros included, is in range, the size is even
+    and det(V - V^T) = 1; or a ValueError.
+
+    The blocks are those of `_blocks`, grouped up to sign and transpose
+    into [B, plus, minus, None]: plus counts the blocks B and B^T, minus
+    the blocks -B and -B^T, and `block_dets` fills in det B.  A block is
+    keyed by its relabeled rows, sorted, and joins the class that holds
+    one of its four keys.  One simultaneous permutation makes V - V^T
+    block-diagonal, so det(V - V^T) is the product of the blocks'
+    det(B - B^T); each is a Pfaffian square, >= 0 and 0 at odd size, and
+    -B, B^T and -B^T share B's.  So det(V - V^T) = 1 exactly when
+    det(B - B^T) = 1 for each distinct B, and that is what is taken.
+    """
+    n = len(rows)
+    cols = set().union(*rows)
+    if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= n):
+        raise ValueError("Seifert matrix must be square")
+    if n % 2 != 0:
+        raise ValueError(f"Seifert matrix must have even size, got {n}")
+    rows = [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
+    parts: dict[tuple, list] = {}
+    for block in _blocks(rows):
+        key = tuple(tuple(sorted(row.items())) for row in block)
+        for i, k in enumerate(_sign_and_transpose(key) if parts else ()):
+            if k in parts:
+                parts[k][1 + i % 2] += 1  # the keys of -B and -B^T come at odd i
+                break
+        else:
+            parts[key] = [block, 1, 0, None]
+    if any(det(_plus_transpose(block, -1)) != 1 for block, *_ in parts.values()):
+        raise ValueError("det(V - V^T) must equal 1")
+    return rows, list(parts.values())
+
+
+def _plus_transpose(rows: SparseRows, s: int) -> list[dict[int, int]]:
+    """Sparse rows of V + s * V^T, in O(nnz)."""
+    out = [dict(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            y = out[j].get(i, 0) + s * x
+            if y:
+                out[j][i] = y
+            else:
+                out[j].pop(i, None)
+    return out
+
+
+def _sign_and_transpose(key: tuple) -> Iterator[tuple]:
+    """The keys of B, -B, B^T and -B^T, for B keyed by its sorted rows,
+    each made only when the one before it is not the one looked for."""
+    yield key
+    yield tuple(tuple((j, -x) for j, x in row) for row in key)
+    columns: list[list[tuple[int, int]]] = [[] for _ in key]
+    for i, row in enumerate(key):
+        for j, x in row:
+            columns[j].append((i, x))  # i ascends, so each column is sorted
+    transposed = tuple(map(tuple, columns))
+    yield transposed
+    yield tuple(tuple((j, -x) for j, x in row) for row in transposed)
+
+
+def _blocks(rows: SparseRows) -> list[SparseRows]:
+    """The principal blocks of V on the connected components of its support
+    graph (i ~ j when V[i][j] != 0), each relabeled to 0..k-1, in
+    O(nnz + n log n).
+
+    One simultaneous permutation makes V, and so V - t*V^T, block-diagonal
+    with these blocks, and det(P M P^T) = det M: Delta is the product of
+    the blocks' determinants.  `checked` takes det(B - B^T), a Pfaffian
+    square, of each distinct block, where det(V - V^T) is their product.
+    A connected V is one block, its own rows.  A block keeps the order of
+    its indices in V, so two blocks laid out alike in V get the same
+    labels.
+    """
+    adjacent: list[list[int]] = [list(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            adjacent[j].append(i)
+    seen = [False] * len(rows)
+    position = [0] * len(rows)  # an index's label within its block
+    blocks: list[list[int]] = []
+    for root in range(len(rows)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        members, stack = [], [root]
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in adjacent[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        members.sort()
+        for label, i in enumerate(members):
+            position[i] = label
+        blocks.append(members)
+    if len(blocks) == 1:
+        return [rows]
+    return [[{position[j]: x for j, x in rows[i].items()} for i in members] for members in blocks]
+
+
+def leaf_signature(parts: list[list]) -> int:
+    """sigma(V + V^T) of a checked leaf from its classes [B, plus, minus, _].
+
+    A simultaneous permutation makes V + V^T block-diagonal, B^T + B is
+    B + B^T and -B and -B^T negate it, so sigma is the sum of
+    (plus - minus) * sigma(B + B^T), and a class with plus = minus, as in
+    K # -K, takes no elimination.
+    """
+    return sum(
+        (plus - minus) * signature_symmetric(_plus_transpose(block, 1))
+        for block, plus, minus, _ in parts
+        if plus != minus
+    )
+
+
+def block_dets(parts: list[list]) -> list[list]:
+    """The classes [B, plus, minus, det B] of a checked leaf, each det B
+    taken on first use and kept in its class.
+
+    For B of even size k, det(-B + t*B^T) = (-1)^k det(B - t*B^T) and
+    det(B^T - t*B) = det((B - t*B^T)^T), so -B, B^T and -B^T have B's
+    det and Delta: a class adds plus + minus copies of B's.
+    """
+    if parts and parts[-1][3] is None:
+        for part in parts:
+            part[3] = det(part[0])
+    return parts
+
+
+def leaf_alexander(parts: list[list]) -> LaurentPoly:
+    """Delta of a checked leaf: the product over its classes of plus +
+    minus copies of the block's `_interpolated_alexander`.
+
+    A simultaneous permutation makes V - t*V^T block-diagonal, so Delta
+    is the product of the blocks' det(B - t*B^T).  A block of size k
+    takes k/2 determinants of size k, det B (which `block_dets` may
+    already have taken) and k/2 - 1 more, and a block equal to an
+    earlier one up to sign or transpose takes none.  A sum of two g x g
+    blocks then takes g determinants of size g, where the whole leaf
+    would take g of size 2g, and K # -K takes g/2.
+    """
+    from dehn4.laurent import LaurentPoly
+
+    delta = LaurentPoly.one()
+    for block, plus, minus, top in block_dets(parts):
+        block_delta = _interpolated_alexander(block, top)
+        for _ in range(plus + minus):
+            delta = delta * block_delta
+    return delta
+
+
+def _interpolated_alexander(rows: SparseRows, top: int) -> LaurentPoly:
+    """det(V - t*V^T) from V's sparse rows and top = det V, for V of even
+    size with det(V - V^T) = 1.
+
+    For V of size n = 2m, f(t) = det(V - t*V^T) is palindromic,
+    f(t) = t^n f(1/t), since (V - t*V^T)^T = -t(V - V^T/t) and n is even.
+    So f(t)/t^m is an integer polynomial of degree <= m in Conway's
+    variable u = (t - 1)^2/t: f(t) = sum_j c_j t^(m-j) (t - 1)^(2j).  The
+    top coefficient is c_m = f(0) = det V, the given top, and the bottom
+    one is free: t = 1 is u = 0, where f(1) = det(V - V^T) = 1, so
+    c_0 = 1.  The rest come from `det` at the m - 1 integer nodes t = 2,
+    -1, 3, -2, 4, ..., whose u are distinct and nonzero and whose |t|
+    stays small (the entries of V - t*V^T grow with |t|), by exact Newton
+    interpolation over Fractions of f(t)/t^m - c_m u^m, which has degree
+    <= m - 1, on u = 0 and those nodes.  That is m - 1 determinants.  A
+    c_j that is not an integer raises ArithmeticError.
+
+    The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
+    """
+    # imported on first use, so that a report that interpolates nothing skips them
+    from fractions import Fraction
+
+    from dehn4.laurent import LaurentPoly
+
+    m = len(rows) // 2
+
+    def f(t: int) -> int:
+        return det(_plus_transpose(rows, -t))
+
+    nodes = [2 + k // 2 if k % 2 == 0 else -1 - k // 2 for k in range(m - 1)]
+    us = [Fraction(0)] + [Fraction((t - 1) ** 2, t) for t in nodes]
+    dd = [Fraction(1)] + [Fraction(f(t), t**m) - top * u**m for t, u in zip(nodes, us[1:])]
+    # in place: after step k, dd[i] is the divided difference on nodes i-k .. i
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (us[i] - us[i - k])
+    # expand the Newton form dd[0] + dd[1](u - u0) + ... by Horner's rule,
+    # lowest degree first: cs <- cs * (u - u_k) + dd[k]
+    cs: list[Fraction] = []
+    for k in range(m - 1, -1, -1):
+        cs = [a - us[k] * b for a, b in zip([0] + cs, cs + [0])]
+        cs[0] += dd[k]
+    if any(c.denominator != 1 for c in cs):
+        raise ArithmeticError("det(V - t*V^T) is not an integer polynomial in (t - 1)^2/t")
+    # sum_j c_j t^(m-j) (t - 1)^(2j), expanded by binomials; LaurentPoly adds like terms
+    return LaurentPoly(
+        (m - j + i, (-1) ** i * comb(2 * j, i) * c)
+        for j, c in enumerate([int(c) for c in cs] + [top])
+        for i in range(2 * j + 1)
+    ).normalized()

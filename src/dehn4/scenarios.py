@@ -32,11 +32,14 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # Each library module serves only some scenarios, so the run functions and
 # the knot branches import it on first use: forms the three sphere
-# scenarios, seifert (with laurent) the three torus scenarios, and seifert
-# imports exact only for a checked leaf, from a {"seifert": ...} spec.
-# `import dehn4` and a sphere report load no torus code.  The imports are
-# absolute, since a relative `from . import x` also runs two importlib
-# functions in Python each time: about 1 us in a report against 0.5 us.
+# scenarios and seifert the three torus scenarios.  seifert in turn
+# imports laurent where it builds an Alexander polynomial, foxmilnor for
+# a Delta to test, and exact only for a checked leaf, from a
+# {"seifert": ...} spec.  `import dehn4` and a sphere report load no torus
+# code, and a torus report whose signatures decide loads seifert alone.
+# The imports are absolute, since a relative `from . import x` also runs
+# two importlib functions in Python each time: about 1 us in a report
+# against 0.5 us.
 # A report builds only what its inputs change: default flags are built
 # once, at import (`_fixed_flags`), and twist-extension makes its
 # companion record from (p, q) without build_scenario.

@@ -8,19 +8,26 @@ provides constructors for a small table of knots, the usual algebra
 chain: signature, Alexander polynomial, Fox-Milnor factorization test,
 and a three-valued sliceness verdict.
 
+This module holds what a report on table knots and their derived
+matrices runs.  The rest lives where only its first use loads it: the
+code of a checked leaf in `exact`, the Fox-Milnor test in `foxmilnor`
+(imported by `algebraic_slice_verdict` for a Delta it has to test), and
+`laurent` where an Alexander polynomial is built.  `fox_milnor`,
+`FoxMilnorResult`, `FoxMilnorFailure` and `FactorizationBoundError` are
+still read from this module by name: its `__getattr__` loads `foxmilnor`
+on first access, so pickles and callers that name them here still work.
+
 `SeifertMatrix` keeps V as immutable sparse rows, the input form of the
 `exact` kernels.  The public constructors, `SeifertMatrix(entries)` and
 `SeifertMatrix.from_rows`, are the one trust boundary: every matrix that
 enters there, from a `{"seifert": ...}` spec or a caller's rows, is
-checked at once in this order: each entry an int, the matrix square (a
-stored zero's column too), its size even, and det(V - V^T) = 1.  The last
-is taken by `det` once per distinct block: `_checked` splits V into the
-principal blocks on the components of its support graph (`_blocks`) and
-groups them up to sign and transpose, and det(V - V^T) is the product of
-the blocks' det(B - B^T), Pfaffian squares, so it is 1 exactly when each
-is.  Such a matrix is a checked leaf, and keeps those classes.  Every
-other matrix is a builder record made by `SeifertMatrix._from_origin`,
-which stores only the size of V and its origin, one of:
+checked at once by `exact.check_ints` and `exact.checked`, in this
+order: each entry an int, the matrix square (a stored zero's column too),
+its size even, and det(V - V^T) = 1, taken once per distinct block up to
+sign and transpose.  Such a matrix is a checked leaf, and keeps those
+classes of blocks.  Every other matrix is a builder record made by
+`SeifertMatrix._from_origin`, which stores only the size of V and its
+origin, one of:
   * a table knot and its parameters: the unknot, a twist knot, a
     Whitehead double or a torus knot;
   * ("signed", W, s, transposed), which is s * W^T or s * W for s = +-1:
@@ -65,21 +72,15 @@ The -n-cable of W is the n-cable of W^T and the 1-cable is W itself, so
 `parallel_cable` returns W or its reverse for n = +-1.  A cable with
 |n| >= 2 nests one level and is |n| times its parent's size, so a chain
 of depth d has size at least 2^d.  The kernels run only on the checked
-leaves, one distinct block at a time (one block for a connected V): a
-simultaneous permutation makes V + V^T and V - t*V^T block-diagonal.
-`signature` passes the kernel the sparse rows of B + B^T, and a block
-and its negative cancel, so K # -K takes no elimination.
-`alexander_polynomial` is the product of the blocks' det(B - t*B^T),
-each interpolated on its own from k/2 determinants for a block of size
-k.  A sum of two g x g blocks then takes g determinants of size g, where
-the whole leaf would take g of size 2g.  Blocks equal up to sign or
-transpose share one Delta, so K # -K takes g/2.  The first of a block's
-determinants, det B, is also its top coefficient, so `alexander_span`
-reads the span of Delta from the record and from one det B per distinct
-block: the Fox-Milnor test refuses a Delta wider than its bound before
-any interpolation.  Each kernel result is kept on its immutable leaf, so
-the one companion of a report is eliminated once however many class
-knots are built from it.
+leaves, one distinct block at a time (see `exact`): a block and its
+negative cancel in the signature, so K # -K takes no elimination, and
+blocks equal up to sign or transpose share one Delta.  The first of a
+block's determinants, det B, is also its top coefficient, so
+`alexander_span` reads the span of Delta from the record and from one
+det B per distinct block: the Fox-Milnor test refuses a Delta wider than
+its bound before any interpolation.  Each kernel result is kept on its
+immutable leaf, so the one companion of a report is eliminated once
+however many class knots are built from it.
 
 Sign conventions (documented, tests pin them down):
   * the right-handed trefoil torus_knot_seifert(2, 3) has signature -2;
@@ -90,16 +91,18 @@ from __future__ import annotations
 from enum import Enum
 from functools import partial, reduce
 from itertools import chain
-from math import comb, gcd, isqrt, prod
+from math import gcd
+from operator import mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .laurent import LaurentPoly
 # the two live in scenarios, so that the sphere reports and config files load no seifert
 from .scenarios import is_single_line, parse_json
 
 if TYPE_CHECKING:
     from .exact import IntMatrix, SparseRows
+    from .foxmilnor import FoxMilnorResult
+    from .laurent import LaurentPoly
 
 
 class SeifertMatrix:
@@ -124,21 +127,25 @@ class SeifertMatrix:
     __slots__ = ("_rows", "size", "_origin", "_signature", "_alexander", "_parts")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
+        from dehn4.exact import check_ints, checked
+
         dense = [list(row) for row in entries]
         if not set(map(type, chain.from_iterable(dense))) <= {int}:
-            _check_ints([dict(enumerate(row)) for row in dense])
+            check_ints([dict(enumerate(row)) for row in dense])
         if any(len(row) != len(dense) for row in dense):
             raise ValueError("Seifert matrix must be square")
         rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
-        self._store(None, len(rows), *_checked(rows))
+        self._store(None, len(rows), *checked(rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping[int, int]]) -> SeifertMatrix:
         """From sparse rows {column: entry}, one per row; zeros may be stored."""
+        from dehn4.exact import check_ints, checked
+
         sparse = [dict(row) for row in rows]
-        _check_ints(sparse)
+        check_ints(sparse)
         v = cls.__new__(cls)
-        v._store(None, len(sparse), *_checked(sparse))
+        v._store(None, len(sparse), *checked(sparse))
         return v
 
     @classmethod
@@ -226,74 +233,12 @@ def _frozen(rows: list[dict[int, int]]) -> tuple[Mapping[int, int], ...]:
     return tuple(MappingProxyType(row) for row in rows)
 
 
-def _check_ints(rows: list[dict[int, int]]) -> None:
-    """An entry that is not an int (bool, float, str) is a ValueError naming [i][j]."""
-    if set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
-        return
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            if type(x) is not int:  # bool is an int subclass
-                raise ValueError(f"matrix entry [{i}][{j}] must be an integer, got {x!r}")
-
-
-def _checked(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[list]]:
-    """The int rows of V without their zeros and V's distinct blocks, once
-    every column, stored zeros included, is in range, the size is even
-    and det(V - V^T) = 1; or a ValueError.
-
-    The blocks are those of `_blocks`, grouped up to sign and transpose
-    into [B, plus, minus, None]: plus counts the blocks B and B^T, minus
-    the blocks -B and -B^T, and `_leaf_parts` fills in det B.  A block is
-    keyed by its relabeled rows, sorted, and joins the class that holds
-    one of its four keys.  One simultaneous permutation makes V - V^T
-    block-diagonal, so det(V - V^T) is the product of the blocks'
-    det(B - B^T); each is a Pfaffian square, >= 0 and 0 at odd size, and
-    -B, B^T and -B^T share B's.  So det(V - V^T) = 1 exactly when
-    det(B - B^T) = 1 for each distinct B, and that is what is taken.
-    """
-    # imported here, so that a report on table knots alone loads no exact
-    from dehn4.exact import det
-
-    n = len(rows)
-    cols = set().union(*rows)
-    if cols and (set(map(type, cols)) != {int} or min(cols) < 0 or max(cols) >= n):
-        raise ValueError("Seifert matrix must be square")
-    if n % 2 != 0:
-        raise ValueError(f"Seifert matrix must have even size, got {n}")
-    rows = [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
-    parts: dict[tuple, list] = {}
-    for block in _blocks(rows):
-        key = tuple(tuple(sorted(row.items())) for row in block)
-        for i, k in enumerate(_sign_and_transpose(key) if parts else ()):
-            if k in parts:
-                parts[k][1 + i % 2] += 1  # the keys of -B and -B^T come at odd i
-                break
-        else:
-            parts[key] = [block, 1, 0, None]
-    if any(det(_plus_transpose(block, -1)) != 1 for block, *_ in parts.values()):
-        raise ValueError("det(V - V^T) must equal 1")
-    return rows, list(parts.values())
-
-
 def _transpose(rows: SparseRows, s: int = 1) -> list[dict[int, int]]:
     """Sparse rows of s * V^T."""
     out: list[dict[int, int]] = [{} for _ in rows]
     for i, row in enumerate(rows):
         for j, x in row.items():
             out[j][i] = s * x
-    return out
-
-
-def _plus_transpose(rows: SparseRows, s: int) -> list[dict[int, int]]:
-    """Sparse rows of V + s * V^T, in O(nnz)."""
-    out = [dict(row) for row in rows]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            y = out[j].get(i, 0) + s * x
-            if y:
-                out[j][i] = y
-            else:
-                out[j].pop(i, None)
     return out
 
 
@@ -386,6 +331,8 @@ def _torus_alexander(p: int, q: int) -> LaurentPoly:
     quotient is palindromic with value 1 at t = 1, so centering it
     normalizes it.
     """
+    from dehn4.laurent import LaurentPoly
+
     n = (p - 1) * (q - 1)
     numerator = {0: 1, 1: -1, p * q: -1, p * q + 1: 1}  # (t^pq - 1)(t - 1)
     c = [0] * (n + 1)
@@ -572,11 +519,7 @@ def signature(v: SeifertMatrix) -> int:
     1979): the pattern P of `parallel_cable` is unknotted, with winding
     number m = n, and the Levine-Tristram signature sigma_1 is 0.  Only a
     checked leaf runs exact congruence diagonalization, once per distinct
-    block B of `_checked`: a simultaneous permutation makes V + V^T
-    block-diagonal, B^T + B is B + B^T and -B and -B^T negate it, so sigma
-    is the sum of (plus - minus) * sigma(B + B^T), and a class with
-    plus = minus, as in K # -K, takes no elimination.  The result is kept
-    on the leaf.
+    block (`exact.leaf_signature`), and keeps the result.
     """
     match v._origin:
         case ("torus", p, q):
@@ -592,14 +535,9 @@ def signature(v: SeifertMatrix) -> int:
         case ("whitehead", _) | ("unknot",):
             return 0
     if v._signature is None:
-        from dehn4.exact import signature_symmetric
+        from dehn4.exact import leaf_signature
 
-        sig = sum(
-            (plus - minus) * signature_symmetric(_plus_transpose(block, 1))
-            for block, plus, minus, _ in v._parts
-            if plus != minus
-        )
-        object.__setattr__(v, "_signature", sig)
+        object.__setattr__(v, "_signature", leaf_signature(v._parts))
     return v._signature
 
 
@@ -613,32 +551,30 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
     a connected sum multiplies over its summands, and the n-cable of W
     has Delta_W(t^n) (Seifert's satellite formula).  Products and
     substitutions of normalized polynomials are normalized.  A checked
-    leaf is the product over its distinct blocks (`_leaf_parts`) of their
-    `_interpolated_alexander`: a block of size k takes k/2 determinants
-    of size k, det B, which `alexander_span` may already have taken, and
-    k/2 - 1 more; a block equal to an earlier one up to sign or transpose
-    takes none.  It is computed once: the result is kept on the matrix.
+    leaf takes the product of its distinct blocks' Delta
+    (`exact.leaf_alexander`) once, and keeps it.
     """
     match v._origin:
         case ("torus", p, q):
             return _torus_alexander(p, q)
         case ("signed", w, *_):
             return alexander_polynomial(w)
-        case ("sum", parts):
-            return prod(map(alexander_polynomial, parts), start=LaurentPoly.one())
+        case ("sum", parts):  # a sum has at least two summands
+            return reduce(mul, map(alexander_polynomial, parts))
         case ("cable", w, n):
             return alexander_polynomial(w).substituted(n)
         case ("twist", m):
+            from dehn4.laurent import LaurentPoly
+
             return LaurentPoly({-1: -m, 0: 2 * m + 1, 1: -m})
         case ("whitehead", _) | ("unknot",):
+            from dehn4.laurent import LaurentPoly
+
             return LaurentPoly.one()
     if v._alexander is None:
-        delta = LaurentPoly.one()
-        for block, plus, minus, top in _leaf_parts(v):
-            block_delta = _interpolated_alexander(block, top)
-            for _ in range(plus + minus):
-                delta = delta * block_delta
-        object.__setattr__(v, "_alexander", delta)
+        from dehn4.exact import leaf_alexander
+
+        object.__setattr__(v, "_alexander", leaf_alexander(v._parts))
     return v._alexander
 
 
@@ -652,10 +588,10 @@ def alexander_span(v: SeifertMatrix) -> int:
     |n|.  In a checked leaf a block B of size k with det B != 0 adds k:
     f(t) = det(B - t*B^T) has f(0) = det B, and its top coefficient
     det(-B^T) = det B too, so Delta_B spans all of 0..k.  So a leaf
-    whose blocks are all nonsingular takes one
-    determinant per distinct block, and `_leaf_parts` keeps each det B
-    for `alexander_polynomial`.  A leaf with a block of det B = 0 reads
-    the span off Delta.
+    whose blocks are all nonsingular takes one determinant per distinct
+    block, and `exact.block_dets` keeps each det B for
+    `alexander_polynomial`.  A leaf with a block of det B = 0 reads the
+    span off Delta.
     """
     match v._origin:
         case ("torus", p, q):
@@ -670,269 +606,33 @@ def alexander_span(v: SeifertMatrix) -> int:
             return 2 if m else 0
         case ("whitehead", _) | ("unknot",):
             return 0
-    parts = _leaf_parts(v)
+    parts = v._parts
+    if parts and parts[-1][3] is None:  # no det B taken yet
+        from dehn4.exact import block_dets
+
+        block_dets(parts)
     if all(top for *_, top in parts):
         return sum((plus + minus) * len(block) for block, plus, minus, _ in parts)
     return alexander_polynomial(v).span
 
 
-def _leaf_parts(v: SeifertMatrix) -> list[list]:
-    """The distinct blocks [B, plus, minus, det B] of the checked leaf v,
-    as `_checked` groups them, each det B taken on first use and kept.
-
-    For B of even size k, det(-B + t*B^T) = (-1)^k det(B - t*B^T) and
-    det(B^T - t*B) = det((B - t*B^T)^T), so -B, B^T and -B^T have B's
-    det and Delta: a class adds plus + minus copies of B's.
-    """
-    parts = v._parts
-    if parts and parts[-1][3] is None:
-        from dehn4.exact import det
-
-        for part in parts:
-            part[3] = det(part[0])
-    return parts
-
-
-def _sign_and_transpose(key: tuple) -> Iterable[tuple]:
-    """The keys of B, -B, B^T and -B^T, for B keyed by its sorted rows,
-    each made only when the one before it is not the one looked for."""
-    yield key
-    yield tuple(tuple((j, -x) for j, x in row) for row in key)
-    columns: list[list[tuple[int, int]]] = [[] for _ in key]
-    for i, row in enumerate(key):
-        for j, x in row:
-            columns[j].append((i, x))  # i ascends, so each column is sorted
-    transposed = tuple(map(tuple, columns))
-    yield transposed
-    yield tuple(tuple((j, -x) for j, x in row) for row in transposed)
-
-
-def _blocks(rows: SparseRows) -> list[SparseRows]:
-    """The principal blocks of V on the connected components of its support
-    graph (i ~ j when V[i][j] != 0), each relabeled to 0..k-1, in
-    O(nnz + n log n).
-
-    One simultaneous permutation makes V, and so V - t*V^T, block-diagonal
-    with these blocks, and det(P M P^T) = det M: Delta is the product of
-    the blocks' determinants.  `_checked` takes det(B - B^T), a Pfaffian
-    square, of each distinct block, where det(V - V^T) is their product.
-    A connected V is one block, its own rows.  A block keeps the order of
-    its indices in V, so two blocks laid out alike in V get the same
-    labels.
-    """
-    adjacent: list[list[int]] = [list(row) for row in rows]
-    for i, row in enumerate(rows):
-        for j in row:
-            adjacent[j].append(i)
-    seen = [False] * len(rows)
-    position = [0] * len(rows)  # an index's label within its block
-    blocks: list[list[int]] = []
-    for root in range(len(rows)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        members, stack = [], [root]
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            for j in adjacent[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        members.sort()
-        for label, i in enumerate(members):
-            position[i] = label
-        blocks.append(members)
-    if len(blocks) == 1:
-        return [rows]
-    return [[{position[j]: x for j, x in rows[i].items()} for i in members] for members in blocks]
-
-
-def _interpolated_alexander(rows: SparseRows, top: int) -> LaurentPoly:
-    """The kernel of `alexander_polynomial`: det(V - t*V^T) from V's sparse
-    rows and top = det V, for V of even size with det(V - V^T) = 1.
-
-    For V of size n = 2m, f(t) = det(V - t*V^T) is palindromic,
-    f(t) = t^n f(1/t), since (V - t*V^T)^T = -t(V - V^T/t) and n is even.
-    So f(t)/t^m is an integer polynomial of degree <= m in Conway's
-    variable u = (t - 1)^2/t: f(t) = sum_j c_j t^(m-j) (t - 1)^(2j).  The
-    top coefficient is c_m = f(0) = det V, the given top, and the bottom
-    one is free: t = 1 is u = 0, where f(1) = det(V - V^T) = 1, so
-    c_0 = 1.  The rest come from `det` at the m - 1 integer nodes t = 2,
-    -1, 3, -2, 4, ..., whose u are distinct and nonzero and whose |t|
-    stays small (the entries of V - t*V^T grow with |t|), by exact Newton
-    interpolation over Fractions of f(t)/t^m - c_m u^m, which has degree
-    <= m - 1, on u = 0 and those nodes.  That is m - 1 determinants.  A
-    c_j that is not an integer raises ArithmeticError.
-
-    The result is centered (Delta(t) = Delta(1/t)) with Delta(1) = 1.
-    """
-    # imported on first use, so that a report that interpolates nothing skips them
-    from fractions import Fraction
-
-    from dehn4.exact import det
-
-    m = len(rows) // 2
-
-    def f(t: int) -> int:
-        return det(_plus_transpose(rows, -t))
-
-    nodes = [2 + k // 2 if k % 2 == 0 else -1 - k // 2 for k in range(m - 1)]
-    us = [Fraction(0)] + [Fraction((t - 1) ** 2, t) for t in nodes]
-    dd = [Fraction(1)] + [Fraction(f(t), t**m) - top * u**m for t, u in zip(nodes, us[1:])]
-    # in place: after step k, dd[i] is the divided difference on nodes i-k .. i
-    for k in range(1, m):
-        for i in range(m - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (us[i] - us[i - k])
-    # expand the Newton form dd[0] + dd[1](u - u0) + ... by Horner's rule,
-    # lowest degree first: cs <- cs * (u - u_k) + dd[k]
-    cs: list[Fraction] = []
-    for k in range(m - 1, -1, -1):
-        cs = [a - us[k] * b for a, b in zip([0] + cs, cs + [0])]
-        cs[0] += dd[k]
-    if any(c.denominator != 1 for c in cs):
-        raise ArithmeticError("det(V - t*V^T) is not an integer polynomial in (t - 1)^2/t")
-    # sum_j c_j t^(m-j) (t - 1)^(2j), expanded by binomials; LaurentPoly adds like terms
-    return LaurentPoly(
-        (m - j + i, (-1) ** i * comb(2 * j, i) * c)
-        for j, c in enumerate([int(c) for c in cs] + [top])
-        for i in range(2 * j + 1)
-    ).normalized()
-
-
-class FactorizationBoundError(ValueError):
-    """Polynomial degree exceeds the configured Fox-Milnor search bound."""
-
-
-class FoxMilnorFailure(NamedTuple):
-    kind: str  # "determinant" or "factorization"
-    detail: str
-    determinant: int | None = None
-
-
-class FoxMilnorResult(NamedTuple):
-    passed: bool
-    factor: LaurentPoly | None = None
-    failure: FoxMilnorFailure | None = None
-
-
 FOX_MILNOR_DEGREE_BOUND = 16  # the widest span of Delta that fox_milnor factors
-
-
-def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
-    """Test whether delta(t) = f(t) * f(1/t) up to units, exactly.
-
-    delta is unit-normalized, so it is palindromic with delta(1) = 1, and
-    the test fails in one of two ways, each with its witness:
-      determinant    |delta(-1)| = f(-1)^2 is not a perfect square;
-      factorization  a self-reciprocal irreducible factor over Z has odd
-                     multiplicity.
-    No other failure can happen: the integer content divides delta(1) = 1,
-    and since delta(0) != 0 after shifting, unique factorization in Z[t]
-    gives each factor g and its reciprocal g* the same multiplicity.
-    Passing returns one f, checked by multiplying out; a factorization
-    that broke either fact would be an internal error, never a verdict.
-
-    The factors over Z come from `factor.factor_list`, in pure Python, so
-    the test needs no dependency; sympy is its oracle in the tests only.
-    They are read in the order (degree, multiplicity, coefficients): f
-    takes the first of each pair {g, g*}, and a failure names the first
-    self-reciprocal factor of odd multiplicity, printed as sympy's `sstr`
-    prints it.
-
-    Raises FactorizationBoundError when the polynomial degree exceeds
-    FOX_MILNOR_DEGREE_BOUND (an "out of configured range" error, distinct
-    from a failed test).  `algebraic_slice_verdict` refuses such a Delta
-    with the same message from `alexander_span`, before Delta is built,
-    so it calls this test only within the bound.
-    """
-    norm = delta.normalized()
-    if norm.span > FOX_MILNOR_DEGREE_BOUND:
-        raise FactorizationBoundError(_beyond_bound(norm.span))
-    # Delta(-1), an integer: each term is +-c by the parity of its exponent
-    det_int = abs(sum(-c if e % 2 else c for e, c in norm.coeffs.items()))
-    if isqrt(det_int) ** 2 != det_int:
-        return FoxMilnorResult(
-            passed=False,
-            failure=FoxMilnorFailure(
-                kind="determinant",
-                detail=f"|Delta(-1)| = {det_int} is not a perfect square",
-                determinant=det_int,
-            ),
-        )
-    if norm.is_one():
-        return FoxMilnorResult(passed=True, factor=LaurentPoly.one())
-
-    # imported on first use, so that a report that factors nothing skips it
-    from .factor import factor_list
-
-    shifted = norm.shifted(-norm.min_exp)  # ordinary polynomial, nonzero constant term
-    coeffs = shifted.coeffs
-    # the content is +-1 (it divides Delta(1) = 1), and factor_list gives
-    # each irreducible factor once, with its multiplicity
-    factors = factor_list([coeffs.get(e, 0) for e in range(norm.span, -1, -1)])
-
-    f = LaurentPoly.one()
-    seen: set[tuple[int, ...]] = set()
-    for key, e in factors:
-        if key in seen:
-            continue
-        rkey = _reciprocal_key(key)
-        if rkey == key and e % 2 != 0:
-            return FoxMilnorResult(
-                passed=False,
-                failure=FoxMilnorFailure(
-                    kind="factorization",
-                    detail=f"self-reciprocal factor {_poly_text(key)} has odd multiplicity {e}",
-                ),
-            )
-        # g* has the multiplicity of g, so f takes g^e, or g^(e/2) when g = g*
-        glaur = _to_laurent(key)
-        for _ in range(e // 2 if rkey == key else e):
-            f = f * glaur
-        seen.update((key, rkey))
-
-    product = (f * f.reciprocal()).normalized()
-    if product != norm:
-        raise AssertionError("internal error: paired factorization does not reproduce Delta")
-    return FoxMilnorResult(passed=True, factor=f)
 
 
 def _beyond_bound(span: int) -> str:
     return f"polynomial degree {span} exceeds bound {FOX_MILNOR_DEGREE_BOUND}"
 
 
-def _poly_key(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """The coefficients, leading first, of the one of +-g whose leading
-    coefficient is positive."""
-    return coeffs if coeffs[0] > 0 else tuple(-c for c in coeffs)
+_FOX_MILNOR_NAMES = ("fox_milnor", "FoxMilnorResult", "FoxMilnorFailure", "FactorizationBoundError")
 
 
-def _reciprocal_key(key: tuple[int, ...]) -> tuple[int, ...]:
-    """The key of g*(t) = t^deg g(1/t); no factor of Delta is divisible by
-    t, so g(0) != 0 and g* has the degree of g."""
-    return _poly_key(key[::-1])
+def __getattr__(name: str):
+    """The Fox-Milnor names, read from `dehn4.foxmilnor` on access (PEP 562)."""
+    if name in _FOX_MILNOR_NAMES:
+        import dehn4.foxmilnor as foxmilnor
 
-
-def _to_laurent(key: tuple[int, ...]) -> LaurentPoly:
-    deg = len(key) - 1
-    return LaurentPoly({deg - i: c for i, c in enumerate(key)})
-
-
-def _poly_text(key: tuple[int, ...]) -> str:
-    """The polynomial in t with these coefficients, leading first and
-    positive, as sympy's `sstr` prints it: terms by falling degree, `**`
-    for powers, `*` after a coefficient other than 1, and no term for a
-    zero coefficient, e.g. `2*t**2 - 5*t + 2`."""
-    deg = len(key) - 1
-    parts = []
-    for i, c in enumerate(key):
-        if c:
-            e = deg - i
-            power = "" if e == 0 else "t" if e == 1 else f"t**{e}"
-            term = str(abs(c)) if e == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
-            parts.append(term if not parts else f"- {term}" if c < 0 else f"+ {term}")
-    return " ".join(parts)
+        return getattr(foxmilnor, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SliceTag(Enum):
@@ -974,6 +674,8 @@ def algebraic_slice_verdict(v: SeifertMatrix, memo: dict | None = None) -> Slice
     delta = alexander_polynomial(v)
     fm = None if memo is None else memo.get(delta)
     if fm is None:
+        from dehn4.foxmilnor import fox_milnor
+
         fm = fox_milnor(delta)
         if memo is not None:
             memo[delta] = fm

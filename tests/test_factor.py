@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from dehn4 import factor
 from dehn4.factor import factor_list
-from dehn4.seifert import _poly_text
+from dehn4.foxmilnor import _poly_text
 
 T = sympy.Symbol("t")
 

@@ -17,11 +17,11 @@ from test_golden import CASES, FORMATS, golden_path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _run(code: str) -> str:
+def _run(code: str, *flags: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -85,11 +85,14 @@ _OPTIONAL = (
     "dehn4.seifert",
     "dehn4.exact",
     "dehn4.laurent",
+    "dehn4.foxmilnor",
 )
-# what every torus report loads; only a checked leaf, from a {"seifert": ...}
-# spec, adds the kernels of dehn4.exact (and fractions, when it interpolates
-# an Alexander polynomial)
-_TORUS = ["dehn4.laurent", "dehn4.seifert"]
+# what every torus report loads.  A report that builds an Alexander
+# polynomial adds dehn4.laurent, one that tests a Delta by Fox-Milnor adds
+# dehn4.foxmilnor (and dehn4.factor, when it must factor), and only a
+# checked leaf, from a {"seifert": ...} spec, adds dehn4.exact (and
+# fractions, when it interpolates an Alexander polynomial)
+_TORUS = ["dehn4.seifert"]
 
 _LOADED = """
 import sys
@@ -122,15 +125,24 @@ _BUDGET = {
         ],
         sorted([*_TORUS, "dehn4.exact", "json"]),
     ),
+    "torus-solid torus spec": (
+        ["--scenario", "torus-solid", "--knot-j", '{"torus": [3, 5]}'], [*_TORUS, "json"]
+    ),
+    "torus-solid figure-eight": (
+        ["--scenario", "torus-solid", "--knot-j", "figure-eight", "--knot-k", "unknot"],
+        sorted([*_TORUS, "dehn4.foxmilnor", "dehn4.laurent"]),
+    ),
     "sphere-lens": (["--scenario", "sphere-lens"], ["dehn4.forms"]),
     "sphere-lens config": (["--config", "{config}"], ["dehn4.forms", "json"]),
     "sphere-smooth-h": (["--scenario", "sphere-smooth-h"], ["dehn4.forms"]),
     "sphere-smooth-e8h": (["--scenario", "sphere-smooth-e8h"], ["dehn4.forms"]),
-    "torus-top-vs-smooth": (["--scenario", "torus-top-vs-smooth"], _TORUS),
+    "torus-top-vs-smooth": (
+        ["--scenario", "torus-top-vs-smooth"], sorted([*_TORUS, "dehn4.laurent"])
+    ),
     "twist-extension": (["--scenario", "twist-extension"], _TORUS),
     "torus-solid stevedore": (
         ["--scenario", "torus-solid", "--knot-j", "stevedore", "--knot-k", "unknot"],
-        sorted([*_TORUS, "dehn4.factor"]),
+        sorted([*_TORUS, "dehn4.factor", "dehn4.foxmilnor", "dehn4.laurent"]),
     ),
 }
 
@@ -151,6 +163,46 @@ def test_a_report_loads_only_the_optional_modules_it_runs(case, tmp_path):
     new = _loaded(module, ["report", *args] if args else [])
     assert module in new
     assert sorted(new.intersection(_OPTIONAL)) == loaded
+
+
+_FOX_MILNOR_ON_ACCESS = """
+import sys
+import dehn4.seifert as seifert
+unloaded = "dehn4.foxmilnor" not in sys.modules
+names = ("fox_milnor", "FoxMilnorResult", "FoxMilnorFailure", "FactorizationBoundError")
+served = [getattr(seifert, name) for name in names]
+import dehn4.foxmilnor as foxmilnor
+try:
+    seifert.no_such_name
+except AttributeError:
+    refused = True
+print(unloaded, all(x is getattr(foxmilnor, name) for x, name in zip(served, names)), refused)
+"""
+
+
+def test_seifert_serves_the_fox_milnor_names_from_foxmilnor_on_first_access():
+    """`import dehn4.seifert` loads no dehn4.foxmilnor; the four names it
+    moved to are the same objects when read through dehn4.seifert."""
+    assert _run(_FOX_MILNOR_ON_ACCESS).split() == ["True", "True", "True"]
+
+
+_STDLIB_LOADED = """
+import sys
+import contextlib, io
+from dehn4.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+print(*sorted(m for m in {modules!r} if m in sys.modules))
+"""
+
+
+def test_a_default_torus_solid_report_without_site_loads_no_pathlib():
+    """Under `python -S`, where `site` loads nothing first, a report given
+    no --config loads neither pathlib nor urllib."""
+    code = _STDLIB_LOADED.format(
+        argv=["report", "--scenario", "torus-solid"], modules=("pathlib", "urllib")
+    )
+    assert _run(code, "-S").split() == []
 
 
 def test_import_dehn4_loads_only_scenarios_and_report():

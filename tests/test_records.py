@@ -249,6 +249,39 @@ def test_pickles_of_the_earlier_records_still_load(name):
     assert signature(v) == case["signature"]
 
 
+# pickles of the Fox-Milnor records written by the code that kept them in
+# dehn4.seifert, under whose name they load, with the fields it gave them
+OLD_FOX_MILNOR_PICKLES = json.loads(
+    (Path(__file__).parent / "data" / "foxmilnor_pickles.json").read_text()
+)
+
+
+def _fox_milnor_result(fields):
+    failure = fields["failure"]
+    return FoxMilnorResult(
+        fields["passed"],
+        None if fields["factor"] is None else LaurentPoly(map(tuple, fields["factor"])),
+        None if failure is None else FoxMilnorFailure(*failure),
+    )
+
+
+@pytest.mark.parametrize("name", OLD_FOX_MILNOR_PICKLES)
+def test_pickles_of_the_earlier_fox_milnor_records_still_load_equal(name):
+    case = OLD_FOX_MILNOR_PICKLES[name]
+    record = pickle.loads(base64.b64decode(case["pickle"]))
+    if "verdict" in case:
+        fields = case["verdict"]
+        expected = SliceVerdict(
+            SliceTag(fields["tag"]),
+            fields["signature"],
+            _fox_milnor_result(fields["fox_milnor"]),
+            fields["note"],
+        )
+    else:
+        expected = _fox_milnor_result(case["fox_milnor"])
+    assert type(record) is type(expected) and record == expected
+
+
 def test_records_that_differ_in_one_field_differ():
     assert EvenFormClass(1, 2) != EvenFormClass(1, 3)
     assert HypothesisFlag("f", True, "cited") != HypothesisFlag("f", False, "cited")
