@@ -17,8 +17,10 @@ Modules by topic:
               Rokhlin constraints, lens-space QR test
   scenarios   the named end-to-end obstruction reports, with the torus
               presentation and its boundary torus in closed form in n:
-              the self-linking form n*x^2 - x*y and its two zero classes
-  report      deterministic text and JSON rendering
+              the self-linking form n*x^2 - x*y and its two zero classes,
+              built once per n as steps shared by the reports at that n
+  report      deterministic text and JSON rendering; a shared step keeps
+              its rendered text and JSON item
   cli         the `dehn4 report` command line
 """
 

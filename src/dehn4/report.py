@@ -16,15 +16,33 @@ other type (a float, a tuple, a Fraction, a non-str key) rather than
 coercing it.  json's own indenting encoder runs in pure Python, and a list
 of scalars, such as a homology class in the trace or the citations, is here
 written by one str.join.
+
+A report renders only what its parameters change.  A fixed step, one that
+no parameter moves (the Stein steps, and the boundary head of the torus
+scenarios, built once per framing n), is shared by the reports that hold
+it, and keeps its text body (all of its lines after the step number) and
+its JSON item, written at the indent of a trace item, from its first
+render on.  A step built per report is rendered as it comes.
 """
 from __future__ import annotations
 
-from .scenarios import Report
+from .scenarios import Report, _FixedStep
 
 SCHEMA_ID = "dehn4.report/3"
 
+# the indent of a trace item in a JSON report: the items of the "trace" list
+# under the top-level object
+_TRACE_INDENT = "    "
+
 
 def report_to_json_dict(report: Report) -> dict:
+    return _json_dict(report, False)
+
+
+def _json_dict(report: Report, fixed: bool) -> dict:
+    """The plain data of report_to_json_dict; with fixed, each fixed step
+    stands in the trace for its own JSON item, which `_write_json` writes
+    from the step's kept text at the trace-item indent."""
     s = report.scenario
     return {
         "schema": SCHEMA_ID,
@@ -45,7 +63,7 @@ def report_to_json_dict(report: Report) -> dict:
             ],
         },
         "trace": [
-            {"operation": t.operation, "inputs": t.inputs, "output": t.output}
+            t if fixed and type(t) is _FixedStep else _trace_item(t)
             for t in report.trace
         ],
         "verdict": report.verdict.value,
@@ -54,8 +72,24 @@ def report_to_json_dict(report: Report) -> dict:
     }
 
 
+def _trace_item(t) -> dict:
+    return {"operation": t.operation, "inputs": t.inputs, "output": t.output}
+
+
 def render_json(report: Report) -> str:
-    return json_text(report_to_json_dict(report))
+    return json_text(_json_dict(report, True))
+
+
+def _fixed_step_json(step: _FixedStep) -> str:
+    """The JSON item of a fixed step at the trace-item indent, written on
+    its first JSON render and kept on the step."""
+    kept = vars(step)
+    text = kept.get("json")
+    if text is None:
+        out: list[str] = []
+        _write_json(_trace_item(step), _TRACE_INDENT, out)
+        text = kept["json"] = "".join(out)
+    return text
 
 
 def json_text(value) -> str:
@@ -73,7 +107,7 @@ def json_text(value) -> str:
 
 
 # how each scalar type is written, str from the first json_text on; anything
-# else is a dict, a list or refused
+# else is a dict, a list, a fixed step in render_json's trace, or refused
 _JSON_SCALARS = {
     int: int.__repr__,
     bool: ("false", "true").__getitem__,
@@ -90,6 +124,9 @@ def _write_json(value, indent: str, out: list[str]) -> None:
         out.append(scalar(value))
         return
     if kind is not list and kind is not dict:
+        if kind is _FixedStep and indent == _TRACE_INDENT:  # from render_json's trace
+            out.append(_fixed_step_json(value))
+            return
         raise TypeError(f"cannot write a value of type {kind.__name__} as JSON")
     if not value:
         out.append("[]" if kind is list else "{}")
@@ -160,6 +197,25 @@ def _scalar(value) -> str:
     return str(value)
 
 
+def _step_lines(step, number: str) -> list[str]:
+    inputs = (
+        " ".join(f"{k}={_scalar(v)}" for k, v in step.inputs.items())
+        if step.inputs
+        else "-"
+    )
+    return [f"{number}{step.operation} [{inputs}]", *_format_value(step.output, "     ")]
+
+
+def _fixed_step_text(step: _FixedStep) -> str:
+    """The text body of a fixed step, its lines after the step number,
+    written on its first text render and kept on the step."""
+    kept = vars(step)
+    text = kept.get("text")
+    if text is None:
+        text = kept["text"] = "\n".join(_step_lines(step, ""))
+    return text
+
+
 def render_text(report: Report) -> str:
     s = report.scenario
     lines = [f"scenario: {s.name}"]
@@ -175,13 +231,10 @@ def render_text(report: Report) -> str:
             lines.append(f"      provenance: {f.provenance}")
     lines.append("trace:")
     for i, step in enumerate(report.trace, start=1):
-        inputs = (
-            " ".join(f"{k}={_scalar(v)}" for k, v in step.inputs.items())
-            if step.inputs
-            else "-"
-        )
-        lines.append(f"  {i}. {step.operation} [{inputs}]")
-        lines.extend(_format_value(step.output, "     "))
+        if type(step) is _FixedStep:
+            lines.append(f"  {i}. {_fixed_step_text(step)}")
+        else:
+            lines.extend(_step_lines(step, f"  {i}. "))
     lines.append(f"verdict: {report.verdict.value}")
     if report.detail:
         lines.extend(_format_value(report.detail, "  "))

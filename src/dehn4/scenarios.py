@@ -40,9 +40,11 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 # The imports are absolute, since a relative `from . import x` also runs
 # two importlib functions in Python each time: about 1 us in a report
 # against 0.5 us.
-# A report builds only what its inputs change: default flags are built
-# once, at import (`_fixed_flags`), and twist-extension makes its
-# companion record from (p, q) without build_scenario.
+# A report builds only what its inputs change: default flags and the Stein
+# steps are built once, at import (`_fixed_flags`, `_STEIN_STEPS`), the
+# boundary head of the torus scenarios once per framing n
+# (`_torus_pipeline`), and twist-extension makes its companion record from
+# (p, q) without build_scenario.
 if TYPE_CHECKING:
     from .seifert import Knot, SliceVerdict
 
@@ -116,7 +118,31 @@ class TraceStep(NamedTuple):
     output: object
 
 
+class _FixedStep(TraceStep):
+    """A step that no report parameter moves, built once and shared by every
+    report that holds it; `report` keeps its rendered text body and JSON
+    item in its __dict__ on first render.  It shows, copies and pickles as
+    a plain TraceStep, so no pickle names this class."""
+
+    def __repr__(self) -> str:
+        return repr(TraceStep(*self))
+
+    def __reduce__(self):
+        return TraceStep, tuple(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a TraceStep takes no attribute {name!r}")
+
+
 class Report(NamedTuple):
+    """A scenario's computed trace, verdict, detail and citations.
+
+    Reports share trace payloads: a fixed step, such as the boundary head
+    of the torus scenarios at one framing n, is one object in every report
+    that holds it, with its inputs and output.  So the payloads are
+    read-only; `copy.deepcopy` gives a report whose payloads are its own.
+    """
+
     scenario: "Scenario"
     trace: tuple[TraceStep, ...]
     verdict: Verdict
@@ -479,13 +505,26 @@ def _class_knots(s: Scenario, classes: tuple[tuple[int, int], ...]) -> list[Knot
     return knots
 
 
-def _torus_pipeline(
-    s: Scenario,
-) -> tuple[list[TraceStep], tuple[tuple[int, int], ...], tuple[int, int]]:
+# the boundary head of a torus report: its five steps, the two zero classes
+# sorted, and alpha
+_Head = tuple[tuple[TraceStep, ...], tuple[tuple[int, int], ...], tuple[int, int]]
+
+# The head depends on n and the step-name prefix alone, so each (n, prefix)
+# is built once and its steps are shared by every report at that n.  n is
+# any int, so the memo is cleared once it holds _HEADS_MAX heads.  Two
+# threads may both build one head; the builds are equal, so either serves.
+_HEADS_MAX = 8
+_HEADS: dict[tuple[int, str], _Head] = {}
+
+
+def _torus_pipeline(n: int, prefix: str = "") -> _Head:
     """Shared head of the torus scenarios: presentation through zero classes.
 
-    Returns the trace, the two zero classes sorted, and alpha.  Every step
-    is a closed form in n.  Every torus lies on the boundary of one
+    Returns the five steps, each named with prefix, the two zero classes
+    sorted, and alpha.  The steps are fixed steps, built once per
+    (n, prefix) by `_torus_head` and kept, with their rendered text and
+    JSON, in a memo of at most _HEADS_MAX entries.  Every step is a closed
+    form in n.  Every torus lies on the boundary of one
     presentation: a dotted circle L1 and an n-framed circle L2 linking it
     once, with linking matrix B = [[0, 1], [1, n]].  The boundary torus has
     the basis alpha (linking L1 once) and beta (linking L2 once), with
@@ -506,7 +545,17 @@ def _torus_pipeline(
     tests derive every step again from B, by Hoste's formula through
     bordered determinants and by a grid search for the zeros.
     """
-    n = s.n
+    key = (n, prefix)
+    head = _HEADS.get(key)
+    if head is None:
+        if len(_HEADS) >= _HEADS_MAX:
+            _HEADS.clear()
+        head = _HEADS[key] = _torus_head(n, prefix)
+    return head
+
+
+def _torus_head(n: int, prefix: str) -> _Head:
+    """Build the head that `_torus_pipeline` describes."""
     text = (
         "component L1 dotted\n"
         f"component L2 framed {n}\n"
@@ -523,31 +572,35 @@ def _torus_pipeline(
         form = f"{'-' if n < 0 else ''}{square} - x*y"
     alpha = (1, n) if n >= 0 else (-1, -n)
     classes = tuple(sorted(((0, 1), alpha)))
-    return [
-        TraceStep("parse_presentation", {"n": n}, {"text": text}),
-        TraceStep("boundary_linking_matrix", {}, matrix),
-        TraceStep(
-            "first_homology",
+    steps = (
+        _FixedStep(prefix + "parse_presentation", {"n": n}, {"text": text}),
+        _FixedStep(prefix + "boundary_linking_matrix", {}, matrix),
+        _FixedStep(
+            prefix + "first_homology",
             {"matrix": matrix},
             {"group": "0", "is_homology_sphere": True},
         ),
-        TraceStep(
-            "self_linking_form",
+        _FixedStep(
+            prefix + "self_linking_form",
             {"basis": ["alpha", "beta"]},
             {"coefficients": [n, -1, 0], "form": form},
         ),
-        TraceStep(
-            "zero_classes",
+        _FixedStep(
+            prefix + "zero_classes",
             {"form": form},
             {"classes": [list(c) for c in classes], "all_classes": False},
         ),
-    ], classes, alpha
+    )
+    return steps, classes, alpha
 
 
-def _run_torus_solid(s: Scenario) -> _Run:
+def _run_torus_solid(s: Scenario, prefix: str = "") -> _Run:
+    """The torus-solid run, each step named with prefix: twist-extension
+    runs its companion as "companion."."""
     import dehn4.seifert as seifert
 
-    trace, classes, _ = _torus_pipeline(s)
+    head, classes, _ = _torus_pipeline(s.n, prefix)
+    trace = [*head]
     notes = []
     # -J and K # cable(J; n) often share Delta (K with Delta = 1 and n = 1),
     # so the two classes share one Fox-Milnor test: a plain dict from Delta
@@ -556,7 +609,7 @@ def _run_torus_solid(s: Scenario) -> _Run:
     for cls, knot in zip(classes, _class_knots(s, classes)):
         trace.append(
             TraceStep(
-                "curve_class_knot",
+                prefix + "curve_class_knot",
                 {"class": list(cls)},
                 {"knot": knot.name, "genus": knot.matrix.genus},
             )
@@ -564,7 +617,7 @@ def _run_torus_solid(s: Scenario) -> _Run:
         verdict = seifert.algebraic_slice_verdict(knot.matrix, memo)
         trace.append(
             TraceStep(
-                "algebraic_slice_verdict",
+                prefix + "algebraic_slice_verdict",
                 {"class": list(cls), "knot": knot.name},
                 _verdict_dict(verdict),
             )
@@ -579,10 +632,35 @@ def _run_torus_solid(s: Scenario) -> _Run:
     }
 
 
+# The Stein handle picture is fixed, and no parameter or flag moves it, so
+# its three steps are built once, at import.  Its Legendrian fronts, as
+# (writhe, down cusps, up cusps), are handle-1 (1, 1, 1) at framing -1 and
+# handle-2 (2, 1, 1) at framing 0, so tb = writhe - cusps/2 is 0 and 1 and
+# framing = tb - 1 holds for both; alpha is (1, 1, 1), so tb = 0 and
+# rot = (down - up)/2 = 0, and tb + |rot| <= 2g - 1 needs g >= 1.  The
+# tests derive these steps from the front counts.
+_STEIN_STEPS = (
+    _FixedStep(
+        "stein_condition",
+        {"handles": [["handle-1", -1], ["handle-2", 0]]},
+        {
+            "stein": True,
+            "checks": [
+                {"name": "handle-1", "framing": -1, "tb": 0, "ok": True},
+                {"name": "handle-2", "framing": 0, "tb": 1, "ok": True},
+            ],
+        },
+    ),
+    _FixedStep("tb_rot", {"front": "alpha"}, {"tb": 0, "rot": 0}),
+    _FixedStep("slice_bennequin_genus_bound", {"tb": 0, "rot": 0}, {"genus_lower_bound": 1}),
+)
+
+
 def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     import dehn4.seifert as seifert
 
-    trace, classes, alpha_class = _torus_pipeline(s)
+    head, classes, alpha_class = _torus_pipeline(s.n)
+    trace = [*head]
     notes = []
 
     # --- topological side: the (1, n) class bounds a topological disk ---
@@ -616,32 +694,7 @@ def _run_torus_top_vs_smooth(s: Scenario) -> _Run:
     )
 
     # --- smooth side: Stein structure plus slice-Bennequin kills alpha ---
-    # The Stein handle picture is fixed, and no parameter or flag moves it.
-    # Its Legendrian fronts, as (writhe, down cusps, up cusps), are
-    # handle-1 (1, 1, 1) at framing -1 and handle-2 (2, 1, 1) at framing 0,
-    # so tb = writhe - cusps/2 is 0 and 1 and framing = tb - 1 holds for
-    # both; alpha is (1, 1, 1), so tb = 0 and rot = (down - up)/2 = 0, and
-    # tb + |rot| <= 2g - 1 needs g >= 1.  The tests derive these steps from
-    # the front counts.
-    trace.append(
-        TraceStep(
-            "stein_condition",
-            {"handles": [["handle-1", -1], ["handle-2", 0]]},
-            {
-                "stein": True,
-                "checks": [
-                    {"name": "handle-1", "framing": -1, "tb": 0, "ok": True},
-                    {"name": "handle-2", "framing": 0, "tb": 1, "ok": True},
-                ],
-            },
-        )
-    )
-    trace.append(TraceStep("tb_rot", {"front": "alpha"}, {"tb": 0, "rot": 0}))
-    trace.append(
-        TraceStep(
-            "slice_bennequin_genus_bound", {"tb": 0, "rot": 0}, {"genus_lower_bound": 1}
-        )
-    )
+    trace.extend(_STEIN_STEPS)
 
     beta_verdict = seifert.algebraic_slice_verdict(beta_knot.matrix)
     trace.append(
@@ -704,20 +757,19 @@ def _run_twist_extension(s: Scenario) -> _Run:
 
     # The companion is the torus-solid record of J = T(p, q) and K the
     # unknot at n = -1, made here with the names a {"torus": [p, q]} spec
-    # and "unknot" get, so its steps are those of build_scenario's record.
-    # It skips the spec parser and the default flags, which
-    # _run_torus_solid does not read.  torus_knot_seifert is looked up on
-    # the module at each call, so a patched builder reaches the companion.
+    # and "unknot" get, so its steps are those of build_scenario's record,
+    # each named "companion." where it is made.  It skips the spec parser
+    # and the default flags, which _run_torus_solid does not read.
+    # torus_knot_seifert is looked up on the module at each call, so a
+    # patched builder reaches the companion.
     companion = Scenario(
         "torus-solid",
         n=-1,
         knot_j=seifert.Knot(f"torus({p},{q})", seifert.torus_knot_seifert(p, q)),
         knot_k=seifert.Knot("unknot", seifert.unknot()),
     )
-    companion_trace, companion_verdict, _ = _run_torus_solid(companion)
-    trace.extend(
-        TraceStep(f"companion.{t.operation}", t.inputs, t.output) for t in companion_trace
-    )
+    companion_trace, companion_verdict, _ = _run_torus_solid(companion, "companion.")
+    trace.extend(companion_trace)
     if unset:
         return trace, Verdict.INCONCLUSIVE, {
             "notes": [f"hypothesis flag {name} is unset" for name in unset]

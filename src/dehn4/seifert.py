@@ -331,8 +331,6 @@ def _torus_alexander(p: int, q: int) -> LaurentPoly:
     quotient is palindromic with value 1 at t = 1, so centering it
     normalizes it.
     """
-    from dehn4.laurent import LaurentPoly
-
     n = (p - 1) * (q - 1)
     numerator = {0: 1, 1: -1, p * q: -1, p * q + 1: 1}  # (t^pq - 1)(t - 1)
     c = [0] * (n + 1)
@@ -344,7 +342,19 @@ def _torus_alexander(p: int, q: int) -> LaurentPoly:
             c[k] += c[k - q]
         if k >= p + q:
             c[k] -= c[k - p - q]
-    return LaurentPoly((k - n // 2, x) for k, x in enumerate(c))
+    return _laurent_poly()((k - n // 2, x) for k, x in enumerate(c))
+
+
+# LaurentPoly, bound by the first Alexander polynomial built here: a report
+# that builds none loads no laurent, and later ones run no import statement
+_LaurentPoly = None
+
+
+def _laurent_poly() -> type[LaurentPoly]:
+    global _LaurentPoly
+    if _LaurentPoly is None:
+        from dehn4.laurent import LaurentPoly as _LaurentPoly
+    return _LaurentPoly
 
 
 def twist_knot_seifert(m: int) -> SeifertMatrix:
@@ -564,13 +574,9 @@ def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
         case ("cable", w, n):
             return alexander_polynomial(w).substituted(n)
         case ("twist", m):
-            from dehn4.laurent import LaurentPoly
-
-            return LaurentPoly({-1: -m, 0: 2 * m + 1, 1: -m})
+            return _laurent_poly()({-1: -m, 0: 2 * m + 1, 1: -m})
         case ("whitehead", _) | ("unknot",):
-            from dehn4.laurent import LaurentPoly
-
-            return LaurentPoly.one()
+            return _laurent_poly().one()
     if v._alexander is None:
         from dehn4.exact import leaf_alexander
 

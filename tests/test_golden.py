@@ -27,8 +27,10 @@ from conftest import (
     dense_torus_bricks,
     read_rows,
 )
-from dehn4.cli import main
-from dehn4.scenarios import build_scenario
+from dehn4 import scenarios
+from dehn4.cli import build_parser, main
+from dehn4.report import render_json, report_to_json_dict
+from dehn4.scenarios import PARAMS, build_scenario, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FORMATS = {"text": "txt", "json": "json"}
@@ -193,6 +195,42 @@ def test_golden_json_seifert_rows_read_back_to_the_knots(name):
     for key, knot in knots.items():
         assert written[key]["name"] == knot.name
         assert read_rows(written[key]["seifert"]) == knot.matrix
+
+
+def case_report(args: tuple[str, ...]):
+    """The report that `dehn4 report` builds from args."""
+    opts = build_parser().parse_args(["report", *args])
+    params = {param: getattr(opts, param) for param in PARAMS}
+    return run_scenario(build_scenario(opts.scenario, **params))
+
+
+def test_goldens_render_alike_in_any_order(monkeypatch):
+    """A fixed step keeps its text body and its JSON item from its first
+    render, and shares them with every report that holds it.  So every
+    case renders in one process, from an empty head memo and fresh Stein
+    steps, forward and then in reverse, in both formats; each run must
+    match the golden whichever render filled the kept text."""
+    monkeypatch.setattr(scenarios, "_HEADS", {})
+    monkeypatch.setattr(
+        scenarios, "_STEIN_STEPS", tuple(type(t)(*t) for t in scenarios._STEIN_STEPS)
+    )
+    runs = [(name, fmt) for name in sorted(CASES) for fmt in FORMATS]
+    differ = [
+        (name, fmt)
+        for name, fmt in [*runs, *reversed(runs)]
+        if render_case(CASES[name], fmt).encode("utf-8") != golden_path(name, fmt).read_bytes()
+    ]
+    assert differ == []
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_render_json_reads_back_to_the_json_dict(name):
+    """render_json writes a fixed step from its kept text;
+    report_to_json_dict gives plain data, with no kept text in it."""
+    report = case_report(CASES[name])
+    for _ in range(2):  # the second render reads the kept text
+        assert json.loads(render_json(report)) == report_to_json_dict(report)
+    assert all(type(item) is dict for item in report_to_json_dict(report)["trace"])
 
 
 def test_golden_dir_holds_only_known_cases():

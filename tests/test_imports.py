@@ -73,6 +73,24 @@ def test_every_golden_report_renders_without_sympy():
     assert out == [str(len(CASES) * len(FORMATS)), "differ:"]
 
 
+_FIXED_STEPS_FIRST_IN_JSON = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_golden import CASES, golden_path, render_case
+for name in ("twist-extension", "torus-top-vs-smooth"):
+    for fmt in ("json", "text", "json"):
+        assert render_case(CASES[name], fmt).encode("utf-8") == golden_path(name, fmt).read_bytes()
+print("ok")
+"""
+
+
+def test_a_fixed_step_first_rendered_as_json_in_a_fresh_interpreter():
+    """The first JSON item a fixed step keeps is written before any other
+    JSON in the process, so it must load the str writer as json_text does."""
+    tests = str(Path(__file__).resolve().parent)
+    assert _run(_FIXED_STEPS_FIRST_IN_JSON.format(tests=tests)).split() == ["ok"]
+
+
 # the modules a report may leave unloaded: the record machinery dehn4 does
 # not use, the modules that serve only some scenarios or branches, and json,
 # which only a JSON report or a JSON knot spec or config reads

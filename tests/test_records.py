@@ -15,7 +15,15 @@ import pytest
 from conftest import FrontData, HandleCheck
 from dehn4.forms import EvenFormClass, LensWitness, SignatureCongruence
 from dehn4.laurent import LaurentPoly
-from dehn4.scenarios import HypothesisFlag, Report, Scenario, TraceStep, Verdict
+from dehn4.scenarios import (
+    HypothesisFlag,
+    Report,
+    Scenario,
+    TraceStep,
+    Verdict,
+    build_scenario,
+    run_scenario,
+)
 from dehn4 import exact, seifert
 from dehn4.seifert import (
     FoxMilnorFailure,
@@ -102,6 +110,44 @@ def test_records_built_alike_are_equal_and_hash_equal(index):
 def test_copies_and_pickles_are_equal_records_of_the_same_kind(record):
     for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(other) is type(record) and other == record
+
+
+def _reports_with_fixed_steps():
+    """Reports whose traces hold fixed steps, shared with every report at
+    their framing: the boundary head of each torus scenario, as
+    "companion.*" in twist-extension, and the Stein steps."""
+    return [
+        run_scenario(build_scenario(name))
+        for name in ("torus-solid", "torus-top-vs-smooth", "twist-extension")
+    ]
+
+
+@pytest.mark.parametrize("report", _reports_with_fixed_steps(), ids=lambda r: r.scenario.name)
+def test_fixed_steps_copy_pickle_and_show_as_plain_trace_steps(report):
+    fixed = [t for t in report.trace if type(t) is not TraceStep]
+    assert len(fixed) >= 5 and all(isinstance(t, TraceStep) for t in fixed)
+    shallow = copy.copy(report)
+    assert shallow == report and shallow.trace is report.trace
+    data = pickle.dumps(report)
+    assert b"_FixedStep" not in data
+    for other in (copy.deepcopy(report), pickle.loads(data)):
+        assert type(other) is Report and other == report
+        assert all(type(t) is TraceStep for t in other.trace)
+    deep = copy.deepcopy(report)
+    for mine, step in zip(deep.trace, report.trace):
+        if step.inputs:
+            assert mine.inputs is not step.inputs
+        if isinstance(step.output, (dict, list)):
+            assert mine.output is not step.output
+    for step in fixed:
+        assert type(copy.copy(step)) is TraceStep and copy.copy(step) == step
+        fields = ", ".join(f"{f}={getattr(step, f)!r}" for f in step._fields)
+        assert repr(step) == f"TraceStep({fields})"
+        with pytest.raises(AttributeError):
+            step.operation = "x"
+        with pytest.raises(AttributeError):
+            step.extra = None
+    assert "_FixedStep" not in repr(report) and repr(report) == repr(deep)
 
 
 def test_a_seifert_matrix_copies_as_itself_and_unpickles_through_from_rows(monkeypatch):

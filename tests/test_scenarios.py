@@ -120,6 +120,65 @@ def test_twist_extension_2_3_mixed():
     assert any(t.operation.startswith("companion.") for t in report.trace)
 
 
+def _count_head_builds(monkeypatch) -> list:
+    """Start from an empty head memo and record each head `_torus_head` builds."""
+    monkeypatch.setattr(scenarios, "_HEADS", {})
+    built = []
+    head = scenarios._torus_head
+    monkeypatch.setattr(
+        scenarios, "_torus_head", lambda n, prefix: built.append((n, prefix)) or head(n, prefix)
+    )
+    return built
+
+
+def test_reports_at_one_framing_share_their_head_steps(monkeypatch):
+    built = _count_head_builds(monkeypatch)
+    a, b = run("torus-solid", n=3), run("torus-solid", n=3, knot_k="unknot")
+    assert all(x is y for x, y in zip(a.trace[:5], b.trace[:5]))
+    assert a.trace[5] is not b.trace[5]  # the class steps are built per report
+    c = run("torus-top-vs-smooth", n=3)
+    assert all(x is y for x, y in zip(a.trace[:5], c.trace[:5]))
+    assert built == [(3, "")]
+    # twist-extension names its companion's head "companion." where it is
+    # made, at n = -1, and shares it across (p, q)
+    t23, t57 = run("twist-extension", p=2, q=3), run("twist-extension", p=5, q=7)
+    assert [t.operation for t in t23.trace[3:8]] == [
+        f"companion.{op}"
+        for op in (
+            "parse_presentation", "boundary_linking_matrix", "first_homology",
+            "self_linking_form", "zero_classes",
+        )
+    ]
+    assert all(x is y for x, y in zip(t23.trace[3:8], t57.trace[3:8]))
+    assert built == [(3, ""), (-1, "companion.")]
+    run("torus-solid", n=3)
+    run("twist-extension", p=3, q=4)
+    assert built == [(3, ""), (-1, "companion.")]
+
+
+def test_the_stein_steps_are_built_once_for_every_report():
+    a = run("torus-top-vs-smooth")
+    b = run("torus-top-vs-smooth", n=4, knot_j={"torus": [3, 5]})
+    ops = ("stein_condition", "tb_rot", "slice_bennequin_genus_bound")
+    steps = [next(t for t in r.trace if t.operation == op) for r in (a, b) for op in ops]
+    assert steps[:3] == list(scenarios._STEIN_STEPS)
+    assert all(x is y for x, y in zip(steps[:3], steps[3:]))
+
+
+def test_the_head_memo_stays_within_its_bound(monkeypatch):
+    built = _count_head_builds(monkeypatch)
+    for n in range(-500, 500):
+        report = run("torus-solid", n=n, knot_j="unknot", knot_k="unknot")
+        assert report.trace[0].inputs == {"n": n}
+        assert len(scenarios._HEADS) <= scenarios._HEADS_MAX
+    assert len(built) == 1000
+    # the heads left in the memo are those of the last framings run
+    assert all(key[0] >= 500 - scenarios._HEADS_MAX for key in scenarios._HEADS)
+    del built[:]
+    run("torus-solid", n=499, knot_j="unknot", knot_k="unknot")
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "unset",
     [

@@ -1,3 +1,4 @@
+import builtins
 import json
 import random
 from functools import reduce
@@ -276,6 +277,29 @@ def test_figure_eight_explicit_matrix():
 
 def test_trefoil_alexander():
     assert alexander_polynomial(TREFOIL) == LaurentPoly({1: 1, 0: -1, -1: 1})
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: twist_knot_seifert(3), unknot, lambda: torus_knot_seifert(2, 5)],
+    ids=["twist", "unknot", "torus"],
+)
+def test_a_second_alexander_polynomial_runs_no_laurent_import(monkeypatch, build):
+    """LaurentPoly is bound on the first Alexander polynomial; a later one
+    runs no `from dehn4.laurent import` statement."""
+    v = build()
+    first = alexander_polynomial(v)
+    imported = []
+    real_import = builtins.__import__
+
+    def spy(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", spy)
+    second = alexander_polynomial(v)
+    monkeypatch.undo()
+    assert "dehn4.laurent" not in imported
+    assert second == first and type(second) is LaurentPoly
 
 
 def test_unknot_alexander_is_one():
